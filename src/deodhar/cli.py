@@ -61,16 +61,23 @@ def _load_matrix(source: str) -> RatMatrix:
     return matrix_from_json(_parse_json(text, "matrix"))
 
 
+def _is_int_array(data) -> bool:
+    """A JSON array of integers; JSON true and false do not count."""
+    return isinstance(data, list) and all(
+        isinstance(i, int) and not isinstance(i, bool) for i in data
+    )
+
+
 def _parse_word(text: str) -> tuple[int, ...]:
     data = _parse_json(text, "word")
-    if not isinstance(data, list) or not all(isinstance(i, int) for i in data):
+    if not _is_int_array(data):
         raise InputError("word must be a JSON array of integers")
     return tuple(data)
 
 
 def _parse_perm(text: str, what: str) -> Permutation:
     data = _parse_json(text, what)
-    if not isinstance(data, list) or not all(isinstance(i, int) for i in data):
+    if not _is_int_array(data):
         raise InputError(f"{what} must be a JSON array of integers")
     return Permutation(tuple(data))
 

@@ -28,6 +28,7 @@ implemented.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,10 +42,9 @@ from .pinning import (
     FACTOR_Y,
     GroupFactor,
     GroupWord,
-    evaluate,
-    factor_matrix,
+    apply_factor,
+    apply_lift,
     gmin,
-    perm_matrix,
 )
 from .subexpr import (
     MARK_DOWN,
@@ -96,6 +96,14 @@ class ComponentDescriptor:
     @property
     def endpoint(self) -> Permutation:
         return self.trace.endpoint
+
+    @functools.cached_property
+    def prefix_perms(self) -> tuple[Permutation, ...]:
+        """The prefix products w_(0), ..., w_(n) of the word."""
+        out = [identity_perm(self.d)]
+        for i in self.word:
+            out.append(out[-1].times_s(i))
+        return tuple(out)
 
     @property
     def stay_positions(self) -> tuple[int, ...]:
@@ -344,20 +352,13 @@ def _stay_minor_product(
     return out
 
 
-def _prefix_perms(desc: ComponentDescriptor) -> list[Permutation]:
-    out = [identity_perm(desc.d)]
-    for i in desc.word:
-        out.append(out[-1].times_s(i))
-    return out
-
-
 def chamber_t(z: RatMatrix, desc: ComponentDescriptor, k: int) -> Fraction:
     """The y parameter at stay step k, as a ratio of chamber minors of z."""
     tr = desc.trace
     if not 1 <= k <= len(tr.word) or tr.marks[k - 1] != MARK_STAY:
         raise InputError(f"step {k} is not a stay step of the trace")
     i = tr.word[k - 1]
-    w = _prefix_perms(desc)
+    w = desc.prefix_perms
     num = _stay_minor_product(z, tr.values[k], w[k], i)
     den1 = gmin(z, tr.values[k], w[k], i)
     den2 = gmin(z, tr.values[k - 1], w[k - 1], i)
@@ -379,7 +380,7 @@ def chamber_m(
     if not 1 <= k <= len(tr.word) or tr.marks[k - 1] != MARK_DOWN:
         raise InputError(f"step {k} is not a descent step of the trace")
     i = tr.word[k - 1]
-    w = _prefix_perms(desc)
+    w = desc.prefix_perms
     prev_std = gmin(z, tr.values[k - 1], w[k - 1], i)
     if prev_std == 0:
         raise NotInComponentError("standard chamber minor vanishes")
@@ -421,7 +422,7 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
     desc = classify(z, word)
     tr = desc.trace
     d = z.d
-    w = _prefix_perms(desc)
+    w = desc.prefix_perms
     g = RatMatrix.identity(d)
     t_params: dict[int, Fraction] = {}
     m_params: dict[int, Fraction] = {}
@@ -450,9 +451,9 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
             m_params[k] = m
             corrections[k] = correction
             factors.append(GroupFactor(FACTOR_XSINV, i, m))
-        g = g * factor_matrix(d, factors[-1])
+        g = apply_factor(g, factors[-1])
     gw = GroupWord(d, tuple(factors))
-    if not flag_equal(evaluate(gw), z * perm_matrix(w[-1])):
+    if not flag_equal(g, apply_lift(z, w[-1])):
         raise InternalCheckError("rebuilt element does not match the input flag")
     return FactorizationResult(desc, t_params, m_params, corrections, gw)
 
@@ -464,7 +465,7 @@ def chamber_coordinates(z: RatMatrix, desc: ComponentDescriptor) -> dict:
     probe minor; together these determine the element.
     """
     tr = desc.trace
-    w = _prefix_perms(desc)
+    w = desc.prefix_perms
     out: dict[int, Fraction] = {}
     for k, i in enumerate(tr.word, start=1):
         mark = tr.marks[k - 1]
@@ -496,7 +497,7 @@ def element_from_coordinates(
     for k in desc.stay_positions:
         if coords[k] == 0:
             raise DomainError(f"stay coordinate at step {k} must be nonzero")
-    w = _prefix_perms(desc)
+    w = desc.prefix_perms
     e = identity_perm(d)
     g = RatMatrix.identity(d)
     t_params: dict[int, Fraction] = {}
@@ -514,7 +515,7 @@ def element_from_coordinates(
                 if mark == MARK_STAY
                 else GroupFactor(FACTOR_XSINV, i, Fraction(0))
             )
-            g_star = g * factor_matrix(d, placeholder)
+            g_star = apply_factor(g, placeholder)
             for j in _neighbor_indices(i, d):
                 factor = gmin(g_star, w[k], e, j)
                 if factor == 0:
@@ -533,6 +534,6 @@ def element_from_coordinates(
                 m_params[k] = m
                 corrections[k] = correction
                 factors.append(GroupFactor(FACTOR_XSINV, i, m))
-        g = g * factor_matrix(d, factors[-1])
+        g = apply_factor(g, factors[-1])
     gw = GroupWord(d, tuple(factors))
     return FactorizationResult(desc, t_params, m_params, corrections, gw)

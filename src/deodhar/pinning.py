@@ -17,6 +17,13 @@ A ``GroupWord`` is a sequence of factors of three kinds: ``y`` with a
 parameter, bare ``s``, and ``xsinv`` which abbreviates x_i(m) followed by
 the inverse lift of s_i.  One factor per step keeps positions aligned with
 the steps of a subexpression trace.
+
+Every factor differs from the identity only in rows and columns i, i+1, so
+``apply_factor`` multiplies it onto a matrix from the right as two column
+operations, and ``apply_lift`` multiplies by the lift of a permutation as a
+signed column permutation.  ``evaluate`` folds a word with ``apply_factor``;
+``factor_matrix`` and ``perm_matrix`` build the same factors as dense
+matrices, for products where a matrix is wanted.
 """
 
 from __future__ import annotations
@@ -41,9 +48,11 @@ __all__ = [
     "gen_sdot_inv",
     "gen_acheck",
     "factor_matrix",
+    "apply_factor",
     "evaluate",
     "partial",
     "perm_matrix",
+    "apply_lift",
     "gmin",
     "reduce_flag",
     "group_word_to_json",
@@ -157,10 +166,36 @@ def factor_matrix(d: int, factor: GroupFactor) -> RatMatrix:
     return gen_x(d, factor.index, factor.param) * gen_sdot_inv(d, factor.index)
 
 
+def apply_factor(g: RatMatrix, factor: GroupFactor) -> RatMatrix:
+    """g times ``factor_matrix(g.d, factor)``, by operations on columns i, i+1.
+
+    y_i(t) adds t times column i+1 to column i; the lift of s_i sends
+    (col_i, col_i+1) to (col_i+1, -col_i); x_i(m) s_i^{-1} sends them to
+    (-(col_i+1 + m col_i), col_i).
+    """
+    _check_gen_index(g.d, factor.index)
+    a = factor.index - 1
+    b = a + 1
+    kind = factor.kind
+    if kind != FACTOR_S:
+        p = Fraction(factor.param)
+    rows = []
+    for row in g.rows:
+        r = list(row)
+        if kind == FACTOR_Y:
+            r[a] = row[a] + p * row[b]
+        elif kind == FACTOR_S:
+            r[a], r[b] = row[b], -row[a]
+        else:
+            r[a], r[b] = -(row[b] + p * row[a]), row[a]
+        rows.append(tuple(r))
+    return RatMatrix(tuple(rows))
+
+
 def evaluate(gw: GroupWord) -> RatMatrix:
     out = RatMatrix.identity(gw.d)
     for f in gw.factors:
-        out = out * factor_matrix(gw.d, f)
+        out = apply_factor(out, f)
     return out
 
 
@@ -176,12 +211,28 @@ def perm_matrix(w: Permutation) -> RatMatrix:
 
     Agrees with the product of gen_sdot factors over any reduced word.
     """
-    d = w.d
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for j in range(1, d + 1):
-        sign = (-1) ** sum(1 for k in range(1, j) if w(k) > w(j))
-        rows[w(j) - 1][j - 1] = Fraction(sign)
-    return RatMatrix(tuple(tuple(row) for row in rows))
+    return apply_lift(RatMatrix.identity(w.d), w)
+
+
+def apply_lift(g: RatMatrix, w: Permutation) -> RatMatrix:
+    """g times ``perm_matrix(w)``, as a signed permutation of the columns.
+
+    Column j of the product is column w(j) of g, negated when an odd number
+    of k < j have w(k) > w(j).
+    """
+    if w.d != g.d:
+        raise InputError("degree mismatch in permutation lift")
+    images = w.images
+    columns = [
+        (images[j] - 1, sum(1 for k in range(j) if images[k] > images[j]) % 2)
+        for j in range(w.d)
+    ]
+    return RatMatrix(
+        tuple(
+            tuple(-row[c] if odd else row[c] for c, odd in columns)
+            for row in g.rows
+        )
+    )
 
 
 def gmin(g: RatMatrix, v: Permutation, w: Permutation, i: int) -> Fraction:
@@ -201,8 +252,7 @@ def reduce_flag(z: RatMatrix, word: Sequence[int], k: int) -> RatMatrix:
     """Representative of the flag z times the lift of the k-letter prefix."""
     if not 0 <= k <= len(word):
         raise InputError(f"prefix length {k} out of range 0..{len(word)}")
-    prefix = evaluate_word(z.d, tuple(word[:k]))
-    return z * perm_matrix(prefix)
+    return apply_lift(z, evaluate_word(z.d, tuple(word[:k])))
 
 
 def group_word_to_json(gw: GroupWord) -> list[dict]:
@@ -215,6 +265,12 @@ def group_word_to_json(gw: GroupWord) -> list[dict]:
     return out
 
 
+def _index_from_json(x) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InputError(f"factor index must be an integer, got {x!r}")
+    return x
+
+
 def group_word_from_json(d: int, data: list) -> GroupWord:
     factors: list[GroupFactor] = []
     if not isinstance(data, list):
@@ -223,15 +279,19 @@ def group_word_from_json(d: int, data: list) -> GroupWord:
         if not isinstance(item, dict) or len(item) != 1:
             raise InputError(f"malformed group word factor: {item!r}")
         kind, payload = next(iter(item.items()))
+        if not isinstance(payload, list):
+            raise InputError(f"malformed group word factor: {item!r}")
         if kind == FACTOR_S:
             if len(payload) != 1:
                 raise InputError(f"malformed reflection factor: {item!r}")
-            factors.append(GroupFactor(FACTOR_S, int(payload[0])))
+            factors.append(GroupFactor(FACTOR_S, _index_from_json(payload[0])))
         elif kind in (FACTOR_Y, FACTOR_XSINV):
             if len(payload) != 2:
                 raise InputError(f"malformed parametrized factor: {item!r}")
             factors.append(
-                GroupFactor(kind, int(payload[0]), rational_from_json(payload[1]))
+                GroupFactor(
+                    kind, _index_from_json(payload[0]), rational_from_json(payload[1])
+                )
             )
         else:
             raise InputError(f"unknown factor kind {kind!r}")

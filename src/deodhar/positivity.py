@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .components import ComponentDescriptor, _prefix_perms, build_element, classify
+from .components import ComponentDescriptor, build_element, classify
 from .errors import DomainError, InputError
 from .linalg import RatMatrix, rational_to_json
 from .pinning import GroupWord, gmin
@@ -159,7 +159,7 @@ def is_totally_nonnegative(z: RatMatrix, word: Sequence[int]) -> TnnCertificate:
     desc = classify(z, word)
     tr = desc.trace
     v = desc.endpoint
-    w = _prefix_perms(desc)
+    w = desc.prefix_perms
     equalities = []
     inequalities = []
     violated = []

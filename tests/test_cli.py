@@ -80,6 +80,28 @@ def test_malformed_word_exits_one(z_file, capsys):
     assert err["type"] == "input"
 
 
+def test_boolean_word_letter_exits_one(z_file, capsys):
+    code, out = run(
+        capsys, ["classify", "--matrix", z_file, "--word", "[true,2,1,3,2]"]
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "input"
+
+
+def test_boolean_permutation_entry_exits_one(capsys):
+    code, out = run(capsys, ["rpoly", "--v", "[1,2,3]", "--w", "[true,3,2]"])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "input"
+
+
+def test_boolean_matrix_entry_exits_one(tmp_path, capsys):
+    path = tmp_path / "z.json"
+    path.write_text("[[true, 0], [0, 1]]")
+    code, out = run(capsys, ["classify", "--matrix", str(path), "--word", "[1]"])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "input"
+
+
 def test_missing_flag_exits_one(capsys):
     code, out = run(capsys, ["classify", "--word", WORD_JSON])
     assert code == 1

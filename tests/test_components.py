@@ -18,7 +18,12 @@ from deodhar.components import (
     factorize,
     minor_polynomial,
 )
-from deodhar.errors import DomainError, InputError, NotInComponentError
+from deodhar.errors import (
+    DomainError,
+    InputError,
+    InternalCheckError,
+    NotInComponentError,
+)
 from deodhar.linalg import RatMatrix, flag_equal, unipotent_representative
 from deodhar.pinning import evaluate, partial, perm_matrix, reduce_flag
 from deodhar.subexpr import enumerate_distinguished
@@ -286,3 +291,18 @@ def enumerate_distinguished_all(w, word):
         if bruhat_leq(v, w):
             out.extend(enumerate_distinguished(v, word))
     return out
+
+
+def test_flag_check_catches_a_dropped_factor(monkeypatch):
+    # A kernel that forgets the column update of y factors must make the
+    # final flag check of factorize fail, not pass unnoticed.
+    import deodhar.components as components
+
+    real = components.apply_factor
+
+    def drop_y(g, factor):
+        return g if factor.kind == "y" else real(g, factor)
+
+    monkeypatch.setattr(components, "apply_factor", drop_y)
+    with pytest.raises(InternalCheckError, match="does not match the input flag"):
+        factorize(s102_matrix(), S102_WORD)

@@ -202,3 +202,11 @@ def test_json_round_trips():
     assert matrix_from_json(data) == m
     with pytest.raises(InputError):
         matrix_from_json({"rows": []})
+
+
+def test_booleans_are_not_rationals():
+    for bad in (True, False):
+        with pytest.raises(InputError):
+            rational_from_json(bad)
+    with pytest.raises(InputError):
+        matrix_from_json([[True, 0], [0, 1]])

@@ -12,6 +12,8 @@ from deodhar.pinning import (
     FACTOR_Y,
     GroupFactor,
     GroupWord,
+    apply_factor,
+    apply_lift,
     evaluate,
     factor_matrix,
     gen_acheck,
@@ -37,6 +39,7 @@ from deodhar.weyl import (
 
 from support import (
     S102_WORD,
+    random_matrix,
     random_nonzero,
     random_perm,
     random_rational,
@@ -311,18 +314,72 @@ def test_evaluate_commutes_with_random_samples():
     import random
 
     rng = random.Random(3)
-    for _ in range(10):
-        factors = []
-        for _ in range(6):
-            kind = rng.choice([FACTOR_Y, FACTOR_S, FACTOR_XSINV])
-            i = rng.randrange(1, 4)
-            if kind == FACTOR_S:
-                factors.append(GroupFactor(kind, i))
-            else:
-                factors.append(GroupFactor(kind, i, random_rational(rng)))
-        gw = GroupWord(4, tuple(factors))
-        prod = RatMatrix.identity(4)
-        for f in gw.factors:
-            prod = prod * factor_matrix(4, f)
-        assert evaluate(gw) == prod
-        assert evaluate(gw).det() == 1
+    for d, length in ((4, 6), (8, 20)):
+        for _ in range(10):
+            factors = []
+            for _ in range(length):
+                kind = rng.choice([FACTOR_Y, FACTOR_S, FACTOR_XSINV])
+                i = rng.randrange(1, d)
+                if kind == FACTOR_S:
+                    factors.append(GroupFactor(kind, i))
+                else:
+                    factors.append(GroupFactor(kind, i, random_rational(rng)))
+            gw = GroupWord(d, tuple(factors))
+            prod = RatMatrix.identity(d)
+            for f in gw.factors:
+                prod = prod * factor_matrix(d, f)
+            assert evaluate(gw) == prod
+            assert evaluate(gw).det() == 1
+
+
+def random_invertible(rng, d):
+    while True:
+        g = random_matrix(rng, d)
+        if g.det() != 0 and g != RatMatrix.identity(d):
+            return g
+
+
+def test_apply_factor_matches_dense_product():
+    import random
+
+    rng = random.Random(29)
+    for d in (2, 3, 6, 8, 12):
+        g = random_invertible(rng, d)
+        for i in sorted({1, d // 2, d - 1}):
+            for param in (rng.randint(-9, 9), random_rational(rng)):
+                for f in (
+                    GroupFactor(FACTOR_Y, i, param),
+                    GroupFactor(FACTOR_S, i),
+                    GroupFactor(FACTOR_XSINV, i, param),
+                ):
+                    out = apply_factor(g, f)
+                    assert out == g * factor_matrix(d, f)
+                    assert all(type(x) is Fraction for row in out.rows for x in row)
+    with pytest.raises(InputError):
+        apply_factor(RatMatrix.identity(3), GroupFactor(FACTOR_S, 3))
+
+
+def test_apply_lift_matches_reduced_word_product():
+    import random
+
+    rng = random.Random(37)
+    for d in (2, 4, 6):
+        g = random_invertible(rng, d)
+        for _ in range(4):
+            w = random_perm(rng, d)
+            prod = g
+            for i in random_reduced_word(rng, w):
+                prod = prod * gen_sdot(d, i)
+            assert apply_lift(g, w) == prod
+    with pytest.raises(InputError):
+        apply_lift(RatMatrix.identity(3), identity_perm(4))
+
+
+def test_group_word_json_rejects_non_integer_indices():
+    for index in (True, 1.7, "2", 2.0, None):
+        with pytest.raises(InputError):
+            group_word_from_json(3, [{"s": [index]}])
+        with pytest.raises(InputError):
+            group_word_from_json(3, [{"y": [index, "1"]}])
+    with pytest.raises(InputError):
+        group_word_from_json(3, [{"s": 1}])
