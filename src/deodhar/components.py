@@ -55,7 +55,7 @@ from .subexpr import (
     trace_from_json,
     trace_to_json,
 )
-from .weyl import Permutation, Word, identity_perm, simple_reflection
+from .weyl import Permutation, Word, check_reduced_word, identity_perm, simple_reflection
 
 __all__ = [
     "ComponentDescriptor",
@@ -105,6 +105,21 @@ class ComponentDescriptor:
             out.append(out[-1].times_s(i))
         return tuple(out)
 
+    @functools.cached_property
+    def step_minors(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """(rows, cols) of the minor Delta_{v_(k-1) omega_i, w_(k) omega_i}, i = i_k.
+
+        Entry k-1 belongs to step k: it is the vanishing probe minor at an
+        ascent, the standard chamber minor at a stay (where v_(k-1) = v_(k)),
+        and the chamber coordinate at a descent.
+        """
+        values = self.trace.values
+        w = self.prefix_perms
+        return tuple(
+            (values[k - 1].prefix_set(i), w[k].prefix_set(i))
+            for k, i in enumerate(self.word, start=1)
+        )
+
     @property
     def stay_positions(self) -> tuple[int, ...]:
         return self.trace.positions(MARK_STAY)
@@ -147,22 +162,10 @@ def _check_unipotent(z: RatMatrix) -> None:
         raise InputError("flag representative must be upper unipotent")
 
 
-def _check_word_for(z: RatMatrix, word: Sequence[int]) -> Word:
-    word = tuple(word)
-    from .weyl import evaluate_word
-
-    for i in word:
-        if not 1 <= i <= z.d - 1:
-            raise InputError(f"letter {i} out of range 1..{z.d - 1}")
-    if evaluate_word(z.d, word).length() != len(word):
-        raise InputError(f"word {word!r} is not reduced")
-    return word
-
-
 def classify_steps(z: RatMatrix, word: Sequence[int]) -> list[ClassifyStep]:
     """The classifying sweep with its probe minors, step by step."""
     _check_unipotent(z)
-    word = _check_word_for(z, word)
+    word, _ = check_reduced_word(z.d, word)
     d = z.d
     v = identity_perm(d)
     w_prefix = identity_perm(d)
@@ -224,18 +227,12 @@ class ComponentConditions:
 
 
 def component_conditions(desc: ComponentDescriptor) -> ComponentConditions:
-    zero = []
-    nonzero = []
-    tr = desc.trace
-    w_prefix = identity_perm(desc.d)
-    for k, i in enumerate(tr.word, start=1):
-        w_prefix = w_prefix.times_s(i)
-        mark = tr.marks[k - 1]
-        if mark == MARK_UP:
-            zero.append((k, tr.values[k - 1].prefix_set(i), w_prefix.prefix_set(i)))
-        elif mark == MARK_STAY:
-            nonzero.append((k, tr.values[k].prefix_set(i), w_prefix.prefix_set(i)))
-    return ComponentConditions(tuple(zero), tuple(nonzero))
+    def records(positions: tuple[int, ...]):
+        return tuple((k, *desc.step_minors[k - 1]) for k in positions)
+
+    return ComponentConditions(
+        records(desc.ascent_positions), records(desc.stay_positions)
+    )
 
 
 POLY_EXPANSION_GUARD = 6
@@ -464,18 +461,15 @@ def chamber_coordinates(z: RatMatrix, desc: ComponentDescriptor) -> dict:
     Stay steps contribute their standard chamber minor, descent steps their
     probe minor; together these determine the element.
     """
-    tr = desc.trace
-    w = desc.prefix_perms
+    if z.d != desc.d:
+        raise InputError("degree mismatch in generalized minor")
     out: dict[int, Fraction] = {}
-    for k, i in enumerate(tr.word, start=1):
-        mark = tr.marks[k - 1]
-        if mark == MARK_STAY:
-            value = gmin(z, tr.values[k], w[k], i)
-            if value == 0:
-                raise NotInComponentError("standard chamber minor vanishes")
-            out[k] = value
-        elif mark == MARK_DOWN:
-            out[k] = gmin(z, tr.values[k - 1], w[k], i)
+    for k, mark in enumerate(desc.trace.marks, start=1):
+        if mark == MARK_UP:
+            continue
+        out[k] = z.minor(*desc.step_minors[k - 1])
+        if mark == MARK_STAY and out[k] == 0:
+            raise NotInComponentError("standard chamber minor vanishes")
     return out
 
 

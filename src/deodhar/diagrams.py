@@ -34,11 +34,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .components import ComponentDescriptor, _check_unipotent, _check_word_for
-from .errors import InputError
+from .components import ComponentDescriptor, _check_unipotent
+from .errors import InputError, NotInComponentError
 from .linalg import RatMatrix
 from .subexpr import MARK_DOWN, MARK_STAY, MARK_UP, SubexpressionTrace
-from .weyl import Permutation, identity_perm
+from .weyl import Permutation, check_reduced_word, identity_perm
 
 __all__ = [
     "SINGULAR",
@@ -190,16 +190,17 @@ def build_arrangement(kind: str, desc: ComponentDescriptor) -> Arrangement:
     ]
     arr = _assemble(kind, desc.d, columns)
     if kind == ANSATZ:
-        upper = build_arrangement(UPPER, desc)
-        lower = build_arrangement(LOWER, desc)
-        labels: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        # The strands below a level change only at crossings on it, and every
+        # upper or lower crossing is an ansatz crossing, so these sets hold
+        # all along each ansatz chamber.
+        upper = build_arrangement(UPPER, desc).positions
+        lower = build_arrangement(LOWER, desc).positions
         for ch in arr.chambers:
-            if not 1 <= ch.level <= desc.d - 1:
-                continue
-            rows = upper.chamber_at(ch.level, ch.start).label
-            cols = lower.chamber_at(ch.level, ch.start).label
-            labels[(ch.level, ch.start, ch.end)] = (rows, cols)
-        arr.minor_labels.update(labels)
+            if 1 <= ch.level <= desc.d - 1:
+                arr.minor_labels[(ch.level, ch.start, ch.end)] = (
+                    tuple(sorted(upper[ch.start][: ch.level])),
+                    tuple(sorted(lower[ch.start][: ch.level])),
+                )
     return arr
 
 
@@ -212,37 +213,37 @@ def ansatz_minor_labels(desc: ComponentDescriptor) -> dict:
     return dict(build_arrangement(ANSATZ, desc).minor_labels)
 
 
-def _overlay_minor(
-    z: RatMatrix, upper: Arrangement, lower: Arrangement, level: int, cell: int
-) -> Fraction:
-    rows = upper.chamber_at(level, cell).label
-    cols = lower.chamber_at(level, cell).label
-    return z.minor(rows, cols)
-
-
 def diagram_formulas(desc: ComponentDescriptor, z: RatMatrix) -> dict:
     """Parameters read off the ansatz arrangement, one per singular point.
 
     For a stay step the value is the y parameter; for a descent step it is
     the minor ratio before the correction term.  Around each dot the four
     surrounding chambers give above*below/(left*right), inverted on
-    descent steps.
+    descent steps.  A vanishing denominator means z is not in the
+    component and raises NotInComponentError.
     """
     arr = build_arrangement(ANSATZ, desc)
-    upper = build_arrangement(UPPER, desc)
-    lower = build_arrangement(LOWER, desc)
+
+    def minor(level: int, cell: int) -> Fraction:
+        # Levels 0 and d have no minor label; their chamber label serves
+        # as both index sets.
+        ch = arr.chamber_at(level, cell)
+        key = (ch.level, ch.start, ch.end)
+        return z.minor(*arr.minor_labels.get(key, (ch.label, ch.label)))
+
     out: dict[int, Fraction] = {}
     for k in desc.stay_positions + desc.descent_positions:
         col = arr.singular_column(k)
         i = arr.columns[col - 1].level
-        above = _overlay_minor(z, upper, lower, i + 1, col - 1)
-        below = _overlay_minor(z, upper, lower, i - 1, col - 1)
-        left = _overlay_minor(z, upper, lower, i, col - 1)
-        right = _overlay_minor(z, upper, lower, i, col)
+        vertical = minor(i + 1, col - 1) * minor(i - 1, col - 1)
+        horizontal = minor(i, col - 1) * minor(i, col)
         if k in desc.stay_positions:
-            out[k] = (above * below) / (left * right)
+            num, den = vertical, horizontal
         else:
-            out[k] = (left * right) / (above * below)
+            num, den = horizontal, vertical
+        if den == 0:
+            raise NotInComponentError(f"chamber minor around step {k} vanishes")
+        out[k] = num / den
     return out
 
 
@@ -255,7 +256,7 @@ def classify_graphical(z: RatMatrix, word: Sequence[int]) -> ComponentDescriptor
     strands.  Agrees with the sweep classifier.
     """
     _check_unipotent(z)
-    word = _check_word_for(z, word)
+    word, _ = check_reduced_word(z.d, word)
     d = z.d
     classical = classical_arrangement(word, d)
     pos = list(range(1, d + 1))

@@ -145,7 +145,7 @@ class RatMatrix:
         for row in self.rows:
             lcm = math.lcm(*(x.denominator for x in row)) if row else 1
             scale *= lcm
-            m.append([int(x * lcm) for x in row])
+            m.append([x.numerator * (lcm // x.denominator) for x in row])
         return Fraction(_bareiss_det(m), scale)
 
     def minor(self, row_set: Sequence[int], col_set: Sequence[int]) -> Fraction:

@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .linalg import RatMatrix, rational_from_json, rational_to_json
-from .weyl import Permutation, evaluate_word
+from .weyl import Permutation, _int_from_json, evaluate_word
 
 __all__ = [
     "FACTOR_Y",
@@ -265,12 +265,6 @@ def group_word_to_json(gw: GroupWord) -> list[dict]:
     return out
 
 
-def _index_from_json(x) -> int:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise InputError(f"factor index must be an integer, got {x!r}")
-    return x
-
-
 def group_word_from_json(d: int, data: list) -> GroupWord:
     factors: list[GroupFactor] = []
     if not isinstance(data, list):
@@ -284,15 +278,13 @@ def group_word_from_json(d: int, data: list) -> GroupWord:
         if kind == FACTOR_S:
             if len(payload) != 1:
                 raise InputError(f"malformed reflection factor: {item!r}")
-            factors.append(GroupFactor(FACTOR_S, _index_from_json(payload[0])))
+            index = _int_from_json(payload[0], "factor index")
+            factors.append(GroupFactor(FACTOR_S, index))
         elif kind in (FACTOR_Y, FACTOR_XSINV):
             if len(payload) != 2:
                 raise InputError(f"malformed parametrized factor: {item!r}")
-            factors.append(
-                GroupFactor(
-                    kind, _index_from_json(payload[0]), rational_from_json(payload[1])
-                )
-            )
+            index = _int_from_json(payload[0], "factor index")
+            factors.append(GroupFactor(kind, index, rational_from_json(payload[1])))
         else:
             raise InputError(f"unknown factor kind {kind!r}")
     return GroupWord(d, tuple(factors))

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .components import ComponentDescriptor, build_element, classify
+from .components import ComponentDescriptor, build_element, classify, component_conditions
 from .errors import DomainError, InputError
 from .linalg import RatMatrix, rational_to_json
-from .pinning import GroupWord, gmin
-from .subexpr import MARK_DOWN, MARK_UP, positive_subexpression
+from .pinning import GroupWord
+from .subexpr import positive_subexpression
 from .weyl import Permutation
 
 __all__ = [
@@ -157,63 +157,35 @@ def is_totally_nonnegative(z: RatMatrix, word: Sequence[int]) -> TnnCertificate:
     and one inequality record per stay step.
     """
     desc = classify(z, word)
-    tr = desc.trace
-    v = desc.endpoint
-    w = desc.prefix_perms
-    equalities = []
+    conditions = component_conditions(desc)
+    equalities = tuple(
+        MinorRecord(k, rows, cols, Fraction(0), "=", True)
+        for k, rows, cols in conditions.zero_minors
+    )
     inequalities = []
-    violated = []
-    for k, i in enumerate(tr.word, start=1):
-        mark = tr.marks[k - 1]
-        if mark == MARK_DOWN:
-            continue
-        if mark == MARK_UP:
-            rows = tr.values[k - 1].prefix_set(i)
-            cols = w[k].prefix_set(i)
-            equalities.append(
-                MinorRecord(k, rows, cols, Fraction(0), "=", True)
-            )
-        else:
-            rows = tr.values[k].prefix_set(i)
-            cols = w[k].prefix_set(i)
-            value = gmin(z, tr.values[k], w[k], i)
-            ok = value > 0
-            if not ok:
-                violated.append(k)
-            inequalities.append(MinorRecord(k, rows, cols, value, ">", ok))
+    for k, rows, cols in conditions.nonzero_minors:
+        value = z.minor(rows, cols)
+        inequalities.append(MinorRecord(k, rows, cols, value, ">", value > 0))
+    violated = [r.k for r in inequalities if not r.ok]
     descents = desc.descent_positions
     if descents:
-        return TnnCertificate(
-            False,
-            v,
-            desc,
+        reason = (
             f"trace has length-decreasing steps at {list(descents)}, "
-            "so it is not the positive trace of its endpoint",
-            descents,
-            tuple(equalities),
-            tuple(inequalities),
-            tuple(violated),
+            "so it is not the positive trace of its endpoint"
         )
-    if violated:
-        return TnnCertificate(
-            False,
-            v,
-            desc,
-            f"chamber minors at steps {violated} are not positive",
-            (),
-            tuple(equalities),
-            tuple(inequalities),
-            tuple(violated),
-        )
+    elif violated:
+        reason = f"chamber minors at steps {violated} are not positive"
+    else:
+        reason = "flag lies in the totally nonnegative part"
     return TnnCertificate(
-        True,
-        v,
+        not descents and not violated,
+        desc.endpoint,
         desc,
-        "flag lies in the totally nonnegative part",
-        (),
-        tuple(equalities),
+        reason,
+        descents,
+        equalities,
         tuple(inequalities),
-        (),
+        tuple(violated),
     )
 
 

@@ -26,8 +26,9 @@ from .errors import DomainError, InputError
 from .weyl import (
     Permutation,
     Word,
+    _int_from_json,
     bruhat_leq,
-    evaluate_word,
+    check_reduced_word,
     identity_perm,
 )
 
@@ -122,17 +123,6 @@ def _trace_from_moves(word: Word, d: int, moves: Sequence[bool]) -> Subexpressio
     return SubexpressionTrace(word, tuple(values), tuple(marks))
 
 
-def _check_word(d: int, word: Sequence[int]) -> tuple[Word, Permutation]:
-    word = tuple(word)
-    for i in word:
-        if not 1 <= i <= d - 1:
-            raise InputError(f"letter {i} out of range 1..{d - 1}")
-    w = evaluate_word(d, word)
-    if w.length() != len(word):
-        raise InputError(f"word {word!r} is not reduced")
-    return word, w
-
-
 def positive_subexpression(v: Permutation, word: Sequence[int]) -> SubexpressionTrace:
     """The unique distinguished trace for v with no descents.
 
@@ -146,7 +136,7 @@ def positive_subexpression(v: Permutation, word: Sequence[int]) -> Subexpression
     >>> t.marks
     ('o', 'o', 'o', 'o', '+', 'o')
     """
-    word, w = _check_word(v.d, word)
+    word, w = check_reduced_word(v.d, word)
     if not bruhat_leq(v, w):
         raise DomainError("no subexpression: endpoint is not below the word's product")
     values = [v]
@@ -184,7 +174,7 @@ def enumerate_distinguished(
         raise DomainError(
             f"distinguished enumeration is limited to degree {ENUMERATION_GUARD}"
         )
-    word, _ = _check_word(v.d, word)
+    word, _ = check_reduced_word(v.d, word)
     n = len(word)
     target_len = v.length()
     found: list[list[bool]] = []
@@ -318,7 +308,7 @@ def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolyno
     The word must be a reduced word for w; the value does not depend on
     which one is chosen.  Pairs with v not below w give the zero polynomial.
     """
-    word, prod = _check_word(v.d, word)
+    word, prod = check_reduced_word(v.d, word)
     if prod != w:
         raise InputError("word does not multiply out to w")
     if not bruhat_leq(v, w):
@@ -342,13 +332,19 @@ def trace_to_json(trace: SubexpressionTrace) -> dict:
 
 
 def trace_from_json(data: dict) -> SubexpressionTrace:
+    """The trace of a JSON object; its word must be reduced."""
     try:
-        word = tuple(int(i) for i in data["word"])
-        values = tuple(Permutation(tuple(int(x) for x in im)) for im in data["values"])
+        word = tuple(_int_from_json(i, "trace entry") for i in data["word"])
+        values = tuple(
+            Permutation(tuple(_int_from_json(x, "trace entry") for x in im))
+            for im in data["values"]
+        )
         marks = tuple(str(m) for m in data["marks"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed trace object: {exc}") from exc
-    return SubexpressionTrace(word, values, marks)
+    trace = SubexpressionTrace(word, values, marks)
+    check_reduced_word(trace.d, trace.word)
+    return trace
 
 
 if __name__ == "__main__":

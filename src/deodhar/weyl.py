@@ -31,6 +31,7 @@ __all__ = [
     "bruhat_leq",
     "evaluate_word",
     "is_reduced",
+    "check_reduced_word",
     "a_reduced_word",
     "reduced_words",
     "all_permutations",
@@ -137,6 +138,13 @@ class Permutation:
         return f"Permutation({self.images!r})"
 
 
+def _int_from_json(x, what: str) -> int:
+    """A JSON integer as is; JSON true and false, floats and strings raise."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def identity_perm(d: int) -> Permutation:
     return Permutation(tuple(range(1, d + 1)))
 
@@ -179,6 +187,22 @@ def evaluate_word(d: int, word: Sequence[int]) -> Permutation:
 
 def is_reduced(d: int, word: Sequence[int]) -> bool:
     return evaluate_word(d, word).length() == len(word)
+
+
+def check_reduced_word(d: int, word: Sequence[int]) -> tuple[Word, Permutation]:
+    """The word as a tuple with its product, or InputError if it is not reduced.
+
+    >>> check_reduced_word(3, [1, 2])
+    ((1, 2), Permutation((2, 3, 1)))
+    """
+    word = tuple(word)
+    for i in word:
+        if not 1 <= i <= d - 1:
+            raise InputError(f"letter {i} out of range 1..{d - 1}")
+    w = evaluate_word(d, word)
+    if w.length() != len(word):
+        raise InputError(f"word {word!r} is not reduced")
+    return word, w
 
 
 def a_reduced_word(w: Permutation) -> Word:

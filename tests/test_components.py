@@ -36,6 +36,7 @@ from support import (
     random_perm,
     random_rational,
     random_reduced_word,
+    random_unipotent,
     s102_matrix,
 )
 
@@ -306,3 +307,41 @@ def test_flag_check_catches_a_dropped_factor(monkeypatch):
     monkeypatch.setattr(components, "apply_factor", drop_y)
     with pytest.raises(InternalCheckError, match="does not match the input flag"):
         factorize(s102_matrix(), S102_WORD)
+
+
+def random_component_flag(rng):
+    """A random component of a random cell, and a flag inside it."""
+    d = rng.choice([3, 4, 5])
+    word = random_reduced_word(rng, random_perm(rng, d))
+    desc = ComponentDescriptor(random_distinguished(rng, d, word))
+    gw = build_element(
+        desc,
+        {k: random_nonzero(rng) for k in desc.stay_positions},
+        {k: random_rational(rng) for k in desc.descent_positions},
+    )
+    return desc, unipotent_representative(evaluate(gw))[0]
+
+
+def test_conditions_are_the_classify_probes():
+    rng = random.Random(53)
+    for _ in range(30):
+        desc, z = random_component_flag(rng)
+        steps = classify_steps(z, desc.word)
+        cond = component_conditions(classify(z, desc.word))
+        probes = {
+            case: tuple((s.k, s.rows, s.cols) for s in steps if s.case == case)
+            for case in ("ascend", "stay")
+        }
+        assert cond.zero_minors == probes["ascend"]
+        assert cond.nonzero_minors == probes["stay"]
+        coords = chamber_coordinates(z, desc)
+        for s in steps:
+            if s.case == "stay":
+                assert coords[s.k] == s.probe
+
+
+def test_chamber_coordinates_degree_mismatch():
+    desc = classify(s102_matrix(), S102_WORD)
+    for z in (RatMatrix.identity(3), random_unipotent(random.Random(2), 5)):
+        with pytest.raises(InputError, match="degree mismatch"):
+            chamber_coordinates(z, desc)

@@ -23,8 +23,8 @@ from deodhar.diagrams import (
     diagram_formulas,
     render,
 )
-from deodhar.errors import InputError
-from deodhar.linalg import unipotent_representative
+from deodhar.errors import InputError, NotInComponentError
+from deodhar.linalg import RatMatrix, unipotent_representative
 from deodhar.pinning import evaluate
 from deodhar.weyl import Permutation, evaluate_word
 
@@ -250,3 +250,9 @@ def test_chamber_lookup():
 def test_build_arrangement_validation():
     with pytest.raises(InputError):
         build_arrangement("diagonal", desc102())
+
+
+def test_diagram_formulas_outside_component():
+    # The identity lies in the all-ascent component, not in +oo-+.
+    with pytest.raises(NotInComponentError, match="step 2"):
+        diagram_formulas(desc102(), RatMatrix.identity(4))

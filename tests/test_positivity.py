@@ -9,6 +9,7 @@ from deodhar.components import (
     ComponentDescriptor,
     build_element,
     classify,
+    classify_steps,
     element_from_coordinates,
 )
 from deodhar.errors import DomainError, InputError
@@ -39,6 +40,7 @@ from support import (
     random_perm,
     random_rational,
     random_reduced_word,
+    random_unipotent,
     s102_matrix,
 )
 
@@ -296,3 +298,23 @@ def test_braid_move_preserves_positivity():
         triple = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3))
         out = braid_move_y(*triple)
         assert all(x > 0 for x in out)
+
+
+def test_certificate_records_are_the_classify_probes():
+    rng = random.Random(59)
+    for n in range(30):
+        d = rng.choice([3, 4, 5])
+        word = random_reduced_word(rng, random_perm(rng, d))
+        if n % 2:
+            v = classify(random_unipotent(rng, d), word).endpoint
+            z = rep(random_positive_sample(v, word, n).group_word)
+        else:
+            z = random_unipotent(rng, d)
+        steps = classify_steps(z, word)
+        cert = is_totally_nonnegative(z, word)
+        assert [(r.k, r.rows, r.cols, r.value) for r in cert.inequalities] == [
+            (s.k, s.rows, s.cols, s.probe) for s in steps if s.case == "stay"
+        ]
+        assert [(r.k, r.rows, r.cols, r.value) for r in cert.equalities] == [
+            (s.k, s.rows, s.cols, s.probe) for s in steps if s.case == "ascend"
+        ]

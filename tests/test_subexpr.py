@@ -3,6 +3,7 @@ import random
 import pytest
 
 from deodhar import (
+    ComponentDescriptor,
     DomainError,
     InputError,
     Permutation,
@@ -199,3 +200,30 @@ def test_trace_json_round_trip():
     assert trace_from_json(data) == tr
     with pytest.raises(InputError):
         trace_from_json({"word": [1]})
+
+
+@pytest.mark.parametrize(
+    "word, values",
+    [
+        ([1.7, True], [[1, 2, 3], [2, 1, 3], [2, 1, 3]]),
+        (["1", "2"], [[1, 2, 3], [2, 1, 3], [2, 1, 3]]),
+        ([1, 2], [[1, 2, 3], [2, 1, 3], [2, 1.0, 3]]),
+        ([1, 2], [[1, 2, 3], [2, 1, 3], [True, 1, 3]]),
+    ],
+)
+def test_trace_from_json_takes_only_integers(word, values):
+    data = {"word": word, "values": values, "marks": ["+", "o"]}
+    with pytest.raises(InputError, match="must be an integer"):
+        trace_from_json(data)
+
+
+def test_trace_from_json_rejects_unreduced_word():
+    # A distinguished trace over (1, 1): its shape alone is consistent.
+    data = {
+        "word": [1, 1],
+        "values": [[1, 2, 3], [2, 1, 3], [1, 2, 3]],
+        "marks": ["+", "-"],
+    }
+    for load in (trace_from_json, ComponentDescriptor.from_json):
+        with pytest.raises(InputError, match=r"word \(1, 1\) is not reduced"):
+            load(data)

@@ -17,7 +17,11 @@ from deodhar import (
     reduced_words,
     simple_reflection,
 )
-from deodhar.weyl import all_permutations, cartan_entry
+from deodhar.components import classify_steps
+from deodhar.diagrams import classify_graphical
+from deodhar.linalg import RatMatrix
+from deodhar.subexpr import enumerate_distinguished, positive_subexpression, r_polynomial
+from deodhar.weyl import all_permutations, cartan_entry, check_reduced_word
 
 from support import bruhat_leq_subword, random_perm, random_reduced_word
 
@@ -168,3 +172,31 @@ def test_cartan_entries():
                 (1 if k == j else -1 if k == j + 1 else 0) for k in range(1, 5)
             )
             assert cartan_entry(j, i) == pair(alpha_j, i)
+
+
+def test_check_reduced_word():
+    assert check_reduced_word(4, [3, 2, 1]) == ((3, 2, 1), Permutation((4, 1, 2, 3)))
+    assert check_reduced_word(3, ()) == ((), identity_perm(3))
+
+
+VALIDATOR_CALLERS = {
+    "check_reduced_word": lambda word: check_reduced_word(3, word),
+    "classify_steps": lambda word: classify_steps(RatMatrix.identity(3), word),
+    "classify_graphical": lambda word: classify_graphical(RatMatrix.identity(3), word),
+    "positive_subexpression": lambda word: positive_subexpression(identity_perm(3), word),
+    "enumerate_distinguished": lambda word: enumerate_distinguished(identity_perm(3), word),
+    "r_polynomial": lambda word: r_polynomial(
+        identity_perm(3), longest_element(3), word
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(VALIDATOR_CALLERS))
+@pytest.mark.parametrize(
+    "word, message",
+    [((1, 1), "word (1, 1) is not reduced"), ((2, 3), "letter 3 out of range 1..2")],
+)
+def test_word_validators_share_messages(caller, word, message):
+    with pytest.raises(InputError) as info:
+        VALIDATOR_CALLERS[caller](list(word))
+    assert str(info.value) == message
