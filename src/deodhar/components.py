@@ -32,7 +32,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import DomainError, InputError, InternalCheckError, NotInComponentError
 from .linalg import RatMatrix, flag_equal, rational_to_json
@@ -409,17 +409,22 @@ class FactorizationResult:
         }
 
 
-def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
-    """Recover the factor parameters of the flag z w B+ from minors of z.
+def _solve(
+    desc: ComponentDescriptor,
+    coords: Mapping[int, Fraction],
+    chamber: Callable[[int, int, RatMatrix], Fraction],
+) -> tuple[FactorizationResult, RatMatrix]:
+    """The Chamber Ansatz walk from chamber coordinates to the parameters.
 
-    Cross-checks every descent parameter against an independent minor ratio
-    and verifies the final flag identity; failures of either check raise,
-    they are never reported as a value.
+    ``row[j]`` is the standard chamber minor at level j; it changes only at
+    steps with letter j.  Step k with letter i and coordinate c_k reads
+    t_k = row[i-1] row[i+1] / (row[i] c_k) at a stay and m_k = row[i] c_k /
+    (row[i-1] row[i+1]) - correction at a descent, then sets row[i] to c_k
+    at a stay and to ``chamber(k, i, g)`` otherwise, g the product so far.
     """
-    desc = classify(z, word)
     tr = desc.trace
-    d = z.d
-    w = desc.prefix_perms
+    d = desc.d
+    row = [Fraction(1)] * (d + 1)
     g = RatMatrix.identity(d)
     t_params: dict[int, Fraction] = {}
     m_params: dict[int, Fraction] = {}
@@ -428,31 +433,52 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
     for k, i in enumerate(tr.word, start=1):
         mark = tr.marks[k - 1]
         if mark == MARK_STAY:
-            t = chamber_t(z, desc, k)
+            t = row[i - 1] * row[i + 1] / (row[i] * coords[k])
             t_params[k] = t
             factors.append(GroupFactor(FACTOR_Y, i, t))
         elif mark == MARK_UP:
             factors.append(GroupFactor(FACTOR_S, i))
         else:
             correction = gmin(g, tr.values[k - 1], simple_reflection(d, i), i)
-            m = chamber_m(z, desc, k, g)
-            probe = gmin(z, tr.values[k - 1], w[k], i)
-            standard = gmin(z, tr.values[k], w[k], i)
-            if standard == 0:
-                raise NotInComponentError("standard chamber minor vanishes")
-            alt = -probe / standard - correction
-            if m != alt:
-                raise InternalCheckError(
-                    f"descent parameter mismatch at step {k}: {m} vs {alt}"
-                )
+            m = row[i] * coords[k] / (row[i - 1] * row[i + 1]) - correction
             m_params[k] = m
             corrections[k] = correction
             factors.append(GroupFactor(FACTOR_XSINV, i, m))
         g = apply_factor(g, factors[-1])
+        row[i] = coords[k] if mark == MARK_STAY else chamber(k, i, g)
     gw = GroupWord(d, tuple(factors))
+    return FactorizationResult(desc, t_params, m_params, corrections, gw), g
+
+
+def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
+    """Recover the factor parameters of the flag z w B+ from minors of z.
+
+    Runs the Chamber Ansatz walk on the chamber coordinates of z, with every
+    chamber minor taken from z.  Each m_k must equal -c_k / Delta_{v_(k)
+    omega_i, w_(k) omega_i}(z) minus its correction, and the rebuilt element
+    must span the flag; a failed check raises, it is never a value.
+    """
+    desc = classify(z, word)
+    w = desc.prefix_perms
+    standard: dict[int, Fraction] = {}
+
+    def chamber(k: int, i: int, g: RatMatrix) -> Fraction:
+        standard[k] = gmin(z, desc.trace.values[k], w[k], i)
+        if standard[k] == 0:
+            raise NotInComponentError("standard chamber minor vanishes")
+        return standard[k]
+
+    coords = chamber_coordinates(z, desc)
+    result, g = _solve(desc, coords, chamber)
+    for k, m in result.m_params.items():
+        alt = -coords[k] / standard[k] - result.corrections[k]
+        if m != alt:
+            raise InternalCheckError(
+                f"descent parameter mismatch at step {k}: {m} vs {alt}"
+            )
     if not flag_equal(g, apply_lift(z, w[-1])):
         raise InternalCheckError("rebuilt element does not match the input flag")
-    return FactorizationResult(desc, t_params, m_params, corrections, gw)
+    return result
 
 
 def chamber_coordinates(z: RatMatrix, desc: ComponentDescriptor) -> dict:
@@ -478,12 +504,11 @@ def element_from_coordinates(
 ) -> FactorizationResult:
     """The component element whose chamber coordinates are prescribed.
 
-    Solves for the parameters step by step: minors of the partial product
-    convert each coordinate into the next t or m, using that those minors
-    do not depend on the parameter still being solved for.
+    Runs the Chamber Ansatz walk with no flag at hand: after step k the
+    chamber minor at level i is read off the partial product g_k as
+    1 / Delta_{w_(k) omega_i, omega_i}(g_k), the reciprocal of the standard
+    chamber minor of the element being built.
     """
-    tr = desc.trace
-    d = desc.d
     expected = set(desc.stay_positions) | set(desc.descent_positions)
     if set(coords) != expected:
         raise InputError(f"coordinates must be keyed by {sorted(expected)}")
@@ -492,42 +517,12 @@ def element_from_coordinates(
         if coords[k] == 0:
             raise DomainError(f"stay coordinate at step {k} must be nonzero")
     w = desc.prefix_perms
-    e = identity_perm(d)
-    g = RatMatrix.identity(d)
-    t_params: dict[int, Fraction] = {}
-    m_params: dict[int, Fraction] = {}
-    corrections: dict[int, Fraction] = {}
-    factors: list[GroupFactor] = []
-    for k, i in enumerate(tr.word, start=1):
-        mark = tr.marks[k - 1]
-        if mark == MARK_UP:
-            factors.append(GroupFactor(FACTOR_S, i))
-        else:
-            nb_product = Fraction(1)
-            placeholder = (
-                GroupFactor(FACTOR_Y, i, Fraction(1))
-                if mark == MARK_STAY
-                else GroupFactor(FACTOR_XSINV, i, Fraction(0))
-            )
-            g_star = apply_factor(g, placeholder)
-            for j in _neighbor_indices(i, d):
-                factor = gmin(g_star, w[k], e, j)
-                if factor == 0:
-                    raise InternalCheckError("partial-product minor vanished")
-                nb_product *= factor
-            prev_minor = gmin(g, w[k - 1], e, i)
-            if prev_minor == 0:
-                raise InternalCheckError("partial-product minor vanished")
-            if mark == MARK_STAY:
-                t = prev_minor / (nb_product * coords[k])
-                t_params[k] = t
-                factors.append(GroupFactor(FACTOR_Y, i, t))
-            else:
-                correction = gmin(g, tr.values[k - 1], simple_reflection(d, i), i)
-                m = (nb_product / prev_minor) * coords[k] - correction
-                m_params[k] = m
-                corrections[k] = correction
-                factors.append(GroupFactor(FACTOR_XSINV, i, m))
-        g = apply_factor(g, factors[-1])
-    gw = GroupWord(d, tuple(factors))
-    return FactorizationResult(desc, t_params, m_params, corrections, gw)
+    e = identity_perm(desc.d)
+
+    def chamber(k: int, i: int, g: RatMatrix) -> Fraction:
+        minor = gmin(g, w[k], e, i)
+        if minor == 0:
+            raise InternalCheckError("partial-product minor vanished")
+        return 1 / minor
+
+    return _solve(desc, coords, chamber)[0]

@@ -38,7 +38,7 @@ from .components import ComponentDescriptor, _check_unipotent
 from .errors import InputError, NotInComponentError
 from .linalg import RatMatrix
 from .subexpr import MARK_DOWN, MARK_STAY, MARK_UP, SubexpressionTrace
-from .weyl import Permutation, check_reduced_word, identity_perm
+from .weyl import Permutation, _check_letters, check_reduced_word, identity_perm
 
 __all__ = [
     "SINGULAR",
@@ -168,11 +168,9 @@ def _assemble(kind: str, d: int, columns: list[Constituent]) -> Arrangement:
 
 def classical_arrangement(word: Sequence[int], d: int) -> Arrangement:
     """The wiring diagram of a word: one singular crossing per letter."""
-    for i in word:
-        if not 1 <= i <= d - 1:
-            raise InputError(f"letter {i} out of range 1..{d - 1}")
     columns = [
-        Constituent(i, SINGULAR, "letter", k) for k, i in enumerate(word, start=1)
+        Constituent(i, SINGULAR, "letter", k)
+        for k, i in enumerate(_check_letters(d, word), start=1)
     ]
     return _assemble(CLASSICAL, d, columns)
 

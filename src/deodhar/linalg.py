@@ -212,11 +212,12 @@ def matrix_to_json(m: RatMatrix) -> list[list[str]]:
 def flag_equal(a: RatMatrix, b: RatMatrix) -> bool:
     """Whether two invertible matrices span the same complete flag.
 
-    True exactly when a^{-1} b is upper triangular.
+    Compares their column echelon forms from ``_column_reduce``, which are
+    unique for each flag; a singular matrix raises ``DomainError``.
     """
     if a.d != b.d:
         raise InputError("size mismatch in flag comparison")
-    return (a.inverse() * b).is_upper_triangular()
+    return _column_reduce(a, bottom=True)[0] == _column_reduce(b, bottom=True)[0]
 
 
 def _column_reduce(g: RatMatrix, bottom: bool) -> tuple[list[list[Fraction]], Permutation]:

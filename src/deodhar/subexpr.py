@@ -26,6 +26,7 @@ from .errors import DomainError, InputError
 from .weyl import (
     Permutation,
     Word,
+    _check_letters,
     _int_from_json,
     bruhat_leq,
     check_reduced_word,
@@ -67,11 +68,9 @@ class SubexpressionTrace:
             raise InputError("trace shape does not match its word")
         if not self.values[0].is_identity():
             raise InputError("trace must start at the identity")
-        d = self.values[0].d
+        _check_letters(self.values[0].d, self.word)
         for k in range(1, n + 1):
             i = self.word[k - 1]
-            if not 1 <= i <= d - 1:
-                raise InputError(f"letter {i} out of range 1..{d - 1}")
             prev, cur, mark = self.values[k - 1], self.values[k], self.marks[k - 1]
             if mark == MARK_STAY:
                 ok = cur == prev

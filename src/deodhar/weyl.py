@@ -189,16 +189,22 @@ def is_reduced(d: int, word: Sequence[int]) -> bool:
     return evaluate_word(d, word).length() == len(word)
 
 
+def _check_letters(d: int, word: Sequence[int]) -> Word:
+    """The word as a tuple, or InputError naming a letter outside 1..d-1."""
+    word = tuple(word)
+    for i in word:
+        if not 1 <= i <= d - 1:
+            raise InputError(f"letter {i} out of range 1..{d - 1}")
+    return word
+
+
 def check_reduced_word(d: int, word: Sequence[int]) -> tuple[Word, Permutation]:
     """The word as a tuple with its product, or InputError if it is not reduced.
 
     >>> check_reduced_word(3, [1, 2])
     ((1, 2), Permutation((2, 3, 1)))
     """
-    word = tuple(word)
-    for i in word:
-        if not 1 <= i <= d - 1:
-            raise InputError(f"letter {i} out of range 1..{d - 1}")
+    word = _check_letters(d, word)
     w = evaluate_word(d, word)
     if w.length() != len(word):
         raise InputError(f"word {word!r} is not reduced")

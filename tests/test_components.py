@@ -166,6 +166,26 @@ def test_chamber_parameters_match_factorize():
         chamber_t(z, desc, 4)
     with pytest.raises(InputError):
         chamber_m(z, desc, 2, g3)
+    rng = random.Random(29)
+    done = 0
+    while done < 24:
+        d = [3, 4, 5, 6][done % 4]
+        word = random_reduced_word(rng, random_perm(rng, d))
+        if not word:
+            continue
+        desc = ComponentDescriptor(random_distinguished(rng, d, word))
+        gw = build_element(
+            desc,
+            {k: random_nonzero(rng) for k in desc.stay_positions},
+            {k: random_rational(rng) for k in desc.descent_positions},
+        )
+        z, _ = unipotent_representative(evaluate(gw))
+        res = factorize(z, word)
+        for k in desc.stay_positions:
+            assert chamber_t(z, desc, k) == res.t_params[k]
+        for k in desc.descent_positions:
+            assert chamber_m(z, desc, k, partial(res.group_word, k - 1)) == res.m_params[k]
+        done += 1
 
 
 def test_chamber_coordinates_golden():
@@ -201,7 +221,7 @@ def test_coordinates_round_trip_random():
     rng = random.Random(23)
     done = 0
     while done < 15:
-        d = rng.choice([3, 4])
+        d = rng.choice([3, 4, 5, 6])
         word = random_reduced_word(rng, random_perm(rng, d))
         if not word:
             continue
@@ -306,6 +326,24 @@ def test_flag_check_catches_a_dropped_factor(monkeypatch):
 
     monkeypatch.setattr(components, "apply_factor", drop_y)
     with pytest.raises(InternalCheckError, match="does not match the input flag"):
+        factorize(s102_matrix(), S102_WORD)
+
+
+def test_descent_cross_check_catches_a_wrong_stay_coordinate(monkeypatch):
+    # The stay coordinate at step 2 feeds the running chamber minor that the
+    # descent at step 4 reads, but not the independent ratio it is checked
+    # against.
+    import deodhar.components as components
+
+    real = components.chamber_coordinates
+
+    def double_step_2(z, desc):
+        coords = real(z, desc)
+        coords[2] *= 2
+        return coords
+
+    monkeypatch.setattr(components, "chamber_coordinates", double_step_2)
+    with pytest.raises(InternalCheckError, match="descent parameter mismatch at step 4"):
         factorize(s102_matrix(), S102_WORD)
 
 

@@ -17,10 +17,12 @@ from deodhar import (
     unipotent_representative,
 )
 from deodhar.linalg import rational_from_json, rational_to_json
+from deodhar.pinning import gen_y
 
 from support import (
     det_cofactor,
     random_matrix,
+    random_nonzero,
     random_perm,
     random_rational,
     random_unipotent,
@@ -119,6 +121,36 @@ def test_flag_equal():
     assert not flag_equal(perm_matrix(identity_perm(4)), w) or w == perm_matrix(
         identity_perm(4)
     )
+    # y_1(1) is lower triangular, so it moves the flag of g.
+    assert not flag_equal(g, g * gen_y(4, 1, 1))
+    singular = RatMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+    with pytest.raises(DomainError, match="matrix is singular"):
+        flag_equal(RatMatrix.identity(3), singular)
+    with pytest.raises(DomainError, match="matrix is singular"):
+        flag_equal(singular, RatMatrix.identity(3))
+    # Same flag exactly when a^{-1} b is upper triangular.
+    for _ in range(60):
+        d = rng.choice([2, 3, 4, 5])
+        a = random_matrix(rng, d)
+        if a.det() == 0:
+            continue
+        if rng.random() < 0.5:
+            upper = RatMatrix.from_rows(
+                [
+                    [
+                        random_nonzero(rng) if r == c
+                        else random_rational(rng) if c > r else 0
+                        for c in range(d)
+                    ]
+                    for r in range(d)
+                ]
+            )
+            b = a * upper
+        else:
+            b = random_matrix(rng, d)
+        if b.det() == 0:
+            continue
+        assert flag_equal(a, b) == (a.inverse() * b).is_upper_triangular()
 
 
 def test_bruhat_position_of_cell_representatives():

@@ -18,9 +18,14 @@ from deodhar import (
     simple_reflection,
 )
 from deodhar.components import classify_steps
-from deodhar.diagrams import classify_graphical
+from deodhar.diagrams import classical_arrangement, classify_graphical
 from deodhar.linalg import RatMatrix
-from deodhar.subexpr import enumerate_distinguished, positive_subexpression, r_polynomial
+from deodhar.subexpr import (
+    SubexpressionTrace,
+    enumerate_distinguished,
+    positive_subexpression,
+    r_polynomial,
+)
 from deodhar.weyl import all_permutations, cartan_entry, check_reduced_word
 
 from support import bruhat_leq_subword, random_perm, random_reduced_word
@@ -200,3 +205,18 @@ def test_word_validators_share_messages(caller, word, message):
     with pytest.raises(InputError) as info:
         VALIDATOR_CALLERS[caller](list(word))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: classical_arrangement([2, 3], 3),
+        lambda: SubexpressionTrace((2, 3), (identity_perm(3),) * 3, ("o", "o")),
+    ],
+    ids=["classical_arrangement", "SubexpressionTrace"],
+)
+def test_letter_checks_share_the_message(build):
+    # Callers that take words which need not be reduced check letters only.
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == "letter 3 out of range 1..2"
