@@ -260,8 +260,11 @@ def _emit(text: str, out_path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write output file {out_path}: {exc}") from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -269,6 +272,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         result = _COMMANDS[args.command](args)
+        if not (isinstance(result, str) and args.command == "diagram"):
+            result = json.dumps(result, indent=2)
+        _emit(result, args.out)
     except InputError as exc:
         _emit(json.dumps({"error": {"type": "input", "message": str(exc)}}), None)
         return 1
@@ -286,10 +292,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             None,
         )
         return 2
-    if isinstance(result, str) and args.command == "diagram":
-        _emit(result, args.out)
-    else:
-        _emit(json.dumps(result, indent=2), args.out)
     return 0
 
 

@@ -190,13 +190,19 @@ def classify_steps(z: RatMatrix, word: Sequence[int]) -> list[ClassifyStep]:
 _CASE_MARK = {"stay": MARK_STAY, "ascend": MARK_UP, "forced": MARK_DOWN}
 
 
-def classify(z: RatMatrix, word: Sequence[int]) -> ComponentDescriptor:
-    """The Deodhar component of the flag z w B+ inside the cell of the word."""
+def _sweep(z: RatMatrix, word: Sequence[int]) -> tuple[ComponentDescriptor, dict]:
+    """``classify``, with each stay's probe: its standard chamber minor."""
     steps = classify_steps(z, word)
     values = [identity_perm(z.d)] + [s.value_after for s in steps]
     marks = tuple(_CASE_MARK[s.case] for s in steps)
     trace = SubexpressionTrace(tuple(word), tuple(values), marks)
-    return ComponentDescriptor(trace)
+    stays = {s.k: s.probe for s in steps if s.case == "stay"}
+    return ComponentDescriptor(trace), stays
+
+
+def classify(z: RatMatrix, word: Sequence[int]) -> ComponentDescriptor:
+    """The Deodhar component of the flag z w B+ inside the cell of the word."""
+    return _sweep(z, word)[0]
 
 
 @dataclass(frozen=True)
@@ -454,11 +460,13 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
     """Recover the factor parameters of the flag z w B+ from minors of z.
 
     Runs the Chamber Ansatz walk on the chamber coordinates of z, with every
-    chamber minor taken from z.  Each m_k must equal -c_k / Delta_{v_(k)
-    omega_i, w_(k) omega_i}(z) minus its correction, and the rebuilt element
-    must span the flag; a failed check raises, it is never a value.
+    chamber minor taken from z: the stay coordinates are the probes of the
+    classifying sweep, so only the descent coordinates are evaluated anew.
+    Each m_k must equal -c_k / Delta_{v_(k) omega_i, w_(k) omega_i}(z) minus
+    its correction, and the rebuilt element must span the flag; a failed
+    check raises, it is never a value.
     """
-    desc = classify(z, word)
+    desc, coords = _sweep(z, word)
     w = desc.prefix_perms
     standard: dict[int, Fraction] = {}
 
@@ -468,7 +476,8 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
             raise NotInComponentError("standard chamber minor vanishes")
         return standard[k]
 
-    coords = chamber_coordinates(z, desc)
+    for k in desc.descent_positions:
+        coords[k] = z.minor(*desc.step_minors[k - 1])
     result, g = _solve(desc, coords, chamber)
     for k, m in result.m_params.items():
         alt = -coords[k] / standard[k] - result.corrections[k]

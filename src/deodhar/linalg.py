@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals for flag computations.
 
 Matrices are immutable, square, and store ``fractions.Fraction`` entries.
-Determinants clear denominators row by row and then run fraction-free
-Bareiss elimination on the integer part, which keeps intermediate values
-small; every other routine is direct Gaussian arithmetic on `Fraction`.
+A matrix clears the denominators of its rows once and keeps the integer
+rows; each minor runs fraction-free Bareiss elimination on a copy of the
+chosen integer entries, which keeps intermediate values small.  Every other
+routine is direct Gaussian arithmetic on `Fraction`.
 
 Index sets for minors are 1-based, strictly increasing tuples.  Two
 invertible matrices represent the same complete flag when they differ by an
@@ -12,6 +13,7 @@ invertible upper-triangular factor on the right.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,7 +72,7 @@ def _check_index_set(ix: Sequence[int], d: int) -> tuple[int, ...]:
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
+    """Fraction-free determinant of an integer matrix; overwrites ``m``."""
     n = len(m)
     if n == 0:
         return 1
@@ -138,15 +140,24 @@ class RatMatrix:
             )
         )
 
-    def det(self) -> Fraction:
-        """Determinant via denominator clearing and integer Bareiss steps."""
-        scale = 1
-        m: list[list[int]] = []
+    @functools.cached_property
+    def _integer_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Each row times the lcm of its denominators, and those lcms.
+
+        Tuples, so that the in-place elimination only ever gets a copy.
+        """
+        rows: list[tuple[int, ...]] = []
+        scales: list[int] = []
         for row in self.rows:
-            lcm = math.lcm(*(x.denominator for x in row)) if row else 1
-            scale *= lcm
-            m.append([x.numerator * (lcm // x.denominator) for x in row])
-        return Fraction(_bareiss_det(m), scale)
+            lcm = math.lcm(*(x.denominator for x in row))
+            scales.append(lcm)
+            rows.append(tuple(x.numerator * (lcm // x.denominator) for x in row))
+        return tuple(rows), tuple(scales)
+
+    def det(self) -> Fraction:
+        """Determinant via the cleared integer rows and Bareiss steps."""
+        rows, scales = self._integer_rows
+        return Fraction(_bareiss_det([list(r) for r in rows]), math.prod(scales))
 
     def minor(self, row_set: Sequence[int], col_set: Sequence[int]) -> Fraction:
         """Determinant of the submatrix on the given 1-based index sets.
@@ -160,10 +171,9 @@ class RatMatrix:
             raise InputError("minor needs equally many rows and columns")
         if not rows:
             return Fraction(1)
-        sub = RatMatrix(
-            tuple(tuple(self.rows[r - 1][c - 1] for c in cols) for r in rows)
-        )
-        return sub.det()
+        int_rows, scales = self._integer_rows
+        sub = [[int_rows[r - 1][c - 1] for c in cols] for r in rows]
+        return Fraction(_bareiss_det(sub), math.prod(scales[r - 1] for r in rows))
 
     def inverse(self) -> "RatMatrix":
         d = self.d

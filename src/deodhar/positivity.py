@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .components import ComponentDescriptor, build_element, classify, component_conditions
+from .components import ComponentDescriptor, _sweep, build_element, component_conditions
 from .errors import DomainError, InputError
 from .linalg import RatMatrix, rational_to_json
 from .pinning import GroupWord
@@ -153,19 +153,21 @@ def is_totally_nonnegative(z: RatMatrix, word: Sequence[int]) -> TnnCertificate:
 
     Classifies the flag, requires the trace to be the positive one for its
     endpoint, then checks strict positivity of the stay-step chamber
-    minors.  The certificate carries one equality record per ascent step
-    and one inequality record per stay step.
+    minors.  Those values are the probes the classifying sweep already
+    evaluated, so the test costs one minor per free step.  The certificate
+    carries one equality record per ascent step and one inequality record
+    per stay step.
     """
-    desc = classify(z, word)
+    desc, stays = _sweep(z, word)
     conditions = component_conditions(desc)
     equalities = tuple(
         MinorRecord(k, rows, cols, Fraction(0), "=", True)
         for k, rows, cols in conditions.zero_minors
     )
-    inequalities = []
-    for k, rows, cols in conditions.nonzero_minors:
-        value = z.minor(rows, cols)
-        inequalities.append(MinorRecord(k, rows, cols, value, ">", value > 0))
+    inequalities = tuple(
+        MinorRecord(k, rows, cols, stays[k], ">", stays[k] > 0)
+        for k, rows, cols in conditions.nonzero_minors
+    )
     violated = [r.k for r in inequalities if not r.ok]
     descents = desc.descent_positions
     if descents:
@@ -184,7 +186,7 @@ def is_totally_nonnegative(z: RatMatrix, word: Sequence[int]) -> TnnCertificate:
         reason,
         descents,
         equalities,
-        tuple(inequalities),
+        inequalities,
         tuple(violated),
     )
 

@@ -307,6 +307,8 @@ def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolyno
     The word must be a reduced word for w; the value does not depend on
     which one is chosen.  Pairs with v not below w give the zero polynomial.
     """
+    if v.d != w.d:
+        raise InputError(f"degree mismatch: v has degree {v.d}, w has degree {w.d}")
     word, prod = check_reduced_word(v.d, word)
     if prod != w:
         raise InputError("word does not multiply out to w")

@@ -73,6 +73,16 @@ def test_rpoly_degree_mismatch(capsys):
     assert json.loads(out)["error"]["type"] == "input"
 
 
+def test_rpoly_permutation_degrees_differ(capsys):
+    for v, w in (("[1,2,3]", "[2,1]"), ("[1,2]", "[3,2,1]")):
+        code, out = run(capsys, ["rpoly", "--v", v, "--w", w])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["type"] == "input"
+        nv, nw = len(json.loads(v)), len(json.loads(w))
+        assert f"v has degree {nv}, w has degree {nw}" in err["message"]
+
+
 def test_malformed_word_exits_one(z_file, capsys):
     code, out = run(capsys, ["classify", "--matrix", z_file, "--word", "[3,2,"])
     assert code == 1
@@ -268,3 +278,16 @@ def test_missing_matrix_file_exits_one(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(out)["error"]["type"] == "input"
+
+
+def test_unwritable_out_path_exits_one(z_file, capsys, tmp_path):
+    dest = tmp_path / "no" / "such" / "dir" / "x.json"
+    code, out = run(
+        capsys,
+        ["classify", "--matrix", z_file, "--word", WORD_JSON, "--out", str(dest)],
+    )
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "input"
+    assert err["message"].startswith(f"cannot write output file {dest}")
+    assert not dest.exists()

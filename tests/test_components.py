@@ -1,6 +1,7 @@
 """Tests for component classification, conditions, and parameter recovery."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -332,17 +333,18 @@ def test_flag_check_catches_a_dropped_factor(monkeypatch):
 def test_descent_cross_check_catches_a_wrong_stay_coordinate(monkeypatch):
     # The stay coordinate at step 2 feeds the running chamber minor that the
     # descent at step 4 reads, but not the independent ratio it is checked
-    # against.
+    # against.  factorize takes its stay coordinates from the probes of the
+    # classifying sweep.
     import deodhar.components as components
 
-    real = components.chamber_coordinates
+    real = components._sweep
 
-    def double_step_2(z, desc):
-        coords = real(z, desc)
-        coords[2] *= 2
-        return coords
+    def double_step_2(z, word):
+        desc, stays = real(z, word)
+        stays[2] *= 2
+        return desc, stays
 
-    monkeypatch.setattr(components, "chamber_coordinates", double_step_2)
+    monkeypatch.setattr(components, "_sweep", double_step_2)
     with pytest.raises(InternalCheckError, match="descent parameter mismatch at step 4"):
         factorize(s102_matrix(), S102_WORD)
 
@@ -383,3 +385,38 @@ def test_chamber_coordinates_degree_mismatch():
     for z in (RatMatrix.identity(3), random_unipotent(random.Random(2), 5)):
         with pytest.raises(InputError, match="degree mismatch"):
             chamber_coordinates(z, desc)
+
+
+def test_factorize_evaluates_each_minor_of_z_once(monkeypatch):
+    # The classifying probes double as the stay coordinates, so what is left
+    # is one probe per ascent, one coordinate per descent, and one chamber
+    # minor after each ascent and descent.
+    rng = random.Random(61)
+    w0 = Permutation((6, 5, 4, 3, 2, 1))
+    real = RatMatrix.minor
+    descents = 0
+    for _ in range(20):
+        desc = ComponentDescriptor(
+            random_distinguished(rng, 6, random_reduced_word(rng, w0))
+        )
+        gw = build_element(
+            desc,
+            {k: random_nonzero(rng) for k in desc.stay_positions},
+            {k: random_rational(rng) for k in desc.descent_positions},
+        )
+        z = unipotent_representative(evaluate(gw))[0]
+        calls = Counter()
+
+        def counting(self, rows, cols):
+            if self is z:
+                calls[tuple(rows), tuple(cols)] += 1
+            return real(self, rows, cols)
+
+        monkeypatch.setattr(RatMatrix, "minor", counting)
+        assert factorize(z, desc.word).descriptor == desc
+        monkeypatch.undo()
+        assert max(calls.values()) == 1
+        moves = len(desc.ascent_positions) + len(desc.descent_positions)
+        assert sum(calls.values()) == len(desc.stay_positions) + 2 * moves
+        descents += len(desc.descent_positions)
+    assert descents > 0

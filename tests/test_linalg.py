@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deodhar import (
     DomainError,
@@ -79,6 +81,93 @@ def test_minor_matches_oracle():
         cols = tuple(sorted(rng.sample(range(1, 5), 2)))
         sub = [[m.entry(i, j) for j in cols] for i in rows]
         assert m.minor(rows, cols) == det_cofactor(sub)
+
+
+# Entries with denominators of several primes, so that each row's cleared
+# scale differs from the scale a single minor would need.
+_entries = st.builds(
+    Fraction, st.integers(-12, 12), st.sampled_from([1, 1, 2, 3, 4, 5, 6, 7, 9, 12])
+)
+
+
+@st.composite
+def _matrices(draw, max_d: int):
+    """Square rational matrices, some of whose rows are zero."""
+    d = draw(st.integers(1, max_d))
+    zero_rows = draw(st.sets(st.integers(0, d - 1), max_size=2))
+    return [
+        [Fraction(0)] * d
+        if r in zero_rows
+        else draw(st.lists(_entries, min_size=d, max_size=d))
+        for r in range(d)
+    ]
+
+
+@st.composite
+def _index_sets(draw, d: int):
+    k = draw(st.integers(0, d))
+    rows = tuple(sorted(draw(st.sets(st.integers(1, d), min_size=k, max_size=k))))
+    cols = tuple(sorted(draw(st.sets(st.integers(1, d), min_size=k, max_size=k))))
+    return rows, cols
+
+
+def _oracle_minor(rows, row_set, col_set) -> Fraction:
+    if not row_set:
+        return Fraction(1)
+    return det_cofactor([[rows[r - 1][c - 1] for c in col_set] for r in row_set])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_minor_matches_cofactor_property(data):
+    rows = data.draw(_matrices(8))
+    m = RatMatrix.from_rows(rows)
+    for _ in range(3):
+        row_set, col_set = data.draw(_index_sets(len(rows)))
+        assert m.minor(row_set, col_set) == _oracle_minor(rows, row_set, col_set)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_matrices(7))
+def test_det_matches_cofactor_property(rows):
+    # Cofactor expansion of an 8x8 matrix takes about half a second, so the
+    # full determinant is checked up to d = 7; minors above reach d = 8.
+    assert RatMatrix.from_rows(rows).det() == det_cofactor(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_minor_and_det_repeat_in_either_order(data):
+    # Bareiss elimination overwrites its input; a cached integer row that
+    # reached it uncopied would change every later minor of the matrix.
+    rows = data.draw(_matrices(6))
+    d = len(rows)
+    sets = [data.draw(_index_sets(d)) for _ in range(3)]
+    expected = [_oracle_minor(rows, r, c) for r, c in sets]
+    full = det_cofactor(rows)
+    det_first = RatMatrix.from_rows(rows)
+    assert det_first.det() == full
+    assert [det_first.minor(r, c) for r, c in sets * 2] == expected * 2
+    assert det_first.det() == full
+    minors_first = RatMatrix.from_rows(rows)
+    assert [minors_first.minor(r, c) for r, c in sets * 2] == expected * 2
+    assert minors_first.det() == full
+    assert [minors_first.minor(r, c) for r, c in sets] == expected
+
+
+def test_minor_cache_leaves_equality_and_hash_alone():
+    rng = random.Random(12)
+    for d in (1, 3, 5):
+        m = random_matrix(rng, d)
+        twin = RatMatrix.from_rows(m.rows)
+        other = RatMatrix.from_rows([[x + 1 for x in r] for r in m.rows])
+        h = hash(m)
+        m.det()
+        m.minor((1,), (d,))
+        assert hash(m) == h == hash(twin)
+        assert m == twin and twin == m
+        assert m != other
+        assert len({m, twin}) == 1
 
 
 def test_inverse():

@@ -318,3 +318,27 @@ def test_certificate_records_are_the_classify_probes():
         assert [(r.k, r.rows, r.cols, r.value) for r in cert.equalities] == [
             (s.k, s.rows, s.cols, s.probe) for s in steps if s.case == "ascend"
         ]
+
+
+def test_tnn_check_evaluates_one_minor_per_free_step(monkeypatch):
+    rng = random.Random(67)
+    real = RatMatrix.minor
+    for n in range(20):
+        d = rng.choice([4, 5, 6])
+        word = random_reduced_word(rng, random_perm(rng, d))
+        if n % 2:
+            v = classify(random_unipotent(rng, d), word).endpoint
+            z = rep(random_positive_sample(v, word, n).group_word)
+        else:
+            z = random_unipotent(rng, d)
+        free = [s for s in classify_steps(z, word) if s.case != "forced"]
+        calls = []
+
+        def recording(self, rows, cols):
+            calls.append((self, tuple(rows), tuple(cols)))
+            return real(self, rows, cols)
+
+        monkeypatch.setattr(RatMatrix, "minor", recording)
+        is_totally_nonnegative(z, word)
+        monkeypatch.undo()
+        assert calls == [(z, s.rows, s.cols) for s in free]

@@ -186,6 +186,15 @@ def test_r_polynomial_edge_cases():
         r_polynomial(e, w, (2, 1))
 
 
+def test_r_polynomial_degree_mismatch_names_both_degrees():
+    # Checked before the word, which could only report a wrong product or a
+    # letter out of range for one of the two degrees.
+    v, w = identity_perm(2), evaluate_word(3, (1, 2, 1))
+    for a, b, word in ((v, w, (1, 2, 1)), (w, v, (1,)), (w, v, (1, 2, 1))):
+        with pytest.raises(InputError, match=f"v has degree {a.d}, w has degree {b.d}"):
+            r_polynomial(a, b, word)
+
+
 def test_r_polynomial_word_independent_spot():
     w = evaluate_word(4, WORD633)
     for v in (identity_perm(4), simple_reflection(4, 2)):
