@@ -84,9 +84,7 @@ def _parse_perm(text: str, what: str) -> Permutation:
 
 def _descriptor_from_args(args) -> ComponentDescriptor:
     """A component descriptor from --matrix (classified) or --v (positive)."""
-    if args.word is None:
-        raise InputError("--word is required")
-    word = _parse_word(args.word)
+    word = _parse_word(_require(args.word, "--word"))
     if args.matrix is not None:
         z = _load_matrix(args.matrix)
         return classify(z, word)

@@ -45,6 +45,7 @@ from .pinning import (
     apply_factor,
     apply_lift,
     gmin,
+    group_word_to_json,
 )
 from .subexpr import (
     MARK_DOWN,
@@ -162,42 +163,45 @@ def _check_unipotent(z: RatMatrix) -> None:
         raise InputError("flag representative must be upper unipotent")
 
 
-def classify_steps(z: RatMatrix, word: Sequence[int]) -> list[ClassifyStep]:
-    """The classifying sweep with its probe minors, step by step."""
+def _sweep(z: RatMatrix, word: Sequence[int]) -> tuple[ComponentDescriptor, dict]:
+    """The classifying sweep: the component, and the probe of each free step.
+
+    A free step's probe is the minor of ``desc.step_minors[k-1]``: the
+    standard chamber minor at a stay, a vanishing minor at an ascent.
+    """
     _check_unipotent(z)
     word, _ = check_reduced_word(z.d, word)
-    d = z.d
-    v = identity_perm(d)
-    w_prefix = identity_perm(d)
-    steps: list[ClassifyStep] = []
+    values = [identity_perm(z.d)]
+    marks: list[str] = []
+    probes: dict[int, Fraction] = {}
+    w_prefix = values[0]
     for k, i in enumerate(word, start=1):
+        v = values[-1]
         w_prefix = w_prefix.times_s(i)
         if v.right_descent(i):
-            v = v.times_s(i)
-            steps.append(ClassifyStep(k, i, "forced", None, None, None, v))
-            continue
-        rows = v.prefix_set(i)
-        cols = w_prefix.prefix_set(i)
-        probe = z.minor(rows, cols)
-        if probe != 0:
-            steps.append(ClassifyStep(k, i, "stay", rows, cols, probe, v))
+            marks.append(MARK_DOWN)
         else:
-            v = v.times_s(i)
-            steps.append(ClassifyStep(k, i, "ascend", rows, cols, probe, v))
+            probes[k] = z.minor(v.prefix_set(i), w_prefix.prefix_set(i))
+            marks.append(MARK_STAY if probes[k] != 0 else MARK_UP)
+        values.append(v if marks[-1] == MARK_STAY else v.times_s(i))
+    trace = SubexpressionTrace(word, tuple(values), tuple(marks))
+    return ComponentDescriptor(trace), probes
+
+
+_MARK_CASE = {MARK_STAY: "stay", MARK_UP: "ascend", MARK_DOWN: "forced"}
+
+
+def classify_steps(z: RatMatrix, word: Sequence[int]) -> list[ClassifyStep]:
+    """The classifying sweep step by step, read off its component and probes."""
+    desc, probes = _sweep(z, word)
+    steps: list[ClassifyStep] = []
+    for k, i in enumerate(desc.word, start=1):
+        rows, cols = desc.step_minors[k - 1] if k in probes else (None, None)
+        case = _MARK_CASE[desc.trace.marks[k - 1]]
+        steps.append(
+            ClassifyStep(k, i, case, rows, cols, probes.get(k), desc.trace.values[k])
+        )
     return steps
-
-
-_CASE_MARK = {"stay": MARK_STAY, "ascend": MARK_UP, "forced": MARK_DOWN}
-
-
-def _sweep(z: RatMatrix, word: Sequence[int]) -> tuple[ComponentDescriptor, dict]:
-    """``classify``, with each stay's probe: its standard chamber minor."""
-    steps = classify_steps(z, word)
-    values = [identity_perm(z.d)] + [s.value_after for s in steps]
-    marks = tuple(_CASE_MARK[s.case] for s in steps)
-    trace = SubexpressionTrace(tuple(word), tuple(values), marks)
-    stays = {s.k: s.probe for s in steps if s.case == "stay"}
-    return ComponentDescriptor(trace), stays
 
 
 def classify(z: RatMatrix, word: Sequence[int]) -> ComponentDescriptor:
@@ -331,10 +335,6 @@ def build_element(
     return GroupWord(desc.d, tuple(factors))
 
 
-def _neighbor_indices(i: int, d: int) -> tuple[int, ...]:
-    return tuple(j for j in (i - 1, i + 1) if 1 <= j <= d - 1)
-
-
 def _stay_minor_product(
     z: RatMatrix, v_k: Permutation, w_k: Permutation, i: int
 ) -> Fraction:
@@ -345,7 +345,9 @@ def _stay_minor_product(
     contribute.
     """
     out = Fraction(1)
-    for j in _neighbor_indices(i, z.d):
+    for j in (i - 1, i + 1):
+        if not 1 <= j <= z.d - 1:
+            continue
         factor = gmin(z, v_k, w_k, j)
         if factor == 0:
             raise NotInComponentError(
@@ -404,8 +406,6 @@ class FactorizationResult:
     group_word: GroupWord
 
     def to_json(self) -> dict:
-        from .pinning import group_word_to_json
-
         return {
             "trace": self.descriptor.to_json(),
             "t": {str(k): rational_to_json(x) for k, x in self.t_params.items()},

@@ -21,8 +21,9 @@ inverse-reflection column.  The upper flavor keeps only the reflection
 braids (its positions follow the trace values), the lower flavor crosses at
 x and y and braids at reflections (its positions follow the prefixes), and
 the ansatz flavor crosses at x and y and braids at both reflection kinds.
-Overlaying upper over ansatz gives each ansatz chamber a row set, lower
-gives it a column set, and the minor with those index sets is the chamber's
+Each ansatz chamber at level i is labeled by the minor on rows v{1..i} and
+columns w{1..i}, where v is the trace value and w the word prefix where the
+chamber starts; the minor with those index sets is the chamber's
 coordinate.  The parameter at a singular point is the ratio of the four
 chamber minors around it: above times below over left times right for stay
 steps, inverted for descent steps.
@@ -37,8 +38,8 @@ from typing import Sequence
 from .components import ComponentDescriptor, _check_unipotent
 from .errors import InputError, NotInComponentError
 from .linalg import RatMatrix
-from .subexpr import MARK_DOWN, MARK_STAY, MARK_UP, SubexpressionTrace
-from .weyl import Permutation, _check_letters, check_reduced_word, identity_perm
+from .subexpr import MARK_STAY, MARK_UP, SubexpressionTrace, _trace_from_moves
+from .weyl import Permutation, _check_letters, check_reduced_word
 
 __all__ = [
     "SINGULAR",
@@ -168,6 +169,8 @@ def _assemble(kind: str, d: int, columns: list[Constituent]) -> Arrangement:
 
 def classical_arrangement(word: Sequence[int], d: int) -> Arrangement:
     """The wiring diagram of a word: one singular crossing per letter."""
+    if d < 1:
+        raise InputError(f"an arrangement needs at least one strand, got d = {d}")
     columns = [
         Constituent(i, SINGULAR, "letter", k)
         for k, i in enumerate(_check_letters(d, word), start=1)
@@ -188,16 +191,23 @@ def build_arrangement(kind: str, desc: ComponentDescriptor) -> Arrangement:
     ]
     arr = _assemble(kind, desc.d, columns)
     if kind == ANSATZ:
-        # The strands below a level change only at crossings on it, and every
-        # upper or lower crossing is an ansatz crossing, so these sets hold
-        # all along each ansatz chamber.
-        upper = build_arrangement(UPPER, desc).positions
-        lower = build_arrangement(LOWER, desc).positions
+        # Cell c follows column c, of step k (k = 0 at cell 0).  There the
+        # upper strands are the trace value v_(k), or v_(k-1) right after the
+        # x column of a descent, and the lower strands are the prefix w_(k).
+        # Only a crossing at a level changes the sets below it, and every
+        # upper or lower crossing is an ansatz crossing, so the sets hold
+        # along each ansatz chamber.
+        values, prefixes = desc.trace.values, desc.prefix_perms
+        cells = [(values[0], prefixes[0])]
+        for col in columns:
+            k = col.step - 1 if col.source == "x" else col.step
+            cells.append((values[k], prefixes[col.step]))
         for ch in arr.chambers:
             if 1 <= ch.level <= desc.d - 1:
+                v, w = cells[ch.start]
                 arr.minor_labels[(ch.level, ch.start, ch.end)] = (
-                    tuple(sorted(upper[ch.start][: ch.level])),
-                    tuple(sorted(lower[ch.start][: ch.level])),
+                    v.prefix_set(ch.level),
+                    w.prefix_set(ch.level),
                 )
     return arr
 
@@ -206,7 +216,7 @@ def ansatz_minor_labels(desc: ComponentDescriptor) -> dict:
     """Map each bounded-level ansatz chamber to its (rows, cols) minor.
 
     Keys are (level, start cell, end cell); the row set comes from the
-    upper overlay, the column set from the lower one.
+    trace value, the column set from the word prefix.
     """
     return dict(build_arrangement(ANSATZ, desc).minor_labels)
 
@@ -258,23 +268,14 @@ def classify_graphical(z: RatMatrix, word: Sequence[int]) -> ComponentDescriptor
     d = z.d
     classical = classical_arrangement(word, d)
     pos = list(range(1, d + 1))
-    values = [identity_perm(d)]
-    marks: list[str] = []
+    moves: list[bool] = []
     for k, i in enumerate(word, start=1):
-        if pos[i - 1] > pos[i]:
+        rows = tuple(sorted(pos[:i]))
+        cols = tuple(sorted(classical.positions[k][:i]))
+        moves.append(pos[i - 1] > pos[i] or z.minor(rows, cols) == 0)
+        if moves[-1]:
             pos[i - 1], pos[i] = pos[i], pos[i - 1]
-            marks.append(MARK_DOWN)
-        else:
-            rows = tuple(sorted(pos[:i]))
-            cols = tuple(sorted(classical.positions[k][:i]))
-            if z.minor(rows, cols) != 0:
-                marks.append(MARK_STAY)
-            else:
-                pos[i - 1], pos[i] = pos[i], pos[i - 1]
-                marks.append(MARK_UP)
-        values.append(Permutation(tuple(pos)))
-    trace = SubexpressionTrace(word, tuple(values), tuple(marks))
-    return ComponentDescriptor(trace)
+    return ComponentDescriptor(_trace_from_moves(word, d, moves))
 
 
 def _label_text(strands: Sequence[int], d: int) -> str:
@@ -404,13 +405,12 @@ def _render_svg(arr: Arrangement) -> str:
         s: [[(x_start, ypos(s))]] for s in range(1, d + 1)
     }
     dots: list[tuple[float, float]] = []
-    pos = list(range(1, d + 1))
     for c, col in enumerate(arr.columns, start=1):
         if col.kind == STRAIGHT:
             continue
         i = col.level
         xl, xr = col_left(c), col_left(c) + _SVG_COL
-        lower_strand, upper_strand = pos[i - 1], pos[i]
+        lower_strand, upper_strand = arr.positions[c - 1][i - 1 : i + 1]
         y_low, y_high = ypos(i), ypos(i + 1)
         for strand, y_from, y_to in (
             (lower_strand, y_low, y_high),
@@ -431,7 +431,6 @@ def _render_svg(arr: Arrangement) -> str:
             paths[strand][-1].append((xr, y_to))
         if col.kind == SINGULAR:
             dots.append((xl + _SVG_COL / 2, (y_low + y_high) / 2))
-        pos[i - 1], pos[i] = pos[i], pos[i - 1]
     for s in range(1, d + 1):
         paths[s][-1].append((x_end, paths[s][-1][-1][1]))
 

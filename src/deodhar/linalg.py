@@ -131,7 +131,6 @@ class RatMatrix:
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.d != other.d:
             raise InputError("size mismatch in matrix product")
-        d = self.d
         cols = list(zip(*other.rows))
         return RatMatrix(
             tuple(

@@ -69,10 +69,12 @@ def _check_gen_index(d: int, i: int) -> None:
         raise InputError(f"generator index {i} out of range 1..{d - 1}")
 
 
+def _identity_rows(d: int) -> list[list[Fraction]]:
+    return [[Fraction(1 if a == b else 0) for b in range(d)] for a in range(d)]
+
+
 def _elementary(d: int, r: int, c: int, value: Fraction) -> RatMatrix:
-    rows = [
-        [Fraction(1 if a == b else 0) for b in range(d)] for a in range(d)
-    ]
+    rows = _identity_rows(d)
     rows[r - 1][c - 1] = Fraction(value)
     return RatMatrix(tuple(tuple(row) for row in rows))
 
@@ -89,9 +91,7 @@ def gen_y(d: int, i: int, t) -> RatMatrix:
 
 def gen_sdot(d: int, i: int) -> RatMatrix:
     _check_gen_index(d, i)
-    rows = [
-        [Fraction(1 if a == b else 0) for b in range(d)] for a in range(d)
-    ]
+    rows = _identity_rows(d)
     rows[i - 1][i - 1] = Fraction(0)
     rows[i][i] = Fraction(0)
     rows[i - 1][i] = Fraction(-1)
@@ -102,9 +102,7 @@ def gen_sdot(d: int, i: int) -> RatMatrix:
 def gen_sdot_inv(d: int, i: int) -> RatMatrix:
     """The inverse lift, equal to gen_acheck(d, i, -1) * gen_sdot(d, i)."""
     _check_gen_index(d, i)
-    rows = [
-        [Fraction(1 if a == b else 0) for b in range(d)] for a in range(d)
-    ]
+    rows = _identity_rows(d)
     rows[i - 1][i - 1] = Fraction(0)
     rows[i][i] = Fraction(0)
     rows[i - 1][i] = Fraction(1)
@@ -117,9 +115,7 @@ def gen_acheck(d: int, i: int, t) -> RatMatrix:
     t = Fraction(t)
     if t == 0:
         raise InputError("torus parameter must be nonzero")
-    rows = [
-        [Fraction(1 if a == b else 0) for b in range(d)] for a in range(d)
-    ]
+    rows = _identity_rows(d)
     rows[i - 1][i - 1] = t
     rows[i][i] = 1 / t
     return RatMatrix(tuple(tuple(row) for row in rows))

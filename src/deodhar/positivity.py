@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 from .components import ComponentDescriptor, _sweep, build_element, component_conditions
 from .errors import DomainError, InputError
 from .linalg import RatMatrix, rational_to_json
-from .pinning import GroupWord
+from .pinning import GroupWord, group_word_to_json
 from .subexpr import positive_subexpression
 from .weyl import Permutation
 
@@ -48,8 +48,6 @@ class PositiveSample:
     group_word: GroupWord
 
     def to_json(self) -> dict:
-        from .pinning import group_word_to_json
-
         return {
             "trace": self.descriptor.to_json(),
             "t": {str(k): rational_to_json(x) for k, x in self.t_params.items()},
@@ -158,14 +156,14 @@ def is_totally_nonnegative(z: RatMatrix, word: Sequence[int]) -> TnnCertificate:
     carries one equality record per ascent step and one inequality record
     per stay step.
     """
-    desc, stays = _sweep(z, word)
+    desc, probes = _sweep(z, word)
     conditions = component_conditions(desc)
     equalities = tuple(
         MinorRecord(k, rows, cols, Fraction(0), "=", True)
         for k, rows, cols in conditions.zero_minors
     )
     inequalities = tuple(
-        MinorRecord(k, rows, cols, stays[k], ">", stays[k] > 0)
+        MinorRecord(k, rows, cols, probes[k], ">", probes[k] > 0)
         for k, rows, cols in conditions.nonzero_minors
     )
     violated = [r.k for r in inequalities if not r.ok]

@@ -138,17 +138,15 @@ def positive_subexpression(v: Permutation, word: Sequence[int]) -> Subexpression
     word, w = check_reduced_word(v.d, word)
     if not bruhat_leq(v, w):
         raise DomainError("no subexpression: endpoint is not below the word's product")
-    values = [v]
+    cur = v
+    moves: list[bool] = []
     for i in reversed(word):
-        cur = values[-1]
-        values.append(cur.times_s(i) if cur.right_descent(i) else cur)
-    values.reverse()
-    if not values[0].is_identity():
+        moves.append(cur.right_descent(i))
+        if moves[-1]:
+            cur = cur.times_s(i)
+    if not cur.is_identity():
         raise DomainError("no subexpression: endpoint is not below the word's product")
-    marks = []
-    for k, i in enumerate(word):
-        marks.append(MARK_STAY if values[k + 1] == values[k] else MARK_UP)
-    return SubexpressionTrace(word, tuple(values), tuple(marks))
+    return _trace_from_moves(word, v.d, moves[::-1])
 
 
 def is_distinguished(trace: SubexpressionTrace) -> bool:

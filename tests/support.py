@@ -11,7 +11,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from deodhar import Permutation, RatMatrix, identity_perm
+from deodhar import (
+    ComponentDescriptor,
+    Permutation,
+    RatMatrix,
+    build_element,
+    evaluate,
+    identity_perm,
+    unipotent_representative,
+)
 from deodhar.subexpr import MARK_DOWN, MARK_STAY, MARK_UP, SubexpressionTrace
 
 S102_ROWS = [[1, 1, 2, 1], [0, 1, 4, 2], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -142,6 +150,18 @@ def random_distinguished(rng: random.Random, d: int, word: tuple[int, ...]) -> S
             values.append(nxt)
             marks.append(MARK_UP)
     return SubexpressionTrace(word, tuple(values), tuple(marks))
+
+
+def random_component_flag(rng: random.Random, d: int):
+    """A random component of a random cell of S_d, and a flag inside it."""
+    word = random_reduced_word(rng, random_perm(rng, d))
+    desc = ComponentDescriptor(random_distinguished(rng, d, word))
+    gw = build_element(
+        desc,
+        {k: random_nonzero(rng) for k in desc.stay_positions},
+        {k: random_rational(rng) for k in desc.descent_positions},
+    )
+    return desc, unipotent_representative(evaluate(gw))[0]
 
 
 def random_rational(rng: random.Random) -> Fraction:

@@ -232,6 +232,17 @@ def test_diagram_classical_needs_d(capsys):
     assert json.loads(out)["error"]["type"] == "input"
 
 
+@pytest.mark.parametrize("fmt", ["text", "svg", "json"])
+@pytest.mark.parametrize("d", ["0", "-3"])
+def test_diagram_classical_degree_below_one(capsys, d, fmt):
+    argv = ["diagram", "--kind", "classical", "--d", d, "--word", "[]"]
+    code, out = run(capsys, argv + ["--format", fmt])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "input"
+    assert error["message"] == f"an arrangement needs at least one strand, got d = {d}"
+
+
 def test_diagram_ansatz_carries_minors(z_file, capsys):
     code, out = run(
         capsys,

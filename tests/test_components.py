@@ -31,6 +31,7 @@ from deodhar.subexpr import enumerate_distinguished
 from deodhar.weyl import Permutation, evaluate_word
 
 from support import (
+    random_component_flag,
     S102_WORD,
     random_distinguished,
     random_nonzero,
@@ -349,23 +350,10 @@ def test_descent_cross_check_catches_a_wrong_stay_coordinate(monkeypatch):
         factorize(s102_matrix(), S102_WORD)
 
 
-def random_component_flag(rng):
-    """A random component of a random cell, and a flag inside it."""
-    d = rng.choice([3, 4, 5])
-    word = random_reduced_word(rng, random_perm(rng, d))
-    desc = ComponentDescriptor(random_distinguished(rng, d, word))
-    gw = build_element(
-        desc,
-        {k: random_nonzero(rng) for k in desc.stay_positions},
-        {k: random_rational(rng) for k in desc.descent_positions},
-    )
-    return desc, unipotent_representative(evaluate(gw))[0]
-
-
 def test_conditions_are_the_classify_probes():
     rng = random.Random(53)
     for _ in range(30):
-        desc, z = random_component_flag(rng)
+        desc, z = random_component_flag(rng, rng.choice([3, 4, 5]))
         steps = classify_steps(z, desc.word)
         cond = component_conditions(classify(z, desc.word))
         probes = {

@@ -137,6 +137,36 @@ def test_ansatz_minor_labels_golden():
     }
 
 
+def overlay_minor_labels(desc):
+    """Ansatz chamber labels read off the upper and lower strand positions."""
+    upper = build_arrangement(UPPER, desc).positions
+    lower = build_arrangement(LOWER, desc).positions
+    return {
+        (ch.level, ch.start, ch.end): (
+            tuple(sorted(upper[ch.start][: ch.level])),
+            tuple(sorted(lower[ch.start][: ch.level])),
+        )
+        for ch in build_arrangement(ANSATZ, desc).chambers
+        if 1 <= ch.level <= desc.d - 1
+    }
+
+
+def test_ansatz_minor_labels_match_the_upper_lower_overlay():
+    # Labels come from trace values and prefixes; upper over ansatz gives
+    # each chamber's row set and lower its column set.
+    rng = random.Random(71)
+    done = 0
+    while done < 50:
+        d = 3 + done % 5
+        word = random_reduced_word(rng, random_perm(rng, d))
+        desc = ComponentDescriptor(random_distinguished(rng, d, word))
+        if not desc.descent_positions:
+            continue
+        labels = build_arrangement(ANSATZ, desc).minor_labels
+        assert labels == overlay_minor_labels(desc)
+        done += 1
+
+
 def test_diagram_formulas_golden():
     formulas = diagram_formulas(desc102(), s102_matrix())
     assert formulas == {2: Fraction(1, 2), 3: Fraction(2), 4: Fraction(2)}
@@ -202,6 +232,17 @@ def test_render_text_golden():
     ]
     for name, arr in cases:
         assert render(arr, "text") == (GOLDEN / name).read_text()
+
+
+def test_render_svg_golden():
+    svg = render(build_arrangement(ANSATZ, desc102()), "svg")
+    assert svg == (GOLDEN / "ansatz_102.svg").read_text()
+
+
+@pytest.mark.parametrize("d", [0, -3])
+def test_classical_arrangement_needs_a_strand(d):
+    with pytest.raises(InputError, match="at least one strand, got d = "):
+        classical_arrangement((), d)
 
 
 def test_empty_word_arrangement():

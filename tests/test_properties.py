@@ -1,0 +1,66 @@
+"""Hypothesis properties of classification and positive subexpressions.
+
+Each example draws a seed and builds its case with the generators in
+``support``, so a failure shrinks to a seed that reproduces it.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from deodhar.components import classify
+from deodhar.diagrams import classify_graphical
+from deodhar.errors import DomainError
+from deodhar.subexpr import MARK_DOWN, enumerate_distinguished, positive_subexpression
+
+from support import (
+    bruhat_leq_subword,
+    random_component_flag,
+    random_distinguished,
+    random_perm,
+    random_reduced_word,
+    random_unipotent,
+)
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(2, 7))
+def test_classify_inverts_build_element(seed, d):
+    desc, z = random_component_flag(random.Random(seed), d)
+    assert classify(z, desc.word) == desc
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(2, 7), st.booleans())
+def test_classify_agrees_with_classify_graphical(seed, d, generic):
+    rng = random.Random(seed)
+    if generic:
+        word = random_reduced_word(rng, random_perm(rng, d))
+        z = random_unipotent(rng, d)
+    else:
+        desc, z = random_component_flag(rng, d)
+        word = desc.word
+    assert classify_graphical(z, word) == classify(z, word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(2, 5), st.booleans())
+def test_positive_subexpression_is_the_only_descent_free_trace(seed, d, below):
+    rng = random.Random(seed)
+    w = random_perm(rng, d)
+    word = random_reduced_word(rng, w)
+    # An endpoint of a random trace is below w; a random v may not be.
+    v = random_distinguished(rng, d, word).endpoint if below else random_perm(rng, d)
+    descent_free = [
+        t for t in enumerate_distinguished(v, word) if MARK_DOWN not in t.marks
+    ]
+    if bruhat_leq_subword(v, w, word):
+        assert descent_free == [positive_subexpression(v, word)]
+    else:
+        assert descent_free == []
+        with pytest.raises(DomainError):
+            positive_subexpression(v, word)
