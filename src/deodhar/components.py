@@ -52,6 +52,7 @@ from .subexpr import (
     MARK_STAY,
     MARK_UP,
     SubexpressionTrace,
+    _step,
     is_distinguished,
     trace_from_json,
     trace_to_json,
@@ -171,19 +172,17 @@ def _sweep(z: RatMatrix, word: Sequence[int]) -> tuple[ComponentDescriptor, dict
     """
     _check_unipotent(z)
     word, _ = check_reduced_word(z.d, word)
-    values = [identity_perm(z.d)]
+    v = w_prefix = identity_perm(z.d)
+    values = [v]
     marks: list[str] = []
     probes: dict[int, Fraction] = {}
-    w_prefix = values[0]
     for k, i in enumerate(word, start=1):
-        v = values[-1]
         w_prefix = w_prefix.times_s(i)
-        if v.right_descent(i):
-            marks.append(MARK_DOWN)
-        else:
+        if not v.right_descent(i):
             probes[k] = z.minor(v.prefix_set(i), w_prefix.prefix_set(i))
-            marks.append(MARK_STAY if probes[k] != 0 else MARK_UP)
-        values.append(v if marks[-1] == MARK_STAY else v.times_s(i))
+        mark, v = _step(v, i, k not in probes or probes[k] == 0)
+        marks.append(mark)
+        values.append(v)
     trace = SubexpressionTrace(word, tuple(values), tuple(marks))
     return ComponentDescriptor(trace), probes
 
@@ -221,19 +220,17 @@ class ComponentConditions:
     nonzero_minors: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
 
     def to_json(self, d: int | None = None) -> dict:
-        def fmt(items, d):
+        def fmt(items):
             out = []
             for k, rows, cols in items:
                 rec = {"k": k, "rows": list(rows), "cols": list(cols)}
-                if d is not None and len(rows) <= POLY_EXPANSION_GUARD:
+                if expand and len(rows) <= POLY_EXPANSION_GUARD:
                     rec["poly"] = minor_polynomial(rows, cols, d)
                 out.append(rec)
             return out
 
-        return {
-            "zero": fmt(self.zero_minors, d),
-            "nonzero": fmt(self.nonzero_minors, d),
-        }
+        expand = d is not None and d <= _POLY_DEGREE_LIMIT
+        return {"zero": fmt(self.zero_minors), "nonzero": fmt(self.nonzero_minors)}
 
 
 def component_conditions(desc: ComponentDescriptor) -> ComponentConditions:
@@ -246,6 +243,7 @@ def component_conditions(desc: ComponentDescriptor) -> ComponentConditions:
 
 
 POLY_EXPANSION_GUARD = 6
+_POLY_DEGREE_LIMIT = 9
 
 
 def minor_polynomial(rows: Sequence[int], cols: Sequence[int], d: int) -> str:
@@ -262,7 +260,7 @@ def minor_polynomial(rows: Sequence[int], cols: Sequence[int], d: int) -> str:
         raise DomainError(
             f"symbolic expansion is limited to size {POLY_EXPANSION_GUARD}"
         )
-    if d > 9:
+    if d > _POLY_DEGREE_LIMIT:
         raise DomainError("symbolic entry names need single-digit indices")
     n = len(rows)
     terms: dict[tuple[str, ...], int] = {}

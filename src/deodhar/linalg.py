@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InputError
-from .weyl import Permutation
+from .weyl import Permutation, longest_element
 
 __all__ = [
     "Rational",
@@ -226,25 +226,22 @@ def flag_equal(a: RatMatrix, b: RatMatrix) -> bool:
     """
     if a.d != b.d:
         raise InputError("size mismatch in flag comparison")
-    return _column_reduce(a, bottom=True)[0] == _column_reduce(b, bottom=True)[0]
+    return _column_reduce(a)[0] == _column_reduce(b)[0]
 
 
-def _column_reduce(g: RatMatrix, bottom: bool) -> tuple[list[list[Fraction]], Permutation]:
+def _column_reduce(g: RatMatrix) -> tuple[list[list[Fraction]], Permutation]:
     """Greedy pivot sweep by columns, clearing each pivot row to the right.
 
-    With ``bottom`` the pivot is the lowest nonzero entry of the running
-    column, which is invariant under upper-triangular factors on either
-    side; without it the pivot is the highest nonzero entry, invariant under
-    a lower-triangular factor on the left and an upper one on the right.
+    The pivot is the lowest nonzero entry of the running column, whose row
+    is invariant under upper-triangular factors on either side.
     """
     d = g.d
     m = [list(row) for row in g.rows]
     images = [0] * d
     for j in range(d):
-        rows_with_value = [r for r in range(d) if m[r][j] != 0]
-        if not rows_with_value:
+        p = max((r for r in range(d) if m[r][j] != 0), default=None)
+        if p is None:
             raise DomainError("matrix is singular")
-        p = max(rows_with_value) if bottom else min(rows_with_value)
         images[j] = p + 1
         pivot = m[p][j]
         for r in range(d):
@@ -259,12 +256,16 @@ def _column_reduce(g: RatMatrix, bottom: bool) -> tuple[list[list[Fraction]], Pe
 
 def bruhat_position(g: RatMatrix) -> Permutation:
     """The permutation w with g in B+ w B+ (B+ the upper-triangular group)."""
-    return _column_reduce(g, bottom=True)[1]
+    return _column_reduce(g)[1]
 
 
 def opposite_position(g: RatMatrix) -> Permutation:
-    """The permutation v with g in B- v B+ (B- the lower-triangular group)."""
-    return _column_reduce(g, bottom=False)[1]
+    """The permutation v with g in B- v B+ (B- the lower-triangular group).
+
+    Reversing the rows multiplies g on the left by the longest element w0,
+    and w0 B- w0 = B+, so w0 g lies in B+ (w0 v) B+.
+    """
+    return longest_element(g.d) * bruhat_position(RatMatrix(g.rows[::-1]))
 
 
 def unipotent_representative(g: RatMatrix) -> tuple[RatMatrix, Permutation]:
@@ -274,7 +275,7 @@ def unipotent_representative(g: RatMatrix) -> tuple[RatMatrix, Permutation]:
     1, in row w(j); regrouping those columns as columns w(j) of z yields the
     unipotent witness.
     """
-    m, w = _column_reduce(g, bottom=True)
+    m, w = _column_reduce(g)
     d = g.d
     z = [[Fraction(0)] * d for _ in range(d)]
     for j in range(d):

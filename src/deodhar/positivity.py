@@ -87,13 +87,12 @@ def sample_positive(
 def random_positive_sample(
     v: Permutation, word: Sequence[int], seed: int
 ) -> PositiveSample:
-    """A reproducible positive sample with small random parameters."""
+    """A reproducible positive sample, one small random parameter per stay."""
     rng = random.Random(seed)
-    desc = ComponentDescriptor(positive_subexpression(v, word))
-    params = {
-        k: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        for k in desc.stay_positions
-    }
+    params = [
+        Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        for _ in range(len(word) - v.length())
+    ]
     return sample_positive(v, word, params)
 
 

@@ -1,10 +1,10 @@
 """Subexpressions of a reduced word, distinguished traces, and R-polynomials.
 
 Fix a reduced word (i_1, ..., i_n).  A subexpression is recorded as its trace:
-the partial products v_(0) = e, v_(1), ..., v_(n), where each step either
-keeps v_(k-1) or multiplies it by s_{i_k} on the right.  Every step carries a
-mark: "+" when the length goes up, "o" when the value is kept, "-" when the
-length goes down.
+the partial products v_(0) = e, v_(1), ..., v_(n).  Step k either keeps
+v_(k-1), marked "o", or multiplies it by s_{i_k} on the right, marked "-" when
+i_k is a right descent of v_(k-1) and "+" otherwise.  ``_step`` states this
+rule once; traces are built and checked through it.
 
 A trace is distinguished when every forced descent is taken: whenever
 v_(k-1) s_{i_k} is shorter than v_(k-1), the step must move down.  It is
@@ -69,18 +69,11 @@ class SubexpressionTrace:
         if not self.values[0].is_identity():
             raise InputError("trace must start at the identity")
         _check_letters(self.values[0].d, self.word)
-        for k in range(1, n + 1):
-            i = self.word[k - 1]
-            prev, cur, mark = self.values[k - 1], self.values[k], self.marks[k - 1]
-            if mark == MARK_STAY:
-                ok = cur == prev
-            elif mark == MARK_UP:
-                ok = cur == prev.times_s(i) and not prev.right_descent(i)
-            elif mark == MARK_DOWN:
-                ok = cur == prev.times_s(i) and prev.right_descent(i)
-            else:
+        for k, (i, mark) in enumerate(zip(self.word, self.marks), start=1):
+            if mark not in (MARK_UP, MARK_STAY, MARK_DOWN):
                 raise InputError(f"unknown mark {mark!r}")
-            if not ok:
+            step = _step(self.values[k - 1], i, mark != MARK_STAY)
+            if step != (mark, self.values[k]):
                 raise InputError(f"step {k} of trace is inconsistent with its mark")
 
     @property
@@ -107,18 +100,21 @@ class SubexpressionTrace:
         return MARK_DOWN not in self.marks and is_distinguished(self)
 
 
+def _step(v: Permutation, i: int, move: bool) -> tuple[str, Permutation]:
+    """The mark and value of a step from v with letter i: keep v, or move by s_i."""
+    if not move:
+        return MARK_STAY, v
+    return (MARK_DOWN if v.right_descent(i) else MARK_UP), v.times_s(i)
+
+
 def _trace_from_moves(word: Word, d: int, moves: Sequence[bool]) -> SubexpressionTrace:
     """Build a trace from a word and a keep/multiply decision per step."""
     values = [identity_perm(d)]
     marks: list[str] = []
-    for k, i in enumerate(word):
-        prev = values[-1]
-        if moves[k]:
-            marks.append(MARK_DOWN if prev.right_descent(i) else MARK_UP)
-            values.append(prev.times_s(i))
-        else:
-            marks.append(MARK_STAY)
-            values.append(prev)
+    for i, move in zip(word, moves):
+        mark, value = _step(values[-1], i, move)
+        marks.append(mark)
+        values.append(value)
     return SubexpressionTrace(word, tuple(values), tuple(marks))
 
 
@@ -127,17 +123,15 @@ def positive_subexpression(v: Permutation, word: Sequence[int]) -> Subexpression
 
     Built right to left: starting from v_(n) = v, each step takes the
     available descent, v_(j-1) = v_(j) s_{i_j} when that is shorter, and
-    keeps v_(j) otherwise.  Exists exactly when v is below the word's
-    product in Bruhat order.
+    keeps v_(j) otherwise.  Raises ``DomainError`` exactly when v is not
+    below the word's product in Bruhat order: then the walk misses e.
 
     >>> from .weyl import Permutation
     >>> t = positive_subexpression(Permutation((1, 3, 2, 4)), (3, 2, 1, 3, 2, 3))
     >>> t.marks
     ('o', 'o', 'o', 'o', '+', 'o')
     """
-    word, w = check_reduced_word(v.d, word)
-    if not bruhat_leq(v, w):
-        raise DomainError("no subexpression: endpoint is not below the word's product")
+    word, _ = check_reduced_word(v.d, word)
     cur = v
     moves: list[bool] = []
     for i in reversed(word):

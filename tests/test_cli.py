@@ -165,6 +165,17 @@ def test_conditions_by_positive_trace(capsys):
     assert all("poly" in rec for rec in data["nonzero"])
 
 
+def test_conditions_above_single_digit_degree_omit_poly(capsys):
+    # Entry names a{i}{j} cannot be formed at d = 10; the records still come.
+    v, word = json.dumps(list(range(1, 11))), json.dumps(list(range(1, 10)))
+    code, out = run(capsys, ["conditions", "--v", v, "--word", word])
+    assert code == 0
+    data = json.loads(out)
+    records = data["zero"] + data["nonzero"]
+    assert [rec["k"] for rec in data["nonzero"]] == list(range(1, 10))
+    assert all("rows" in rec and "cols" in rec and "poly" not in rec for rec in records)
+
+
 def test_conditions_by_matrix(z_file, capsys):
     code, out = run(capsys, ["conditions", "--matrix", z_file, "--word", WORD_JSON])
     assert code == 0

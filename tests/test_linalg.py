@@ -128,10 +128,8 @@ def test_minor_matches_cofactor_property(data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_matrices(7))
+@given(_matrices(8))
 def test_det_matches_cofactor_property(rows):
-    # Cofactor expansion of an 8x8 matrix takes about half a second, so the
-    # full determinant is checked up to d = 7; minors above reach d = 8.
     assert RatMatrix.from_rows(rows).det() == det_cofactor(rows)
 
 
@@ -274,14 +272,14 @@ def test_bruhat_position_invariant_under_right_upper():
 
 def test_opposite_position():
     rng = random.Random(16)
-    for _ in range(20):
-        d = 4
+    for _ in range(40):
+        d = rng.randint(2, 6)
         w = random_perm(rng, d)
         assert opposite_position(perm_matrix(w)) == w
         lower = RatMatrix.from_rows(
             [
                 [
-                    Fraction(1)
+                    random_nonzero(rng)
                     if i == j
                     else (random_rational(rng) if j < i else Fraction(0))
                     for j in range(d)
@@ -289,7 +287,22 @@ def test_opposite_position():
                 for i in range(d)
             ]
         )
+        upper = RatMatrix.from_rows(
+            [
+                [
+                    random_nonzero(rng)
+                    if i == j
+                    else (random_rational(rng) if j > i else Fraction(0))
+                    for j in range(d)
+                ]
+                for i in range(d)
+            ]
+        )
         assert opposite_position(lower * perm_matrix(w)) == w
+        assert opposite_position(lower * perm_matrix(w) * upper) == w
+    singular = RatMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+    with pytest.raises(DomainError, match="matrix is singular"):
+        opposite_position(singular)
 
 
 def test_unipotent_representative_round_trip():

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deodhar.components import classify
+from deodhar.components import ComponentDescriptor, classify, element_from_coordinates
 from deodhar.diagrams import classify_graphical
 from deodhar.errors import DomainError
+from deodhar.linalg import unipotent_representative
+from deodhar.pinning import evaluate
+from deodhar.positivity import is_totally_nonnegative, random_positive_sample
 from deodhar.subexpr import MARK_DOWN, enumerate_distinguished, positive_subexpression
 
 from support import (
@@ -64,3 +67,42 @@ def test_positive_subexpression_is_the_only_descent_free_trace(seed, d, below):
         assert descent_free == []
         with pytest.raises(DomainError):
             positive_subexpression(v, word)
+
+
+def _flag_with_coordinates(desc, coords):
+    group_word = element_from_coordinates(desc, coords).group_word
+    return unipotent_representative(evaluate(group_word))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.integers(2, 6))
+def test_each_stay_inequality_is_needed(seed, d):
+    # The stay inequalities are a minimal set: with every stay coordinate 1
+    # the flag is nonnegative, and negating any one coordinate violates
+    # exactly that inequality.
+    rng = random.Random(seed)
+    word = random_reduced_word(rng, random_perm(rng, d))
+    v = random_distinguished(rng, d, word).endpoint
+    desc = ComponentDescriptor(positive_subexpression(v, word))
+    ones = {k: 1 for k in desc.stay_positions}
+    assert is_totally_nonnegative(_flag_with_coordinates(desc, ones), word)
+    for k in desc.stay_positions:
+        z = _flag_with_coordinates(desc, {**ones, k: -1})
+        assert is_totally_nonnegative(z, word).violated == (k,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(2, 6), st.booleans())
+def test_random_positive_samples_are_nonnegative(seed, d, below):
+    rng = random.Random(seed)
+    w = random_perm(rng, d)
+    word = random_reduced_word(rng, w)
+    v = random_distinguished(rng, d, word).endpoint if below else random_perm(rng, d)
+    if not bruhat_leq_subword(v, w, word):
+        with pytest.raises(DomainError):
+            random_positive_sample(v, word, seed)
+        return
+    sample = random_positive_sample(v, word, seed)
+    z = unipotent_representative(evaluate(sample.group_word))[0]
+    cert = is_totally_nonnegative(z, word)
+    assert cert and cert.endpoint == v

@@ -236,3 +236,54 @@ def test_trace_from_json_rejects_unreduced_word():
     for load in (trace_from_json, ComponentDescriptor.from_json):
         with pytest.raises(InputError, match=r"word \(1, 1\) is not reduced"):
             load(data)
+
+
+# A reduced word for w0 in S_4.  Step 1 starts at e, which has no descent,
+# so a "+" at a right descent can only appear from the second step on.
+WORD_W0 = (1, 2, 1, 3, 2, 1)
+
+
+def _malformed(marks: str, flip: int = 0, word=WORD_W0) -> dict:
+    """Trace JSON whose step k moves when its mark is not "o", except at ``flip``."""
+    values = [(1, 2, 3, 4)]
+    for k, (i, mark) in enumerate(zip(word, marks), start=1):
+        v = Permutation(values[-1])
+        moved = mark != "o" and 1 <= i <= 3
+        values.append((v.times_s(i) if moved != (k == flip) else v).images)
+    return {"word": list(word), "values": [list(v) for v in values], "marks": [*marks]}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_malformed("xooooo"), "unknown mark 'x'"),
+        (_malformed("+o?ooo"), "unknown mark '?'"),
+        (_malformed("+oooo*"), "unknown mark '*'"),
+        (_malformed("+o+ooo"), "step 3 of trace is inconsistent with its mark"),
+        (_malformed("+oooo+"), "step 6 of trace is inconsistent with its mark"),
+        (_malformed("-ooooo"), "step 1 of trace is inconsistent with its mark"),
+        (_malformed("+-oooo"), "step 2 of trace is inconsistent with its mark"),
+        (_malformed("ooooo-"), "step 6 of trace is inconsistent with its mark"),
+        (_malformed("oooooo", flip=1), "step 1 of trace is inconsistent with its mark"),
+        (_malformed("oooooo", flip=3), "step 3 of trace is inconsistent with its mark"),
+        (_malformed("oooooo", flip=6), "step 6 of trace is inconsistent with its mark"),
+        (_malformed("+ooooo", flip=1), "step 1 of trace is inconsistent with its mark"),
+        (_malformed("+o-ooo", flip=3), "step 3 of trace is inconsistent with its mark"),
+        (_malformed("ooooo+", flip=6), "step 6 of trace is inconsistent with its mark"),
+        (_malformed("+oooo-", flip=6), "step 6 of trace is inconsistent with its mark"),
+        (_malformed("+-ooxo"), "step 2 of trace is inconsistent with its mark"),
+        (
+            _malformed("oooooo", flip=2, word=(1, 2, 1, 3, 2, 5)),
+            "letter 5 out of range 1..3",
+        ),
+    ],
+)
+def test_malformed_trace_messages(data, message):
+    values = tuple(Permutation(tuple(v)) for v in data["values"])
+    direct = (tuple(data["word"]), values, tuple(data["marks"]))
+    with pytest.raises(InputError) as exc:
+        SubexpressionTrace(*direct)
+    assert str(exc.value) == message
+    with pytest.raises(InputError) as exc:
+        trace_from_json(data)
+    assert str(exc.value) == message
