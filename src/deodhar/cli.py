@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -266,31 +267,31 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        code = _run(_build_parser().parse_args(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so that the
+        # interpreter's last flush cannot raise again; exit 1 as Python does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args) -> int:
     try:
         result = _COMMANDS[args.command](args)
         if not (isinstance(result, str) and args.command == "diagram"):
             result = json.dumps(result, indent=2)
         _emit(result, args.out)
+        return 0
     except InputError as exc:
-        _emit(json.dumps({"error": {"type": "input", "message": str(exc)}}), None)
-        return 1
+        code, error = 1, {"type": "input", "message": str(exc)}
     except DomainError as exc:
-        _emit(
-            json.dumps(
-                {
-                    "error": {
-                        "type": "domain",
-                        "kind": type(exc).__name__,
-                        "message": str(exc),
-                    }
-                }
-            ),
-            None,
-        )
-        return 2
-    return 0
+        kind = type(exc).__name__
+        code, error = 2, {"type": "domain", "kind": kind, "message": str(exc)}
+    _emit(json.dumps({"error": error}), None)
+    return code
 
 
 if __name__ == "__main__":

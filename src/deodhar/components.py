@@ -219,7 +219,7 @@ class ComponentConditions:
     zero_minors: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
     nonzero_minors: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
 
-    def to_json(self, d: int | None = None) -> dict:
+    def to_json(self, d: int) -> dict:
         def fmt(items):
             out = []
             for k, rows, cols in items:
@@ -229,7 +229,7 @@ class ComponentConditions:
                 out.append(rec)
             return out
 
-        expand = d is not None and d <= _POLY_DEGREE_LIMIT
+        expand = d <= _POLY_DEGREE_LIMIT
         return {"zero": fmt(self.zero_minors), "nonzero": fmt(self.nonzero_minors)}
 
 

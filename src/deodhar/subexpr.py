@@ -8,9 +8,13 @@ rule once; traces are built and checked through it.
 
 A trace is distinguished when every forced descent is taken: whenever
 v_(k-1) s_{i_k} is shorter than v_(k-1), the step must move down.  It is
-positive when it is distinguished and never moves down; for each v below the
-word's product there is exactly one positive trace, found by a right-to-left
-greedy descent.
+positive when it is distinguished and never moves down.  ``_walk_back``
+finds those ending at v right to left from v_(n) = v, with w_(k) the product
+of the first k letters.  Step k is a forced ascent from y s_{i_k} when i_k is
+a right descent of y = v_(k); otherwise it is a stay, tried first, or a
+descent from y s_{i_k}.  By the lifting property, y <= w_(k) gives
+v_(k-1) <= w_(k-1) after an ascent or a stay.  So the first, positive path
+reaches e exactly when v <= w_(n), and then only descents need a check.
 
 The R-polynomial of a pair v <= w counts, weighted by marks, the
 distinguished traces ending at v: each trace contributes
@@ -20,7 +24,8 @@ distinguished traces ending at v: each trace contributes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InputError
 from .weyl import (
@@ -118,13 +123,40 @@ def _trace_from_moves(word: Word, d: int, moves: Sequence[bool]) -> Subexpressio
     return SubexpressionTrace(word, tuple(values), tuple(marks))
 
 
+def _walk_back(v: Permutation, word: Word) -> Iterator[list[bool]]:
+    """The moves of each distinguished trace ending at v, in a reused list.
+
+    The word is reduced; a pending (k, y) is the descent into y at step k+1.
+    """
+    e = identity_perm(v.d)
+    w: list[Permutation] = []
+    moves = [False] * len(word)
+    pending = [(len(word), v)]
+    while pending:
+        k, y = pending.pop()
+        if k < len(word):
+            w = w or list(accumulate(word, Permutation.times_s, initial=e))
+            y = y.times_s(word[k])
+            moves[k] = True
+            if not bruhat_leq(y, w[k]):
+                continue
+        while k:
+            k -= 1
+            moves[k] = y.right_descent(word[k])
+            if moves[k]:
+                y = y.times_s(word[k])
+            else:
+                pending.append((k, y))
+        if y != e:
+            return
+        yield moves
+
+
 def positive_subexpression(v: Permutation, word: Sequence[int]) -> SubexpressionTrace:
     """The unique distinguished trace for v with no descents.
 
-    Built right to left: starting from v_(n) = v, each step takes the
-    available descent, v_(j-1) = v_(j) s_{i_j} when that is shorter, and
-    keeps v_(j) otherwise.  Raises ``DomainError`` exactly when v is not
-    below the word's product in Bruhat order: then the walk misses e.
+    The first trace of ``_walk_back``.  Raises ``DomainError`` exactly when
+    v is not below the word's product in Bruhat order.
 
     >>> from .weyl import Permutation
     >>> t = positive_subexpression(Permutation((1, 3, 2, 4)), (3, 2, 1, 3, 2, 3))
@@ -132,15 +164,9 @@ def positive_subexpression(v: Permutation, word: Sequence[int]) -> Subexpression
     ('o', 'o', 'o', 'o', '+', 'o')
     """
     word, _ = check_reduced_word(v.d, word)
-    cur = v
-    moves: list[bool] = []
-    for i in reversed(word):
-        moves.append(cur.right_descent(i))
-        if moves[-1]:
-            cur = cur.times_s(i)
-    if not cur.is_identity():
-        raise DomainError("no subexpression: endpoint is not below the word's product")
-    return _trace_from_moves(word, v.d, moves[::-1])
+    for moves in _walk_back(v, word):
+        return _trace_from_moves(word, v.d, moves)
+    raise DomainError("no subexpression: endpoint is not below the word's product")
 
 
 def is_distinguished(trace: SubexpressionTrace) -> bool:
@@ -155,10 +181,8 @@ def is_distinguished(trace: SubexpressionTrace) -> bool:
 def enumerate_distinguished(
     v: Permutation, word: Sequence[int]
 ) -> list[SubexpressionTrace]:
-    """All distinguished traces of the word ending at v.
+    """All distinguished traces of the word ending at v, sorted by marks.
 
-    Depth-first branching at each free step, forced steps descend.  The
-    result is sorted by the mark sequence, so the order is deterministic.
     Degree is guarded because the search is exhaustive.
     """
     if v.d > ENUMERATION_GUARD:
@@ -166,34 +190,8 @@ def enumerate_distinguished(
             f"distinguished enumeration is limited to degree {ENUMERATION_GUARD}"
         )
     word, _ = check_reduced_word(v.d, word)
-    n = len(word)
-    target_len = v.length()
-    found: list[list[bool]] = []
-    moves: list[bool] = []
-
-    def rec(k: int, cur: Permutation, cur_len: int) -> None:
-        if abs(cur_len - target_len) > n - k:
-            return
-        if k == n:
-            if cur == v:
-                found.append(list(moves))
-            return
-        i = word[k]
-        if cur.right_descent(i):
-            moves.append(True)
-            rec(k + 1, cur.times_s(i), cur_len - 1)
-            moves.pop()
-            return
-        moves.append(False)
-        rec(k + 1, cur, cur_len)
-        moves[-1] = True
-        rec(k + 1, cur.times_s(i), cur_len + 1)
-        moves.pop()
-
-    rec(0, identity_perm(v.d), 0)
-    traces = [_trace_from_moves(word, v.d, m) for m in found]
-    traces.sort(key=lambda t: "".join(t.marks))
-    return traces
+    traces = (_trace_from_moves(word, v.d, m) for m in _walk_back(v, word))
+    return sorted(traces, key=lambda t: "".join(t.marks))
 
 
 @dataclass(frozen=True)

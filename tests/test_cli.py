@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import deodhar
 from deodhar.cli import main
 from deodhar.linalg import matrix_to_json
 
@@ -313,3 +318,22 @@ def test_unwritable_out_path_exits_one(z_file, capsys, tmp_path):
     assert err["type"] == "input"
     assert err["message"].startswith(f"cannot write output file {dest}")
     assert not dest.exists()
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # The read end of the pipe is closed before the child has started, so
+    # its first write to stdout fails with EPIPE.
+    src = str(Path(deodhar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["conditions", "--v", "[1,3,2,4]", "--word", "[3,2,1,3,2]"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deodhar.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+    assert b"BrokenPipeError" not in err

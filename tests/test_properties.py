@@ -1,4 +1,4 @@
-"""Hypothesis properties of classification and positive subexpressions.
+"""Hypothesis properties of classification, factorization and positive subexpressions.
 
 Each example draws a seed and builds its case with the generators in
 ``support``, so a failure shrinks to a seed that reproduces it.
@@ -10,13 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deodhar.components import ComponentDescriptor, classify, element_from_coordinates
+from deodhar.components import (
+    ComponentDescriptor,
+    chamber_coordinates,
+    classify,
+    element_from_coordinates,
+    factorize,
+)
 from deodhar.diagrams import classify_graphical
 from deodhar.errors import DomainError
-from deodhar.linalg import unipotent_representative
-from deodhar.pinning import evaluate
+from deodhar.linalg import RatMatrix, unipotent_representative
+from deodhar.pinning import evaluate, factor_matrix, perm_matrix
 from deodhar.positivity import is_totally_nonnegative, random_positive_sample
 from deodhar.subexpr import MARK_DOWN, enumerate_distinguished, positive_subexpression
+from deodhar.weyl import evaluate_word
 
 from support import (
     bruhat_leq_subword,
@@ -48,6 +55,41 @@ def test_classify_agrees_with_classify_graphical(seed, d, generic):
         desc, z = random_component_flag(rng, d)
         word = desc.word
     assert classify_graphical(z, word) == classify(z, word)
+
+
+def _dense_product(group_word) -> RatMatrix:
+    out = RatMatrix.identity(group_word.d)
+    for f in group_word.factors:
+        out = out * factor_matrix(group_word.d, f)
+    return out
+
+
+def _same_flag(a: RatMatrix, b: RatMatrix) -> bool:
+    return (a.inverse() * b).is_upper_triangular()
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.integers(2, 6))
+def test_chamber_coordinates_round_trip(seed, d):
+    desc, z = random_component_flag(random.Random(seed), d)
+    coords = chamber_coordinates(z, desc)
+    g = _dense_product(element_from_coordinates(desc, coords).group_word)
+    assert _same_flag(g, z * perm_matrix(evaluate_word(d, desc.word)))
+    assert chamber_coordinates(unipotent_representative(g)[0], desc) == coords
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.integers(2, 6), st.booleans())
+def test_factorize_re_evaluates_to_the_flag(seed, d, generic):
+    rng = random.Random(seed)
+    if generic:
+        word = random_reduced_word(rng, random_perm(rng, d))
+        z = random_unipotent(rng, d)
+    else:
+        desc, z = random_component_flag(rng, d)
+        word = desc.word
+    g = _dense_product(factorize(z, word).group_word)
+    assert _same_flag(g, z * perm_matrix(evaluate_word(d, word)))
 
 
 @settings(max_examples=60, deadline=None)

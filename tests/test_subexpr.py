@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from deodhar import (
     trace_from_json,
     trace_to_json,
 )
-from deodhar.weyl import all_permutations
+from deodhar.weyl import a_reduced_word, all_permutations, longest_element
 
 from support import kl_r_polynomial, random_distinguished, random_perm, random_reduced_word
 
@@ -124,6 +125,63 @@ def test_enumerate_agrees_with_random_walks():
         assert is_distinguished(tr)
         found = enumerate_distinguished(tr.endpoint, word)
         assert tr in found
+
+
+def _distinguished_by_brute_force(d: int, word: tuple[int, ...]) -> dict:
+    """Mark strings of the distinguished subexpressions, keyed by endpoint.
+
+    Tries all 2^n keep/move sequences with permutations as plain tuples.
+    """
+    out: dict[tuple[int, ...], list[str]] = {}
+    for moves in itertools.product((False, True), repeat=len(word)):
+        cur = tuple(range(1, d + 1))
+        marks = ""
+        for i, move in zip(word, moves):
+            descent = cur[i - 1] > cur[i]
+            if descent and not move:
+                break
+            if move:
+                cur = cur[: i - 1] + (cur[i], cur[i - 1]) + cur[i + 1 :]
+            marks += "-" if descent else ("+" if move else "o")
+        else:
+            out.setdefault(cur, []).append(marks)
+    return out
+
+
+def _words_for_oracle() -> list[tuple[int, tuple[int, ...]]]:
+    rng = random.Random(11)
+    w0 = longest_element(5)
+    words = [(4, word) for word in reduced_words(longest_element(4))]
+    words += [(5, random_reduced_word(rng, w0)) for _ in range(5)]
+    words += [(5, random_reduced_word(rng, random_perm(rng, 5))) for _ in range(5)]
+    return words
+
+
+@pytest.mark.parametrize("d, word", _words_for_oracle())
+def test_enumerate_matches_brute_force(d, word):
+    expected = _distinguished_by_brute_force(d, word)
+    for v in all_permutations(d):
+        found = [_marks(t) for t in enumerate_distinguished(v, word)]
+        assert found == sorted(expected.get(v.images, []))
+
+
+def test_positive_subexpression_on_a_long_word():
+    # 1,225 letters, more than the default recursion limit.
+    d = 50
+    word = a_reduced_word(longest_element(d))
+    images = list(range(1, d + 1))
+    random.Random(50).shuffle(images)
+    v = Permutation(tuple(images))
+    cur, moves = list(images), []
+    for i in reversed(word):
+        moves.append(cur[i - 1] > cur[i])
+        if moves[-1]:
+            cur[i - 1], cur[i] = cur[i], cur[i - 1]
+    assert cur == list(range(1, d + 1))
+    tr = positive_subexpression(v, word)
+    assert _marks(tr) == "".join("+" if m else "o" for m in reversed(moves))
+    assert tr.endpoint == v
+    assert tr.stay_count == len(word) - v.length()
 
 
 def test_distinguished_rejects_skipped_descent():
