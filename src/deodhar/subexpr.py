@@ -18,16 +18,23 @@ reaches e exactly when v <= w_(n), and then only descents need a check.
 
 The R-polynomial of a pair v <= w counts, weighted by marks, the
 distinguished traces ending at v: each trace contributes
-(q - 1)^{#stays} * q^{#descents}.
+(q - 1)^{#stays} * q^{#descents}.  ``r_polynomial`` does not list them.  It
+applies the same backward rule to (step, value) states, from {v} at step n
+down to {e} at step 0, and counts the traces through each state by their
+stays; traces that meet in a state are merged.  Going back, an ascent
+shortens the value by one, a descent lengthens it by one and a stay keeps
+it, so a trace with s stays of a word of length n has
+(n - s - l(v)) / 2 descents, and the stay counts at e give R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, InternalCheckError
 from .weyl import (
     Permutation,
     Word,
@@ -57,6 +64,7 @@ MARK_STAY = "o"
 MARK_DOWN = "-"
 
 ENUMERATION_GUARD = 6
+R_POLYNOMIAL_GUARD = 9
 
 
 @dataclass(frozen=True)
@@ -284,18 +292,25 @@ class RPolynomial:
         return self.pretty()
 
 
-def _power(base: RPolynomial, k: int) -> RPolynomial:
-    out = RPolynomial.one()
-    for _ in range(k):
-        out = out * base
-    return out
+def _merge(
+    level: dict[Permutation, dict[int, int]], y: Permutation, tally: dict[int, int], shift: int
+) -> None:
+    """Add the trace counts of tally, with stays raised by shift, to level[y]."""
+    into = level.setdefault(y, {})
+    for stays, count in tally.items():
+        into[stays + shift] = into.get(stays + shift, 0) + count
 
 
 def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolynomial:
     """Sum of (q-1)^{#stays} q^{#descents} over distinguished traces ending at v.
 
     The word must be a reduced word for w; the value does not depend on
-    which one is chosen.  Pairs with v not below w give the zero polynomial.
+    which one is chosen.  Pairs with v not below w give the zero polynomial;
+    comparable pairs above degree ``R_POLYNOMIAL_GUARD`` raise ``DomainError``.
+
+    >>> from .weyl import longest_element
+    >>> r_polynomial(identity_perm(3), longest_element(3), (1, 2, 1)).pretty()
+    'q^3 - 2q^2 + 2q - 1'
     """
     if v.d != w.d:
         raise InputError(f"degree mismatch: v has degree {v.d}, w has degree {w.d}")
@@ -304,14 +319,38 @@ def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolyno
         raise InputError("word does not multiply out to w")
     if not bruhat_leq(v, w):
         return RPolynomial.zero()
-    q = RPolynomial((0, 1))
-    q_minus_1 = RPolynomial((-1, 1))
-    total = RPolynomial.zero()
-    for trace in enumerate_distinguished(v, word):
-        total = total + _power(q_minus_1, trace.stay_count) * _power(
-            q, trace.down_count
-        )
-    return total
+    if v.d > R_POLYNOMIAL_GUARD:
+        raise DomainError(f"R-polynomials are limited to degree {R_POLYNOMIAL_GUARD}")
+    # level[y] counts the traces from v_(k) = y to v_(n) = v by their stays;
+    # top is w_(k-1) while level k is read.
+    level: dict[Permutation, dict[int, int]] = {v: {0: 1}}
+    top = w
+    for i in reversed(word):
+        top = top.times_s(i)
+        below: dict[Permutation, dict[int, int]] = {}
+        for y, tally in level.items():
+            x = y.times_s(i)
+            if y.right_descent(i):
+                _merge(below, x, tally, 0)
+            else:
+                _merge(below, y, tally, 1)
+                if bruhat_leq(x, top):
+                    _merge(below, x, tally, 0)
+        level = below
+    e = identity_perm(v.d)
+    if list(level) != [e]:
+        raise InternalCheckError("R-polynomial pass did not end at the identity")
+    # (q-1)^s q^{(L-s)/2} by the binomial theorem, with L = l(w) - l(v); then
+    # the Kazhdan-Lusztig identity q^L R(1/q) = (-1)^L R(q) as a cross-check.
+    length = len(word) - v.length()
+    coeffs = [0] * (length + 1)
+    for stays, count in level[e].items():
+        descents = (length - stays) // 2
+        for j in range(stays + 1):
+            coeffs[descents + j] += count * comb(stays, j) * (-1) ** (stays - j)
+    if coeffs[-1] != 1 or coeffs[::-1] != [(-1) ** length * c for c in coeffs]:
+        raise InternalCheckError("R-polynomial fails its monic or q^L R(1/q) check")
+    return RPolynomial(tuple(coeffs))
 
 
 def trace_to_json(trace: SubexpressionTrace) -> dict:

@@ -72,6 +72,22 @@ def test_rpoly_longest_element(capsys):
     assert poly == "q^3 - 2q^2 + 2q - 1"
 
 
+def test_rpoly_above_enumeration_limit(capsys):
+    code, out = run(capsys, ["rpoly", "--v", "[1,2,3,4,5,6,7]", "--w", "[7,6,5,4,3,2,1]"])
+    assert code == 0
+    assert json.loads(out).startswith("q^21 - ")
+
+
+def test_rpoly_degree_limit_exits_two(capsys):
+    v, w = json.dumps(list(range(1, 11))), json.dumps(list(range(10, 0, -1)))
+    code, out = run(capsys, ["rpoly", "--v", v, "--w", w])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "domain"
+    assert err["kind"] == "DomainError"
+    assert "limited to degree 9" in err["message"]
+
+
 def test_rpoly_degree_mismatch(capsys):
     code, out = run(capsys, ["rpoly", "--v", "[2,1,3]", "--w", "[3,2,1]", "--d", "5"])
     assert code == 1

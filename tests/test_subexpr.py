@@ -7,6 +7,7 @@ from deodhar import (
     ComponentDescriptor,
     DomainError,
     InputError,
+    InternalCheckError,
     Permutation,
     RPolynomial,
     SubexpressionTrace,
@@ -21,7 +22,8 @@ from deodhar import (
     trace_from_json,
     trace_to_json,
 )
-from deodhar.weyl import a_reduced_word, all_permutations, longest_element
+from deodhar import subexpr
+from deodhar.weyl import a_reduced_word, all_permutations, check_reduced_word, longest_element
 
 from support import kl_r_polynomial, random_distinguished, random_perm, random_reduced_word
 
@@ -258,6 +260,81 @@ def test_r_polynomial_word_independent_spot():
     for v in (identity_perm(4), simple_reflection(4, 2)):
         values = {r_polynomial(v, w, word).coeffs for word in reduced_words(w)}
         assert len(values) == 1
+
+
+def test_r_polynomial_matches_oracle_on_every_pair_at_degree_five():
+    perms = list(all_permutations(5))
+    for w in perms:
+        word = a_reduced_word(w)
+        for v in perms:
+            assert r_polynomial(v, w, word).coeffs == tuple(kl_r_polynomial(v, w)), (v, w)
+
+
+def test_r_polynomials_of_w0_sum_to_its_cell():
+    # The Deodhar components of the cell of w0 partition it: q^{l(w0)} points.
+    w0 = longest_element(6)
+    word = a_reduced_word(w0)
+    total = RPolynomial.zero()
+    for v in all_permutations(6):
+        total = total + r_polynomial(v, w0, word)
+    assert total.coeffs == (0,) * 15 + (1,)
+
+
+def test_r_polynomial_matches_enumerated_traces_at_degree_six():
+    rng = random.Random(11)
+    e, w0 = identity_perm(6), longest_element(6)
+    pairs = [(e, w0, random_reduced_word(rng, w0))]
+    while len(pairs) < 12:
+        w = random_perm(rng, 6)
+        word = random_reduced_word(rng, w)
+        v = evaluate_word(6, [i for i in word if rng.random() < 0.5])
+        pairs.append((v, w, word))
+    q, qm1 = RPolynomial.from_coeffs([0, 1]), RPolynomial.from_coeffs([-1, 1])
+    for v, w, word in pairs:
+        expected = RPolynomial.zero()
+        for t in enumerate_distinguished(v, word):
+            expected = expected + _power(qm1, t.stay_count) * _power(q, t.down_count)
+        assert r_polynomial(v, w, word) == expected, (v, w, word)
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_r_polynomial_of_w0_above_enumeration_limit(d):
+    w0 = longest_element(d)
+    r = r_polynomial(identity_perm(d), w0, a_reduced_word(w0))
+    assert r.degree == w0.length()
+    assert r.is_monic()
+    assert r(1) == 0
+
+
+def test_r_polynomial_degree_limit():
+    w0 = longest_element(10)
+    with pytest.raises(DomainError, match="limited to degree 9"):
+        r_polynomial(identity_perm(10), w0, a_reduced_word(w0))
+    # Incomparable pairs are decided before the limit, so they stay zero.
+    s1, s2 = simple_reflection(10, 1), simple_reflection(10, 2)
+    assert r_polynomial(s1, s2, (2,)).is_zero
+
+
+def test_r_polynomial_validates_the_word_once(monkeypatch):
+    calls = []
+
+    def counting(d, word):
+        calls.append(word)
+        return check_reduced_word(d, word)
+
+    monkeypatch.setattr(subexpr, "check_reduced_word", counting)
+    w0 = longest_element(4)
+    r_polynomial(identity_perm(4), w0, a_reduced_word(w0))
+    assert len(calls) == 1
+
+
+def test_r_polynomial_pass_raises_when_it_misses_the_identity(monkeypatch):
+    # A descent check that lets every value through leaves states other
+    # than e at step 0; the pass must raise, never return a value.
+    monkeypatch.setattr(subexpr, "bruhat_leq", lambda a, b: True)
+    w0 = longest_element(4)
+    with pytest.raises(InternalCheckError, match="did not end at the identity"):
+        r_polynomial(identity_perm(4), w0, a_reduced_word(w0))
 
 
 def test_trace_json_round_trip():
