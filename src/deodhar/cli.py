@@ -85,6 +85,8 @@ def _parse_perm(text: str, what: str) -> Permutation:
 
 def _descriptor_from_args(args) -> ComponentDescriptor:
     """A component descriptor from --matrix (classified) or --v (positive)."""
+    if args.matrix is not None and args.v is not None:
+        raise InputError("give --matrix or --v, not both")
     word = _parse_word(_require(args.word, "--word"))
     if args.matrix is not None:
         z = _load_matrix(args.matrix)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import DomainError, InputError, InternalCheckError, NotInComponentError
-from .linalg import RatMatrix, flag_equal, rational_to_json
+from .linalg import RatMatrix, flag_equal, rational_from_json, rational_to_json
 from .pinning import (
     FACTOR_S,
     FACTOR_XSINV,
@@ -57,7 +57,14 @@ from .subexpr import (
     trace_from_json,
     trace_to_json,
 )
-from .weyl import Permutation, Word, check_reduced_word, identity_perm, simple_reflection
+from .weyl import (
+    Permutation,
+    Word,
+    _int_from_json,
+    _prefix_products,
+    check_reduced_word,
+    simple_reflection,
+)
 
 __all__ = [
     "ComponentDescriptor",
@@ -102,10 +109,7 @@ class ComponentDescriptor:
     @functools.cached_property
     def prefix_perms(self) -> tuple[Permutation, ...]:
         """The prefix products w_(0), ..., w_(n) of the word."""
-        out = [identity_perm(self.d)]
-        for i in self.word:
-            out.append(out[-1].times_s(i))
-        return tuple(out)
+        return _prefix_products(self.d, self.word)
 
     @functools.cached_property
     def step_minors(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -171,15 +175,14 @@ def _sweep(z: RatMatrix, word: Sequence[int]) -> tuple[ComponentDescriptor, dict
     standard chamber minor at a stay, a vanishing minor at an ascent.
     """
     _check_unipotent(z)
-    word, _ = check_reduced_word(z.d, word)
-    v = w_prefix = identity_perm(z.d)
+    word, w = check_reduced_word(z.d, word)
+    v = w[0]
     values = [v]
     marks: list[str] = []
     probes: dict[int, Fraction] = {}
     for k, i in enumerate(word, start=1):
-        w_prefix = w_prefix.times_s(i)
         if not v.right_descent(i):
-            probes[k] = z.minor(v.prefix_set(i), w_prefix.prefix_set(i))
+            probes[k] = z.minor(v.prefix_set(i), w[k].prefix_set(i))
         mark, v = _step(v, i, k not in probes or probes[k] == 0)
         marks.append(mark)
         values.append(v)
@@ -301,6 +304,16 @@ def minor_polynomial(rows: Sequence[int], cols: Sequence[int], d: int) -> str:
     return "".join(parts)
 
 
+def _by_step(params: Mapping[int, object], what: str) -> dict[int, Fraction]:
+    """Parameters keyed by integer steps, each value read as a JSON rational."""
+    if not isinstance(params, Mapping):
+        raise InputError(f"{what}s must be a mapping keyed by step")
+    return {
+        _int_from_json(k, f"{what} key"): rational_from_json(x)
+        for k, x in params.items()
+    }
+
+
 def build_element(
     desc: ComponentDescriptor,
     t_params: Mapping[int, object],
@@ -310,7 +323,10 @@ def build_element(
 
     ``t_params`` is keyed by the stay positions and must be nonzero,
     ``m_params`` by the descent positions; ascent steps take no parameter.
+    Keys are ints; values are ints, Fractions or "p/q" strings.
     """
+    t_params = _by_step(t_params, "t parameter")
+    m_params = _by_step(m_params, "m parameter")
     tr = desc.trace
     stays = set(desc.stay_positions)
     downs = set(desc.descent_positions)
@@ -322,14 +338,14 @@ def build_element(
     for k, i in enumerate(tr.word, start=1):
         mark = tr.marks[k - 1]
         if mark == MARK_STAY:
-            t = Fraction(t_params[k])
+            t = t_params[k]
             if t == 0:
                 raise DomainError(f"t parameter at step {k} must be nonzero")
             factors.append(GroupFactor(FACTOR_Y, i, t))
         elif mark == MARK_UP:
             factors.append(GroupFactor(FACTOR_S, i))
         else:
-            factors.append(GroupFactor(FACTOR_XSINV, i, Fraction(m_params[k])))
+            factors.append(GroupFactor(FACTOR_XSINV, i, m_params[k]))
     return GroupWord(desc.d, tuple(factors))
 
 
@@ -514,20 +530,20 @@ def element_from_coordinates(
     Runs the Chamber Ansatz walk with no flag at hand: after step k the
     chamber minor at level i is read off the partial product g_k as
     1 / Delta_{w_(k) omega_i, omega_i}(g_k), the reciprocal of the standard
-    chamber minor of the element being built.
+    chamber minor of the element being built.  Keys are ints; values are
+    ints, Fractions or "p/q" strings.
     """
+    coords = _by_step(coords, "coordinate")
     expected = set(desc.stay_positions) | set(desc.descent_positions)
     if set(coords) != expected:
         raise InputError(f"coordinates must be keyed by {sorted(expected)}")
-    coords = {k: Fraction(x) for k, x in coords.items()}
     for k in desc.stay_positions:
         if coords[k] == 0:
             raise DomainError(f"stay coordinate at step {k} must be nonzero")
     w = desc.prefix_perms
-    e = identity_perm(desc.d)
 
     def chamber(k: int, i: int, g: RatMatrix) -> Fraction:
-        minor = gmin(g, w[k], e, i)
+        minor = gmin(g, w[k], w[0], i)
         if minor == 0:
             raise InternalCheckError("partial-product minor vanished")
         return 1 / minor

@@ -21,9 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .components import ComponentDescriptor, _sweep, build_element, component_conditions
+from .components import (
+    ComponentDescriptor,
+    _by_step,
+    _sweep,
+    build_element,
+    component_conditions,
+)
 from .errors import DomainError, InputError
-from .linalg import RatMatrix, rational_to_json
+from .linalg import RatMatrix, rational_from_json, rational_to_json
 from .pinning import GroupWord, group_word_to_json
 from .subexpr import positive_subexpression
 from .weyl import Permutation
@@ -62,14 +68,14 @@ def sample_positive(
 
     The positive trace of v has one free parameter per stay step; they can
     be passed as a sequence in step order or keyed by step, and must all be
-    positive.
+    positive.  Keys are ints; values are ints, Fractions or "p/q" strings.
     """
     desc = ComponentDescriptor(positive_subexpression(v, word))
     stays = desc.stay_positions
     if isinstance(t_params, Mapping):
-        params = {int(k): Fraction(x) for k, x in t_params.items()}
+        params = _by_step(t_params, "t parameter")
     else:
-        values = [Fraction(x) for x in t_params]
+        values = [rational_from_json(x) for x in t_params]
         if len(values) != len(stays):
             raise InputError(
                 f"expected {len(stays)} parameters, got {len(values)}"

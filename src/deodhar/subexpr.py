@@ -9,10 +9,11 @@ rule once; traces are built and checked through it.
 A trace is distinguished when every forced descent is taken: whenever
 v_(k-1) s_{i_k} is shorter than v_(k-1), the step must move down.  It is
 positive when it is distinguished and never moves down.  ``_walk_back``
-finds those ending at v right to left from v_(n) = v, with w_(k) the product
-of the first k letters.  Step k is a forced ascent from y s_{i_k} when i_k is
-a right descent of y = v_(k); otherwise it is a stay, tried first, or a
-descent from y s_{i_k}.  By the lifting property, y <= w_(k) gives
+finds those ending at v right to left from v_(n) = v; it reads w_(k), the
+product of the first k letters, from the tuple ``check_reduced_word``
+returned.  Step k is a forced ascent from y s_{i_k} when i_k is a right
+descent of y = v_(k); otherwise it is a stay, tried first, or a descent
+from y s_{i_k}.  By the lifting property, y <= w_(k) gives
 v_(k-1) <= w_(k-1) after an ascent or a stay.  So the first, positive path
 reaches e exactly when v <= w_(n), and then only descents need a check.
 
@@ -30,7 +31,6 @@ it, so a trace with s stays of a word of length n has
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -131,19 +131,19 @@ def _trace_from_moves(word: Word, d: int, moves: Sequence[bool]) -> Subexpressio
     return SubexpressionTrace(word, tuple(values), tuple(marks))
 
 
-def _walk_back(v: Permutation, word: Word) -> Iterator[list[bool]]:
+def _walk_back(
+    v: Permutation, word: Word, w: tuple[Permutation, ...]
+) -> Iterator[list[bool]]:
     """The moves of each distinguished trace ending at v, in a reused list.
 
-    The word is reduced; a pending (k, y) is the descent into y at step k+1.
+    w holds the word's prefix products; a pending (k, y) is the descent into
+    y at step k+1.
     """
-    e = identity_perm(v.d)
-    w: list[Permutation] = []
     moves = [False] * len(word)
     pending = [(len(word), v)]
     while pending:
         k, y = pending.pop()
         if k < len(word):
-            w = w or list(accumulate(word, Permutation.times_s, initial=e))
             y = y.times_s(word[k])
             moves[k] = True
             if not bruhat_leq(y, w[k]):
@@ -155,7 +155,7 @@ def _walk_back(v: Permutation, word: Word) -> Iterator[list[bool]]:
                 y = y.times_s(word[k])
             else:
                 pending.append((k, y))
-        if y != e:
+        if y != w[0]:
             return
         yield moves
 
@@ -171,8 +171,8 @@ def positive_subexpression(v: Permutation, word: Sequence[int]) -> Subexpression
     >>> t.marks
     ('o', 'o', 'o', 'o', '+', 'o')
     """
-    word, _ = check_reduced_word(v.d, word)
-    for moves in _walk_back(v, word):
+    word, w = check_reduced_word(v.d, word)
+    for moves in _walk_back(v, word, w):
         return _trace_from_moves(word, v.d, moves)
     raise DomainError("no subexpression: endpoint is not below the word's product")
 
@@ -197,8 +197,8 @@ def enumerate_distinguished(
         raise DomainError(
             f"distinguished enumeration is limited to degree {ENUMERATION_GUARD}"
         )
-    word, _ = check_reduced_word(v.d, word)
-    traces = (_trace_from_moves(word, v.d, m) for m in _walk_back(v, word))
+    word, w = check_reduced_word(v.d, word)
+    traces = (_trace_from_moves(word, v.d, m) for m in _walk_back(v, word, w))
     return sorted(traces, key=lambda t: "".join(t.marks))
 
 
@@ -314,8 +314,8 @@ def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolyno
     """
     if v.d != w.d:
         raise InputError(f"degree mismatch: v has degree {v.d}, w has degree {w.d}")
-    word, prod = check_reduced_word(v.d, word)
-    if prod != w:
+    word, prefixes = check_reduced_word(v.d, word)
+    if prefixes[-1] != w:
         raise InputError("word does not multiply out to w")
     if not bruhat_leq(v, w):
         return RPolynomial.zero()
@@ -324,9 +324,7 @@ def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolyno
     # level[y] counts the traces from v_(k) = y to v_(n) = v by their stays;
     # top is w_(k-1) while level k is read.
     level: dict[Permutation, dict[int, int]] = {v: {0: 1}}
-    top = w
-    for i in reversed(word):
-        top = top.times_s(i)
+    for i, top in zip(reversed(word), reversed(prefixes[:-1])):
         below: dict[Permutation, dict[int, int]] = {}
         for y, tally in level.items():
             x = y.times_s(i)
@@ -369,6 +367,8 @@ def trace_from_json(data: dict) -> SubexpressionTrace:
             Permutation(tuple(_int_from_json(x, "trace entry") for x in im))
             for im in data["values"]
         )
+        if not isinstance(data["marks"], list):
+            raise InputError(f"trace marks must be a JSON array, got {data['marks']!r}")
         marks = tuple(str(m) for m in data["marks"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed trace object: {exc}") from exc

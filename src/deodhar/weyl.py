@@ -177,12 +177,15 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
     return True
 
 
+def _prefix_products(d: int, word: Sequence[int]) -> tuple[Permutation, ...]:
+    """The prefix products w_(0) = e, w_(1), ..., w_(n) of the word."""
+    e = identity_perm(d)
+    return tuple(itertools.accumulate(word, Permutation.times_s, initial=e))
+
+
 def evaluate_word(d: int, word: Sequence[int]) -> Permutation:
     """The product s_{i_1} ... s_{i_n} of the letters of the word."""
-    out = identity_perm(d)
-    for i in word:
-        out = out.times_s(i)
-    return out
+    return _prefix_products(d, word)[-1]
 
 
 def is_reduced(d: int, word: Sequence[int]) -> bool:
@@ -198,17 +201,19 @@ def _check_letters(d: int, word: Sequence[int]) -> Word:
     return word
 
 
-def check_reduced_word(d: int, word: Sequence[int]) -> tuple[Word, Permutation]:
-    """The word as a tuple with its product, or InputError if it is not reduced.
+def check_reduced_word(
+    d: int, word: Sequence[int]
+) -> tuple[Word, tuple[Permutation, ...]]:
+    """The word as a tuple and its prefix products; InputError if it is not reduced.
 
     >>> check_reduced_word(3, [1, 2])
-    ((1, 2), Permutation((2, 3, 1)))
+    ((1, 2), (Permutation((1, 2, 3)), Permutation((2, 1, 3)), Permutation((2, 3, 1))))
     """
     word = _check_letters(d, word)
-    w = evaluate_word(d, word)
-    if w.length() != len(word):
+    prefixes = _prefix_products(d, word)
+    if prefixes[-1].length() != len(word):
         raise InputError(f"word {word!r} is not reduced")
-    return word, w
+    return word, prefixes
 
 
 def a_reduced_word(w: Permutation) -> Word:

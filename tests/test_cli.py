@@ -205,6 +205,17 @@ def test_conditions_by_matrix(z_file, capsys):
     assert [rec["k"] for rec in data["nonzero"]] == [2, 3]
 
 
+@pytest.mark.parametrize("command", ["conditions", "diagram"])
+def test_matrix_and_v_together_exit_one(z_file, capsys, command):
+    # w0 is not below the word's product, and the matrix would hide that.
+    argv = [command, "--matrix", z_file, "--v", "[4,3,2,1]", "--word", WORD_JSON]
+    code, out = run(capsys, argv)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "input"
+    assert "--matrix" in err["message"] and "--v" in err["message"]
+
+
 def test_diagram_text_golden(z_file, capsys, tmp_path):
     import pathlib
 

@@ -219,6 +219,24 @@ def test_element_from_coordinates_validation():
         element_from_coordinates(desc, {2: 0, 3: 1, 4: 4})
 
 
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ({2: 2, 3: 1, 4: 4.0}, "cannot interpret 4.0 as a rational number"),
+        ({2: 2, 3: True, 4: 4}, "cannot interpret True as a rational number"),
+        ({2.0: 2, 3: 1, 4: 4}, "coordinate key must be an integer, got 2.0"),
+        ({2: 2, True: 1, 3: 1, 4: 4}, "coordinate key must be an integer, got True"),
+    ],
+)
+def test_element_from_coordinates_reads_json_rationals(coords, message):
+    desc = classify(s102_matrix(), S102_WORD)
+    with pytest.raises(InputError) as exc:
+        element_from_coordinates(desc, coords)
+    assert str(exc.value) == message
+    exact = element_from_coordinates(desc, {2: 2, 3: 1, 4: 4})
+    assert element_from_coordinates(desc, {2: "2", 3: "1", 4: "8/2"}) == exact
+
+
 def test_coordinates_round_trip_random():
     rng = random.Random(23)
     done = 0
@@ -270,6 +288,26 @@ def test_build_element_validation():
         build_element(desc, {2: 1, 3: 1}, {})
     with pytest.raises(DomainError):
         build_element(desc, {2: 0, 3: 1}, {4: 0})
+
+
+@pytest.mark.parametrize(
+    "t_params, m_params, message",
+    [
+        ({2: 0.1, 3: 1}, {4: 0}, "cannot interpret 0.1 as a rational number"),
+        ({2: True, 3: 1}, {4: 0}, "cannot interpret True as a rational number"),
+        ({2: 1, 3: 1}, {4: False}, "cannot interpret False as a rational number"),
+        ({2.0: 1, 3: 1}, {4: 0}, "t parameter key must be an integer, got 2.0"),
+        ({2: 1, 3: 1}, {4.0: 0}, "m parameter key must be an integer, got 4.0"),
+        ([1, 1], {4: 0}, "t parameters must be a mapping keyed by step"),
+    ],
+)
+def test_build_element_reads_parameters_as_json_rationals(t_params, m_params, message):
+    desc = classify(s102_matrix(), S102_WORD)
+    with pytest.raises(InputError) as exc:
+        build_element(desc, t_params, m_params)
+    assert str(exc.value) == message
+    exact = build_element(desc, {2: Fraction(1, 2), 3: 2}, {4: 2})
+    assert build_element(desc, {2: "1/2", 3: "2"}, {4: "2"}) == exact
 
 
 def test_prefix_flags_match_partial_products():

@@ -76,6 +76,26 @@ def test_sample_positive_validation():
         sample_positive(longest_element(4), (3, 2, 3), (1,))
 
 
+@pytest.mark.parametrize(
+    "t_params, message",
+    [
+        ((1, 1, 0.1, 1, 1), "cannot interpret 0.1 as a rational number"),
+        ((1, True, 1, 1, 1), "cannot interpret True as a rational number"),
+        ({1.9: 1, 2: 1, 3: 1, 4: 1, 6: 1}, "t parameter key must be an integer, got 1.9"),
+        ({"x": 1, 2: 1, 3: 1, 4: 1, 6: 1}, "t parameter key must be an integer, got 'x'"),
+        ({1: 0.5, 2: 1, 3: 1, 4: 1, 6: 1}, "cannot interpret 0.5 as a rational number"),
+    ],
+)
+def test_sample_positive_reads_parameters_as_json_rationals(t_params, message):
+    s2 = simple_reflection(4, 2)
+    with pytest.raises(InputError) as exc:
+        sample_positive(s2, WORD633, t_params)
+    assert str(exc.value) == message
+    exact = sample_positive(s2, WORD633, (Fraction(1, 2), 1, 1, 1, 1))
+    keyed = {1: "1/2", 2: 1, 3: 1, 4: 1, 6: 1}
+    assert sample_positive(s2, WORD633, keyed) == exact
+
+
 def test_sample_positive_extremes():
     word = (1, 2, 1)
     w0 = longest_element(3)

@@ -180,8 +180,11 @@ def test_cartan_entries():
 
 
 def test_check_reduced_word():
-    assert check_reduced_word(4, [3, 2, 1]) == ((3, 2, 1), Permutation((4, 1, 2, 3)))
-    assert check_reduced_word(3, ()) == ((), identity_perm(3))
+    word, prefixes = check_reduced_word(4, [3, 2, 1])
+    assert word == (3, 2, 1)
+    assert prefixes[-1] == Permutation((4, 1, 2, 3))
+    assert prefixes == tuple(evaluate_word(4, word[:k]) for k in range(len(word) + 1))
+    assert check_reduced_word(3, ()) == ((), (identity_perm(3),))
 
 
 VALIDATOR_CALLERS = {
