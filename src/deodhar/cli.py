@@ -30,7 +30,7 @@ from .linalg import RatMatrix, matrix_from_json, matrix_to_json, unipotent_repre
 from .pinning import evaluate
 from .positivity import is_totally_nonnegative, random_positive_sample
 from .subexpr import positive_subexpression, r_polynomial
-from .weyl import Permutation, a_reduced_word
+from .weyl import Permutation, _int_from_json, a_reduced_word
 
 __all__ = ["main"]
 
@@ -62,25 +62,15 @@ def _load_matrix(source: str) -> RatMatrix:
     return matrix_from_json(_parse_json(text, "matrix"))
 
 
-def _is_int_array(data) -> bool:
-    """A JSON array of integers; JSON true and false do not count."""
-    return isinstance(data, list) and all(
-        isinstance(i, int) and not isinstance(i, bool) for i in data
-    )
-
-
-def _parse_word(text: str) -> tuple[int, ...]:
-    data = _parse_json(text, "word")
-    if not _is_int_array(data):
-        raise InputError("word must be a JSON array of integers")
-    return tuple(data)
+def _parse_word(text: str, what: str = "word") -> tuple[int, ...]:
+    data = _parse_json(text, what)
+    if not isinstance(data, list):
+        raise InputError(f"{what} must be a JSON array of integers")
+    return tuple(_int_from_json(i, f"{what} entry") for i in data)
 
 
 def _parse_perm(text: str, what: str) -> Permutation:
-    data = _parse_json(text, what)
-    if not _is_int_array(data):
-        raise InputError(f"{what} must be a JSON array of integers")
-    return Permutation(tuple(data))
+    return Permutation(_parse_word(text, what))
 
 
 def _descriptor_from_args(args) -> ComponentDescriptor:
@@ -172,6 +162,9 @@ def _arrangement_json(arr: Arrangement) -> dict:
 
 
 def _cmd_diagram(args) -> dict | str:
+    for flag in ("--matrix", "--v") if args.kind == CLASSICAL else ("--d",):
+        if getattr(args, flag[2:]) is not None:
+            raise InputError(f"{flag} is not read by --kind {args.kind}")
     if args.kind == CLASSICAL:
         word = _parse_word(_require(args.word, "--word"))
         if args.d is None:

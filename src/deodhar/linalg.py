@@ -38,7 +38,14 @@ __all__ = [
 Rational = Fraction
 
 
-def _as_fraction(x) -> Fraction:
+def rational_from_json(x) -> Fraction:
+    """Read a rational number given by a caller or a JSON document.
+
+    Accepts a `Fraction`, an `int`, or a string that `Fraction` parses
+    exactly: "n", "p/q" or a decimal such as "0.5".  A float, a bool, any
+    other type and a string that is not a rational literal (including
+    "1/0") raise InputError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
@@ -49,11 +56,6 @@ def _as_fraction(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational literal: {x!r}") from exc
     raise InputError(f"cannot interpret {x!r} as a rational number")
-
-
-def rational_from_json(x) -> Fraction:
-    """Accepts "p/q" or "n" strings, and plain integers."""
-    return _as_fraction(x)
 
 
 def rational_to_json(x: Fraction) -> str:
@@ -108,7 +110,7 @@ class RatMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(_as_fraction(x) for x in r) for r in rows))
+        return RatMatrix(tuple(tuple(rational_from_json(x) for x in r) for r in rows))
 
     @staticmethod
     def identity(d: int) -> "RatMatrix":

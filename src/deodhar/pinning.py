@@ -65,7 +65,7 @@ FACTOR_XSINV = "xsinv"
 
 
 def _check_gen_index(d: int, i: int) -> None:
-    if not 1 <= i <= d - 1:
+    if not 1 <= _int_from_json(i, "generator index") <= d - 1:
         raise InputError(f"generator index {i} out of range 1..{d - 1}")
 
 
@@ -75,18 +75,18 @@ def _identity_rows(d: int) -> list[list[Fraction]]:
 
 def _elementary(d: int, r: int, c: int, value: Fraction) -> RatMatrix:
     rows = _identity_rows(d)
-    rows[r - 1][c - 1] = Fraction(value)
+    rows[r - 1][c - 1] = value
     return RatMatrix(tuple(tuple(row) for row in rows))
 
 
 def gen_x(d: int, i: int, m) -> RatMatrix:
     _check_gen_index(d, i)
-    return _elementary(d, i, i + 1, Fraction(m))
+    return _elementary(d, i, i + 1, rational_from_json(m))
 
 
 def gen_y(d: int, i: int, t) -> RatMatrix:
     _check_gen_index(d, i)
-    return _elementary(d, i + 1, i, Fraction(t))
+    return _elementary(d, i + 1, i, rational_from_json(t))
 
 
 def gen_sdot(d: int, i: int) -> RatMatrix:
@@ -112,7 +112,7 @@ def gen_sdot_inv(d: int, i: int) -> RatMatrix:
 
 def gen_acheck(d: int, i: int, t) -> RatMatrix:
     _check_gen_index(d, i)
-    t = Fraction(t)
+    t = rational_from_json(t)
     if t == 0:
         raise InputError("torus parameter must be nonzero")
     rows = _identity_rows(d)
@@ -137,6 +137,8 @@ class GroupFactor:
                 raise InputError("a bare reflection factor carries no parameter")
         elif self.param is None:
             raise InputError(f"factor kind {self.kind!r} needs a parameter")
+        else:
+            object.__setattr__(self, "param", rational_from_json(self.param))
 
 
 @dataclass(frozen=True)
@@ -172,9 +174,7 @@ def apply_factor(g: RatMatrix, factor: GroupFactor) -> RatMatrix:
     _check_gen_index(g.d, factor.index)
     a = factor.index - 1
     b = a + 1
-    kind = factor.kind
-    if kind != FACTOR_S:
-        p = Fraction(factor.param)
+    kind, p = factor.kind, factor.param
     rows = []
     for row in g.rows:
         r = list(row)

@@ -62,25 +62,30 @@ class PositiveSample:
 
 
 def sample_positive(
-    v: Permutation, word: Sequence[int], t_params: Sequence | Mapping
+    v: Permutation, word: Sequence[int], t_params: list | tuple | Mapping
 ) -> PositiveSample:
     """A point of the totally positive part over v inside the word's cell.
 
     The positive trace of v has one free parameter per stay step; they can
-    be passed as a sequence in step order or keyed by step, and must all be
-    positive.  Keys are ints; values are ints, Fractions or "p/q" strings.
+    be passed as a list or tuple in step order or as a mapping keyed by
+    step, and must all be positive.  Keys are ints; values are ints,
+    Fractions or "p/q" strings.
     """
     desc = ComponentDescriptor(positive_subexpression(v, word))
     stays = desc.stay_positions
     if isinstance(t_params, Mapping):
         params = _by_step(t_params, "t parameter")
-    else:
+    elif isinstance(t_params, (list, tuple)):
         values = [rational_from_json(x) for x in t_params]
         if len(values) != len(stays):
             raise InputError(
                 f"expected {len(stays)} parameters, got {len(values)}"
             )
         params = dict(zip(stays, values))
+    else:
+        raise InputError(
+            f"t parameters must be a list, a tuple or a mapping, got {t_params!r}"
+        )
     if set(params) != set(stays):
         raise InputError(f"t parameters must be keyed by {list(stays)}")
     for k, t in params.items():
@@ -202,7 +207,7 @@ def braid_move_y(a, b, c) -> tuple[Fraction, Fraction, Fraction]:
     >>> braid_move_y(1, 1, 1)
     (Fraction(1, 2), Fraction(2, 1), Fraction(1, 2))
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = map(rational_from_json, (a, b, c))
     if a + c == 0:
         raise DomainError("braid move undefined: a + c = 0")
     return (b * c / (a + c), a + c, a * b / (a + c))

@@ -139,7 +139,11 @@ class Permutation:
 
 
 def _int_from_json(x, what: str) -> int:
-    """A JSON integer as is; JSON true and false, floats and strings raise."""
+    """Read an integer given by a caller or a JSON document.
+
+    Accepts an `int` and returns it unchanged.  A bool (JSON true and false),
+    a float, a string and any other type raise InputError naming ``what``.
+    """
     if not isinstance(x, int) or isinstance(x, bool):
         raise InputError(f"{what} must be an integer, got {x!r}")
     return x
@@ -193,10 +197,10 @@ def is_reduced(d: int, word: Sequence[int]) -> bool:
 
 
 def _check_letters(d: int, word: Sequence[int]) -> Word:
-    """The word as a tuple, or InputError naming a letter outside 1..d-1."""
+    """The word as a tuple; InputError names a letter that is not an int in 1..d-1."""
     word = tuple(word)
     for i in word:
-        if not 1 <= i <= d - 1:
+        if not 1 <= _int_from_json(i, "letter") <= d - 1:
             raise InputError(f"letter {i} out of range 1..{d - 1}")
     return word
 

@@ -216,6 +216,29 @@ def test_matrix_and_v_together_exit_one(z_file, capsys, command):
     assert "--matrix" in err["message"] and "--v" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "kind, extra, flag",
+    [
+        ("classical", ["--d", "4", "--matrix", "Z"], "--matrix"),
+        ("classical", ["--d", "4", "--v", "[4,3,2,1]"], "--v"),
+        ("classical", ["--d", "4", "--matrix", "Z", "--v", "[4,3,2,1]"], "--matrix"),
+        ("upper", ["--d", "7", "--matrix", "Z"], "--d"),
+        ("lower", ["--d", "4", "--matrix", "Z"], "--d"),
+        ("ansatz", ["--d", "4", "--v", "[1,3,2,4]"], "--d"),
+    ],
+    ids=[
+        "classical-matrix", "classical-v", "classical-both", "upper-d", "lower-d", "ansatz-d"
+    ],
+)
+def test_diagram_refuses_flags_its_kind_does_not_read(z_file, capsys, kind, extra, flag):
+    extra = [z_file if a == "Z" else a for a in extra]
+    argv = ["diagram", "--kind", kind, "--word", WORD_JSON, "--format", "json"] + extra
+    code, out = run(capsys, argv)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err == {"type": "input", "message": f"{flag} is not read by --kind {kind}"}
+
+
 def test_diagram_text_golden(z_file, capsys, tmp_path):
     import pathlib
 

@@ -82,6 +82,13 @@ def test_classify_validation():
         classify(bad, S102_WORD)
 
 
+def test_classify_and_factorize_refuse_boolean_letters():
+    # At d = 2, [True] would otherwise be read as the word (1,).
+    for call in (classify, factorize):
+        with pytest.raises(InputError, match="letter must be an integer, got True"):
+            call(RatMatrix.identity(2), [True])
+
+
 def test_descriptor_json_round_trip():
     desc = classify(s102_matrix(), S102_WORD)
     data = desc.to_json()

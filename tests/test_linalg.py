@@ -133,6 +133,35 @@ def test_det_matches_cofactor_property(rows):
     assert RatMatrix.from_rows(rows).det() == det_cofactor(rows)
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(9, 12), st.booleans())
+def test_det_and_minor_match_sympy_beyond_cofactor_reach(seed, d, repeat_row):
+    # det_cofactor is practical up to d = 8; sympy's Berkowitz determinant
+    # is an independent oracle for larger matrices.
+    sympy = pytest.importorskip("sympy")
+
+    def berkowitz(rows) -> Fraction:
+        exact = [[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]
+        value = sympy.Matrix(exact).det(method="berkowitz")
+        return Fraction(int(value.p), int(value.q))
+
+    rng = random.Random(seed)
+    rows = [[random_rational(rng) for _ in range(d)] for _ in range(d)]
+    if repeat_row:
+        a, b = rng.sample(range(d), 2)
+        rows[a] = list(rows[b])
+    m = RatMatrix.from_rows(rows)
+    det = m.det()
+    assert det == berkowitz(rows)
+    if repeat_row:
+        assert det == 0
+    k = rng.randint(9, d)
+    row_set = tuple(sorted(rng.sample(range(1, d + 1), k)))
+    col_set = tuple(sorted(rng.sample(range(1, d + 1), k)))
+    sub = [[rows[r - 1][c - 1] for c in col_set] for r in row_set]
+    assert m.minor(row_set, col_set) == berkowitz(sub)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_minor_and_det_repeat_in_either_order(data):

@@ -149,6 +149,34 @@ def test_group_factor_validation():
         GroupFactor(FACTOR_Y, 1, None)
     with pytest.raises(InputError):
         GroupWord(3, (GroupFactor(FACTOR_S, 3),))
+    for kind in (FACTOR_Y, FACTOR_XSINV):
+        for param in (0.1, True, "abc"):
+            with pytest.raises(InputError):
+                GroupFactor(kind, 1, param)
+
+
+def test_group_factor_parameter_is_a_fraction():
+    for param in (3, Fraction(3), "3", "6/2"):
+        factor = GroupFactor(FACTOR_Y, 1, param)
+        assert type(factor.param) is Fraction
+        assert factor == GroupFactor(FACTOR_Y, 1, Fraction(3))
+    assert GroupFactor(FACTOR_S, 1).param is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: gen_x(3, 1, 0.1), lambda: gen_y(3, True, 2), lambda: gen_acheck(3, 1, 0.5)],
+    ids=["gen_x-float", "gen_y-bool-index", "gen_acheck-float"],
+)
+def test_generators_refuse_floats_and_booleans(build):
+    with pytest.raises(InputError):
+        build()
+
+
+def test_generators_read_ints_fractions_and_strings_alike():
+    for gen in (gen_x, gen_y, gen_acheck):
+        assert gen(3, 2, 2) == gen(3, 2, Fraction(2)) == gen(3, 2, "4/2")
+        assert gen(3, 1, Fraction(-1, 3)) == gen(3, 1, "-1/3")
 
 
 def test_factor_matrix_kinds():

@@ -84,6 +84,12 @@ def test_sample_positive_validation():
         ({1.9: 1, 2: 1, 3: 1, 4: 1, 6: 1}, "t parameter key must be an integer, got 1.9"),
         ({"x": 1, 2: 1, 3: 1, 4: 1, 6: 1}, "t parameter key must be an integer, got 'x'"),
         ({1: 0.5, 2: 1, 3: 1, 4: 1, 6: 1}, "cannot interpret 0.5 as a rational number"),
+        ("12345", "t parameters must be a list, a tuple or a mapping, got '12345'"),
+        (
+            b"\x01\x02\x03\x04\x05",
+            "t parameters must be a list, a tuple or a mapping, "
+            "got b'\\x01\\x02\\x03\\x04\\x05'",
+        ),
     ],
 )
 def test_sample_positive_reads_parameters_as_json_rationals(t_params, message):
@@ -295,6 +301,18 @@ def test_braid_move_golden():
     assert braid_move_y(1, 1, 1) == (Fraction(1, 2), Fraction(2), Fraction(1, 2))
     with pytest.raises(DomainError):
         braid_move_y(3, 1, -3)
+
+
+def test_braid_move_reads_arguments_as_rationals():
+    expected = braid_move_y(Fraction(1, 2), 3, Fraction(-2, 5))
+    assert braid_move_y("1/2", "3", "-2/5") == expected
+    for bad in (0.1, True):
+        with pytest.raises(InputError):
+            braid_move_y(bad, 1, 1)
+        with pytest.raises(InputError):
+            braid_move_y(1, 1, bad)
+    with pytest.raises(InputError):
+        braid_move_y("abc", 1, 1)
 
 
 def test_braid_move_matrix_identity():

@@ -4,6 +4,7 @@ Each example draws a seed and builds its case with the generators in
 ``support``, so a failure shrinks to a seed that reproduces it.
 """
 
+import json
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from deodhar.components import (
     ComponentDescriptor,
+    build_element,
     chamber_coordinates,
     classify,
     element_from_coordinates,
@@ -19,17 +21,31 @@ from deodhar.components import (
 )
 from deodhar.diagrams import classify_graphical
 from deodhar.errors import DomainError
-from deodhar.linalg import RatMatrix, unipotent_representative
-from deodhar.pinning import evaluate, factor_matrix, perm_matrix
+from deodhar.linalg import RatMatrix, rational_from_json, unipotent_representative
+from deodhar.pinning import (
+    evaluate,
+    factor_matrix,
+    group_word_from_json,
+    group_word_to_json,
+    perm_matrix,
+)
 from deodhar.positivity import is_totally_nonnegative, random_positive_sample
-from deodhar.subexpr import MARK_DOWN, enumerate_distinguished, positive_subexpression
+from deodhar.subexpr import (
+    MARK_DOWN,
+    enumerate_distinguished,
+    positive_subexpression,
+    trace_from_json,
+    trace_to_json,
+)
 from deodhar.weyl import evaluate_word
 
 from support import (
     bruhat_leq_subword,
     random_component_flag,
     random_distinguished,
+    random_nonzero,
     random_perm,
+    random_rational,
     random_reduced_word,
     random_unipotent,
 )
@@ -148,3 +164,27 @@ def test_random_positive_samples_are_nonnegative(seed, d, below):
     z = unipotent_representative(evaluate(sample.group_word))[0]
     cert = is_totally_nonnegative(z, word)
     assert cert and cert.endpoint == v
+
+
+def _json_trip(data):
+    return json.loads(json.dumps(data))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(2, 6))
+def test_what_the_library_writes_it_reads_back(seed, d):
+    rng = random.Random(seed)
+    desc, z = random_component_flag(rng, d)
+    trace = desc.trace
+    assert trace_from_json(_json_trip(trace_to_json(trace))) == trace
+    gw = build_element(
+        desc,
+        {k: random_nonzero(rng) for k in desc.stay_positions},
+        {k: random_rational(rng) for k in desc.descent_positions},
+    )
+    assert group_word_from_json(d, _json_trip(group_word_to_json(gw))) == gw
+    res = factorize(z, desc.word)
+    data = _json_trip(res.to_json())
+    for key, params in (("t", res.t_params), ("m", res.m_params)):
+        assert all(isinstance(x, str) for x in data[key].values())
+        assert {int(k): rational_from_json(x) for k, x in data[key].items()} == params

@@ -202,7 +202,12 @@ VALIDATOR_CALLERS = {
 @pytest.mark.parametrize("caller", sorted(VALIDATOR_CALLERS))
 @pytest.mark.parametrize(
     "word, message",
-    [((1, 1), "word (1, 1) is not reduced"), ((2, 3), "letter 3 out of range 1..2")],
+    [
+        ((1, 1), "word (1, 1) is not reduced"),
+        ((2, 3), "letter 3 out of range 1..2"),
+        ((True, 2), "letter must be an integer, got True"),
+        ((1, 2.0), "letter must be an integer, got 2.0"),
+    ],
 )
 def test_word_validators_share_messages(caller, word, message):
     with pytest.raises(InputError) as info:
@@ -223,3 +228,19 @@ def test_letter_checks_share_the_message(build):
     with pytest.raises(InputError) as info:
         build()
     assert str(info.value) == "letter 3 out of range 1..2"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: classical_arrangement([True], 3),
+        lambda: SubexpressionTrace(
+            (True,), (identity_perm(3), Permutation((2, 1, 3))), ("+",)
+        ),
+    ],
+    ids=["classical_arrangement", "SubexpressionTrace"],
+)
+def test_letter_checks_refuse_booleans(build):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == "letter must be an integer, got True"
