@@ -39,7 +39,7 @@ from .components import ComponentDescriptor, _check_unipotent
 from .errors import InputError, NotInComponentError
 from .linalg import RatMatrix
 from .subexpr import MARK_STAY, MARK_UP, SubexpressionTrace, _trace_from_moves
-from .weyl import Permutation, _check_letters, check_reduced_word
+from .weyl import Permutation, _check_letters, _int_from_json, check_reduced_word
 
 __all__ = [
     "SINGULAR",
@@ -169,6 +169,7 @@ def _assemble(kind: str, d: int, columns: list[Constituent]) -> Arrangement:
 
 def classical_arrangement(word: Sequence[int], d: int) -> Arrangement:
     """The wiring diagram of a word: one singular crossing per letter."""
+    d = _int_from_json(d, "strand count")
     if d < 1:
         raise InputError(f"an arrangement needs at least one strand, got d = {d}")
     columns = [

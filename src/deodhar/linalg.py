@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InputError
-from .weyl import Permutation, longest_element
+from .weyl import Permutation, _int_from_json, longest_element
 
 __all__ = [
     "Rational",
@@ -114,6 +114,7 @@ class RatMatrix:
 
     @staticmethod
     def identity(d: int) -> "RatMatrix":
+        d = _int_from_json(d, "matrix size")
         return RatMatrix(
             tuple(
                 tuple(Fraction(1 if r == c else 0) for c in range(d))

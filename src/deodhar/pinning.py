@@ -197,6 +197,7 @@ def evaluate(gw: GroupWord) -> RatMatrix:
 
 def partial(gw: GroupWord, k: int) -> RatMatrix:
     """The product of the first k factors."""
+    k = _int_from_json(k, "partial index")
     if not 0 <= k <= len(gw.factors):
         raise InputError(f"partial index {k} out of range 0..{len(gw.factors)}")
     return evaluate(GroupWord(gw.d, gw.factors[:k]))
@@ -239,6 +240,7 @@ def gmin(g: RatMatrix, v: Permutation, w: Permutation, i: int) -> Fraction:
     """
     if v.d != g.d or w.d != g.d:
         raise InputError("degree mismatch in generalized minor")
+    i = _int_from_json(i, "minor size")
     if not 0 <= i <= g.d:
         raise InputError(f"minor size {i} out of range 0..{g.d}")
     return g.minor(v.prefix_set(i), w.prefix_set(i))
@@ -246,6 +248,7 @@ def gmin(g: RatMatrix, v: Permutation, w: Permutation, i: int) -> Fraction:
 
 def reduce_flag(z: RatMatrix, word: Sequence[int], k: int) -> RatMatrix:
     """Representative of the flag z times the lift of the k-letter prefix."""
+    k = _int_from_json(k, "prefix length")
     if not 0 <= k <= len(word):
         raise InputError(f"prefix length {k} out of range 0..{len(word)}")
     return apply_lift(z, evaluate_word(z.d, tuple(word[:k])))

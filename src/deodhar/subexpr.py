@@ -8,31 +8,34 @@ rule once; traces are built and checked through it.
 
 A trace is distinguished when every forced descent is taken: whenever
 v_(k-1) s_{i_k} is shorter than v_(k-1), the step must move down.  It is
-positive when it is distinguished and never moves down.  ``_walk_back``
-finds those ending at v right to left from v_(n) = v; it reads w_(k), the
-product of the first k letters, from the tuple ``check_reduced_word``
-returned.  Step k is a forced ascent from y s_{i_k} when i_k is a right
-descent of y = v_(k); otherwise it is a stay, tried first, or a descent
-from y s_{i_k}.  By the lifting property, y <= w_(k) gives
-v_(k-1) <= w_(k-1) after an ascent or a stay.  So the first, positive path
-reaches e exactly when v <= w_(n), and then only descents need a check.
+positive when it is distinguished and never moves down.  Both are found
+right to left from v_(n) = v, reading w_(k), the product of the first k
+letters, from the tuple ``check_reduced_word`` returned.  Step k is a
+forced ascent from y s_{i_k} when i_k is a right descent of y = v_(k);
+otherwise it is a stay or a descent from y s_{i_k}.  By the lifting
+property, y <= w_(k) gives v_(k-1) <= w_(k-1) after an ascent or a stay, so
+only a descent needs a check, y s_{i_k} <= w_(k-1).  The positive trace is
+the greedy path that never descends: it checks nothing and reaches e
+exactly when v <= w_(n).
 
-The R-polynomial of a pair v <= w counts, weighted by marks, the
-distinguished traces ending at v: each trace contributes
-(q - 1)^{#stays} * q^{#descents}.  ``r_polynomial`` does not list them.  It
-applies the same backward rule to (step, value) states, from {v} at step n
-down to {e} at step 0, and counts the traces through each state by their
-stays; traces that meet in a state are merged.  Going back, an ascent
-shortens the value by one, a descent lengthens it by one and a stay keeps
-it, so a trace with s stays of a word of length n has
-(n - s - l(v)) / 2 descents, and the stay counts at e give R.
+``_pass_back`` applies the rule to (step, value) states, from {v} at step n
+down to {e} at step 0.  It tallies the traces through each state by a key,
+the sum of a weight per step over the steps that stay, and merges traces
+that meet in a state with equal keys.  ``enumerate_distinguished`` weighs
+step k by 2^(k-1), so a key is the set of steps that stay; that set fixes
+the trace, so no two merge.  ``r_polynomial`` weighs every step by 1, so a
+key is a stay count.  Each distinguished trace ending at v contributes
+(q - 1)^{#stays} * q^{#descents} to R.  Going back, an ascent shortens the
+value by one, a descent lengthens it by one and a stay keeps it, so a trace
+with s stays of a word of length n has (n - s - l(v)) / 2 descents, and the
+stay counts at e give R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, InputError, InternalCheckError
 from .weyl import (
@@ -131,50 +134,64 @@ def _trace_from_moves(word: Word, d: int, moves: Sequence[bool]) -> Subexpressio
     return SubexpressionTrace(word, tuple(values), tuple(marks))
 
 
-def _walk_back(
-    v: Permutation, word: Word, w: tuple[Permutation, ...]
-) -> Iterator[list[bool]]:
-    """The moves of each distinguished trace ending at v, in a reused list.
+def _merge(
+    level: dict[Permutation, dict[int, int]], y: Permutation, tally: dict[int, int], shift: int
+) -> None:
+    """Add the trace counts of tally, with keys raised by shift, to level[y]."""
+    into = level.setdefault(y, {})
+    for key, count in tally.items():
+        into[key + shift] = into.get(key + shift, 0) + count
 
-    w holds the word's prefix products; a pending (k, y) is the descent into
-    y at step k+1.
+
+def _pass_back(
+    v: Permutation, word: Word, w: tuple[Permutation, ...], weights: Sequence[int]
+) -> dict[int, int]:
+    """Count the distinguished traces ending at v by the weights of their stays.
+
+    w holds the word's prefix products and v <= w_(n); a key is the sum of
+    weights[k-1] over the steps k that stay.
     """
-    moves = [False] * len(word)
-    pending = [(len(word), v)]
-    while pending:
-        k, y = pending.pop()
-        if k < len(word):
-            y = y.times_s(word[k])
-            moves[k] = True
-            if not bruhat_leq(y, w[k]):
-                continue
-        while k:
-            k -= 1
-            moves[k] = y.right_descent(word[k])
-            if moves[k]:
-                y = y.times_s(word[k])
+    # level[y] counts the traces from v_(k) = y to v_(n) = v by their keys;
+    # top is w_(k-1) while level k is read.
+    level: dict[Permutation, dict[int, int]] = {v: {0: 1}}
+    for i, top, weight in zip(reversed(word), reversed(w[:-1]), reversed(weights)):
+        below: dict[Permutation, dict[int, int]] = {}
+        for y, tally in level.items():
+            x = y.times_s(i)
+            if y.right_descent(i):
+                _merge(below, x, tally, 0)
             else:
-                pending.append((k, y))
-        if y != w[0]:
-            return
-        yield moves
+                _merge(below, y, tally, weight)
+                if bruhat_leq(x, top):
+                    _merge(below, x, tally, 0)
+        level = below
+    if list(level) != [w[0]]:
+        raise InternalCheckError("backward pass did not end at the identity")
+    return level[w[0]]
 
 
 def positive_subexpression(v: Permutation, word: Sequence[int]) -> SubexpressionTrace:
     """The unique distinguished trace for v with no descents.
 
-    The first trace of ``_walk_back``.  Raises ``DomainError`` exactly when
-    v is not below the word's product in Bruhat order.
+    The greedy backward walk: from v_(n) = v, step k moves exactly when i_k
+    is a right descent of v_(k).  Raises ``DomainError`` exactly when v is
+    not below the word's product in Bruhat order.
 
     >>> from .weyl import Permutation
     >>> t = positive_subexpression(Permutation((1, 3, 2, 4)), (3, 2, 1, 3, 2, 3))
     >>> t.marks
     ('o', 'o', 'o', 'o', '+', 'o')
     """
-    word, w = check_reduced_word(v.d, word)
-    for moves in _walk_back(v, word, w):
-        return _trace_from_moves(word, v.d, moves)
-    raise DomainError("no subexpression: endpoint is not below the word's product")
+    word, _ = check_reduced_word(v.d, word)
+    moves = []
+    y = v
+    for i in reversed(word):
+        moves.append(y.right_descent(i))
+        if moves[-1]:
+            y = y.times_s(i)
+    if not y.is_identity():
+        raise DomainError("no subexpression: endpoint is not below the word's product")
+    return _trace_from_moves(word, v.d, moves[::-1])
 
 
 def is_distinguished(trace: SubexpressionTrace) -> bool:
@@ -198,7 +215,14 @@ def enumerate_distinguished(
             f"distinguished enumeration is limited to degree {ENUMERATION_GUARD}"
         )
     word, w = check_reduced_word(v.d, word)
-    traces = (_trace_from_moves(word, v.d, m) for m in _walk_back(v, word, w))
+    if not bruhat_leq(v, w[-1]):
+        return []
+    # Step k weighs 2^(k-1), so a key is the set of steps that stay.
+    stays = _pass_back(v, word, w, [1 << k for k in range(len(word))])
+    traces = (
+        _trace_from_moves(word, v.d, [not s >> k & 1 for k in range(len(word))])
+        for s in stays
+    )
     return sorted(traces, key=lambda t: "".join(t.marks))
 
 
@@ -292,15 +316,6 @@ class RPolynomial:
         return self.pretty()
 
 
-def _merge(
-    level: dict[Permutation, dict[int, int]], y: Permutation, tally: dict[int, int], shift: int
-) -> None:
-    """Add the trace counts of tally, with stays raised by shift, to level[y]."""
-    into = level.setdefault(y, {})
-    for stays, count in tally.items():
-        into[stays + shift] = into.get(stays + shift, 0) + count
-
-
 def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolynomial:
     """Sum of (q-1)^{#stays} q^{#descents} over distinguished traces ending at v.
 
@@ -321,28 +336,12 @@ def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolyno
         return RPolynomial.zero()
     if v.d > R_POLYNOMIAL_GUARD:
         raise DomainError(f"R-polynomials are limited to degree {R_POLYNOMIAL_GUARD}")
-    # level[y] counts the traces from v_(k) = y to v_(n) = v by their stays;
-    # top is w_(k-1) while level k is read.
-    level: dict[Permutation, dict[int, int]] = {v: {0: 1}}
-    for i, top in zip(reversed(word), reversed(prefixes[:-1])):
-        below: dict[Permutation, dict[int, int]] = {}
-        for y, tally in level.items():
-            x = y.times_s(i)
-            if y.right_descent(i):
-                _merge(below, x, tally, 0)
-            else:
-                _merge(below, y, tally, 1)
-                if bruhat_leq(x, top):
-                    _merge(below, x, tally, 0)
-        level = below
-    e = identity_perm(v.d)
-    if list(level) != [e]:
-        raise InternalCheckError("R-polynomial pass did not end at the identity")
+    tally = _pass_back(v, word, prefixes, [1] * len(word))
     # (q-1)^s q^{(L-s)/2} by the binomial theorem, with L = l(w) - l(v); then
     # the Kazhdan-Lusztig identity q^L R(1/q) = (-1)^L R(q) as a cross-check.
     length = len(word) - v.length()
     coeffs = [0] * (length + 1)
-    for stays, count in level[e].items():
+    for stays, count in tally.items():
         descents = (length - stays) // 2
         for j in range(stays + 1):
             coeffs[descents + j] += count * comb(stays, j) * (-1) ** (stays - j)

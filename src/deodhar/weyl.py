@@ -263,6 +263,7 @@ def all_permutations(d: int) -> Iterator[Permutation]:
 
 def fundamental_weight(d: int, i: int) -> Weight:
     """e_1 + ... + e_i as a coordinate vector.  i = 0 gives the zero weight."""
+    i = _int_from_json(i, "fundamental weight index")
     if not 0 <= i <= d:
         raise InputError(f"fundamental weight index {i} out of range 0..{d}")
     return tuple(1 if j < i else 0 for j in range(d))
@@ -282,6 +283,7 @@ def act(w: Permutation, lam: Sequence[int]) -> Weight:
 
 def pair(lam: Sequence[int], i: int) -> int:
     """Pair a weight against the i-th simple coroot: lam[i] - lam[i+1]."""
+    i = _int_from_json(i, "coroot index")
     if not 1 <= i <= len(lam) - 1:
         raise InputError(f"coroot index {i} out of range 1..{len(lam) - 1}")
     return lam[i - 1] - lam[i]

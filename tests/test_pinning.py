@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from deodhar.diagrams import classical_arrangement
 from deodhar.errors import InputError
 from deodhar.linalg import RatMatrix, flag_equal
 from deodhar.pinning import (
@@ -32,7 +33,9 @@ from deodhar.weyl import (
     Permutation,
     all_permutations,
     evaluate_word,
+    fundamental_weight,
     identity_perm,
+    pair,
     reduced_words,
     simple_reflection,
 )
@@ -238,6 +241,37 @@ def test_gmin_validation():
         gmin(z, identity_perm(4), identity_perm(3), 1)
     with pytest.raises(InputError):
         gmin(z, identity_perm(3), identity_perm(3), 4)
+
+
+_GW2 = GroupWord(2, (GroupFactor(FACTOR_Y, 1, Fraction(2)), GroupFactor(FACTOR_S, 1)))
+_E3 = identity_perm(3)
+_NOT_INTEGERS = [
+    (lambda x: partial(_GW2, x), 0.5, "partial index"),
+    (lambda x: partial(_GW2, x), True, "partial index"),
+    (lambda x: reduce_flag(RatMatrix.identity(3), [1, 2], x), 0.5, "prefix length"),
+    (lambda x: reduce_flag(RatMatrix.identity(3), [1, 2], x), False, "prefix length"),
+    (lambda x: gmin(RatMatrix.identity(3), _E3, _E3, x), 1.5, "minor size"),
+    (lambda x: gmin(RatMatrix.identity(3), _E3, _E3, x), True, "minor size"),
+    (RatMatrix.identity, 2.0, "matrix size"),
+    (RatMatrix.identity, True, "matrix size"),
+    (lambda x: classical_arrangement([1], x), 2.0, "strand count"),
+    (lambda x: classical_arrangement([1], x), True, "strand count"),
+    (lambda x: fundamental_weight(3, x), 1.0, "fundamental weight index"),
+    (lambda x: fundamental_weight(3, x), True, "fundamental weight index"),
+    (lambda x: pair((1, 0, 0), x), True, "coroot index"),
+    (lambda x: pair((1, 0, 0), x), 2.0, "coroot index"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value, what", _NOT_INTEGERS, ids=[f"{w}-{v!r}" for _, v, w in _NOT_INTEGERS]
+)
+def test_size_and_index_arguments_take_only_integers(call, value, what):
+    # A float or a bool is refused by name, never read as the integer it
+    # compares equal to and never left to escape as a bare TypeError.
+    with pytest.raises(InputError) as exc:
+        call(value)
+    assert str(exc.value) == f"{what} must be an integer, got {value!r}"
 
 
 def test_gmin_principal_minors_of_unipotent():

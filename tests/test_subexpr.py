@@ -25,7 +25,13 @@ from deodhar import (
 from deodhar import subexpr
 from deodhar.weyl import a_reduced_word, all_permutations, check_reduced_word, longest_element
 
-from support import kl_r_polynomial, random_distinguished, random_perm, random_reduced_word
+from support import (
+    bruhat_leq_subword,
+    kl_r_polynomial,
+    random_distinguished,
+    random_perm,
+    random_reduced_word,
+)
 
 WORD633 = (3, 2, 1, 3, 2, 3)
 
@@ -335,6 +341,37 @@ def test_r_polynomial_pass_raises_when_it_misses_the_identity(monkeypatch):
     w0 = longest_element(4)
     with pytest.raises(InternalCheckError, match="did not end at the identity"):
         r_polynomial(identity_perm(4), w0, a_reduced_word(w0))
+
+
+def test_enumeration_pass_raises_when_it_misses_the_identity(monkeypatch):
+    # The same broken descent check under enumeration: listing fewer traces
+    # than exist would be a silent wrong answer.
+    monkeypatch.setattr(subexpr, "bruhat_leq", lambda a, b: True)
+    w0 = longest_element(4)
+    with pytest.raises(InternalCheckError, match="did not end at the identity"):
+        enumerate_distinguished(identity_perm(4), a_reduced_word(w0))
+
+
+def test_positive_subexpression_makes_no_bruhat_check(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("positive_subexpression compared in Bruhat order")
+
+    cases = [
+        (v, a_reduced_word(w), bruhat_leq_subword(v, w, a_reduced_word(w)))
+        for w in list(all_permutations(4))[::3]
+        for v in all_permutations(4)
+    ]
+    monkeypatch.setattr(subexpr, "bruhat_leq", refuse)
+    found = 0
+    for v, word, below in cases:
+        if not below:
+            with pytest.raises(DomainError):
+                positive_subexpression(v, word)
+            continue
+        tr = positive_subexpression(v, word)
+        assert tr.endpoint == v and tr.is_positive()
+        found += 1
+    assert found == 59
 
 
 def test_trace_json_round_trip():
