@@ -35,15 +35,14 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import DomainError, InputError, InternalCheckError, NotInComponentError
-from .linalg import RatMatrix, flag_equal, rational_from_json, rational_to_json
+from .linalg import RatMatrix, rational_from_json, rational_to_json
 from .pinning import (
     FACTOR_S,
     FACTOR_XSINV,
     FACTOR_Y,
     GroupFactor,
     GroupWord,
-    apply_factor,
-    apply_lift,
+    _Columns,
     gmin,
     group_word_to_json,
 )
@@ -432,20 +431,21 @@ class FactorizationResult:
 def _solve(
     desc: ComponentDescriptor,
     coords: Mapping[int, Fraction],
-    chamber: Callable[[int, int, RatMatrix], Fraction],
-) -> tuple[FactorizationResult, RatMatrix]:
+    chamber: Callable[[int, int, _Columns], Fraction],
+) -> tuple[FactorizationResult, _Columns]:
     """The Chamber Ansatz walk from chamber coordinates to the parameters.
 
     ``row[j]`` is the standard chamber minor at level j; it changes only at
     steps with letter j.  Step k with letter i and coordinate c_k reads
     t_k = row[i-1] row[i+1] / (row[i] c_k) at a stay and m_k = row[i] c_k /
     (row[i-1] row[i+1]) - correction at a descent, then sets row[i] to c_k
-    at a stay and to ``chamber(k, i, g)`` otherwise, g the product so far.
+    at a stay and to ``chamber(k, i, g)`` otherwise, g the product so far
+    in the integer columns of ``pinning._Columns``.
     """
     tr = desc.trace
     d = desc.d
     row = [Fraction(1)] * (d + 1)
-    g = RatMatrix.identity(d)
+    g = _Columns(d)
     t_params: dict[int, Fraction] = {}
     m_params: dict[int, Fraction] = {}
     corrections: dict[int, Fraction] = {}
@@ -459,12 +459,14 @@ def _solve(
         elif mark == MARK_UP:
             factors.append(GroupFactor(FACTOR_S, i))
         else:
-            correction = gmin(g, tr.values[k - 1], simple_reflection(d, i), i)
+            correction = g.minor(
+                tr.values[k - 1].prefix_set(i), simple_reflection(d, i).prefix_set(i)
+            )
             m = row[i] * coords[k] / (row[i - 1] * row[i + 1]) - correction
             m_params[k] = m
             corrections[k] = correction
             factors.append(GroupFactor(FACTOR_XSINV, i, m))
-        g = apply_factor(g, factors[-1])
+        g.apply(factors[-1])
         row[i] = coords[k] if mark == MARK_STAY else chamber(k, i, g)
     gw = GroupWord(d, tuple(factors))
     return FactorizationResult(desc, t_params, m_params, corrections, gw), g
@@ -477,14 +479,16 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
     chamber minor taken from z: the stay coordinates are the probes of the
     classifying sweep, so only the descent coordinates are evaluated anew.
     Each m_k must equal -c_k / Delta_{v_(k) omega_i, w_(k) omega_i}(z) minus
-    its correction, and the rebuilt element must span the flag; a failed
+    its correction, and the rebuilt element g must span the flag: with
+    X = z^{-1} g, found by back substitution on the integer columns of g,
+    w^{-1} X must be upper triangular with a nonzero diagonal.  A failed
     check raises, it is never a value.
     """
     desc, coords = _sweep(z, word)
     w = desc.prefix_perms
     standard: dict[int, Fraction] = {}
 
-    def chamber(k: int, i: int, g: RatMatrix) -> Fraction:
+    def chamber(k: int, i: int, g: _Columns) -> Fraction:
         standard[k] = gmin(z, desc.trace.values[k], w[k], i)
         if standard[k] == 0:
             raise NotInComponentError("standard chamber minor vanishes")
@@ -499,7 +503,7 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
             raise InternalCheckError(
                 f"descent parameter mismatch at step {k}: {m} vs {alt}"
             )
-    if not flag_equal(g, apply_lift(z, w[-1])):
+    if not g.spans(z, w[-1]):
         raise InternalCheckError("rebuilt element does not match the input flag")
     return result
 
@@ -542,8 +546,8 @@ def element_from_coordinates(
             raise DomainError(f"stay coordinate at step {k} must be nonzero")
     w = desc.prefix_perms
 
-    def chamber(k: int, i: int, g: RatMatrix) -> Fraction:
-        minor = gmin(g, w[k], w[0], i)
+    def chamber(k: int, i: int, g: _Columns) -> Fraction:
+        minor = g.minor(w[k].prefix_set(i), w[0].prefix_set(i))
         if minor == 0:
             raise InternalCheckError("partial-product minor vanished")
         return 1 / minor

@@ -19,21 +19,29 @@ the inverse lift of s_i.  One factor per step keeps positions aligned with
 the steps of a subexpression trace.
 
 Every factor differs from the identity only in rows and columns i, i+1, so
-``apply_factor`` multiplies it onto a matrix from the right as two column
-operations, and ``apply_lift`` multiplies by the lift of a permutation as a
-signed column permutation.  ``evaluate`` folds a word with ``apply_factor``;
+a product of factors is kept as integer columns, each with one `Fraction`
+scale, and a factor multiplies onto it from the right as an operation on
+columns i and i+1: the lift of s_i swaps them and negates one scale, while
+y_i(t) and x_i(m) s_i^{-1} fold the parameter and both scales into one ratio
+P/Q, combine the two integer columns with it and divide the new column by
+its gcd.  A minor of the product is a Bareiss determinant of integer
+entries times the scales of its columns, and its flag, which the scales do
+not change, is read off the integer columns alone.  ``evaluate`` folds a
+word this way and builds one matrix at the end; ``apply_lift`` multiplies
+a matrix by the lift of a permutation as a signed column permutation.
 ``factor_matrix`` and ``perm_matrix`` build the same factors as dense
 matrices, for products where a matrix is wanted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
-from .linalg import RatMatrix, rational_from_json, rational_to_json
+from .linalg import RatMatrix, _bareiss_det, rational_from_json, rational_to_json
 from .weyl import Permutation, _int_from_json, evaluate_word
 
 __all__ = [
@@ -48,7 +56,6 @@ __all__ = [
     "gen_sdot_inv",
     "gen_acheck",
     "factor_matrix",
-    "apply_factor",
     "evaluate",
     "partial",
     "perm_matrix",
@@ -164,35 +171,110 @@ def factor_matrix(d: int, factor: GroupFactor) -> RatMatrix:
     return gen_x(d, factor.index, factor.param) * gen_sdot_inv(d, factor.index)
 
 
-def apply_factor(g: RatMatrix, factor: GroupFactor) -> RatMatrix:
-    """g times ``factor_matrix(g.d, factor)``, by operations on columns i, i+1.
+def _combine(
+    u: list[int], su: Fraction, v: list[int], sv: Fraction
+) -> tuple[list[int], Fraction]:
+    """A primitive integer column c and its scale s with s c = su u + sv v."""
+    ratio = sv / su
+    p, q = ratio.numerator, ratio.denominator
+    col = [q * x + p * y for x, y in zip(u, v)]
+    g = math.gcd(*col)
+    if g != 1:
+        col = [x // g for x in col]
+    return col, su * g / q
 
-    y_i(t) adds t times column i+1 to column i; the lift of s_i sends
-    (col_i, col_i+1) to (col_i+1, -col_i); x_i(m) s_i^{-1} sends them to
-    (-(col_i+1 + m col_i), col_i).
+
+class _Columns:
+    """A product of pinned factors, held as integer columns with scales.
+
+    Column j of the product is ``scales[j]`` times ``cols[j]``, a list of d
+    integers whose gcd is 1.  Starts at the identity.
     """
-    _check_gen_index(g.d, factor.index)
-    a = factor.index - 1
-    b = a + 1
-    kind, p = factor.kind, factor.param
-    rows = []
-    for row in g.rows:
-        r = list(row)
-        if kind == FACTOR_Y:
-            r[a] = row[a] + p * row[b]
-        elif kind == FACTOR_S:
-            r[a], r[b] = row[b], -row[a]
+
+    __slots__ = ("cols", "scales")
+
+    def __init__(self, d: int):
+        self.cols = [[int(r == c) for r in range(d)] for c in range(d)]
+        self.scales = [Fraction(1)] * d
+
+    def apply(self, factor: GroupFactor) -> None:
+        """Multiply ``factor_matrix(d, factor)`` onto the product from the right.
+
+        y_i(t) adds t times column i+1 to column i; the lift of s_i sends
+        (col_i, col_i+1) to (col_i+1, -col_i); x_i(m) s_i^{-1} sends them to
+        (-(col_i+1 + m col_i), col_i).
+        """
+        a = factor.index - 1
+        b = a + 1
+        cols, scales = self.cols, self.scales
+        if factor.kind == FACTOR_S:
+            cols[a], cols[b] = cols[b], cols[a]
+            scales[a], scales[b] = scales[b], -scales[a]
+        elif factor.kind == FACTOR_Y:
+            cols[a], scales[a] = _combine(
+                cols[a], scales[a], cols[b], factor.param * scales[b]
+            )
         else:
-            r[a], r[b] = -(row[b] + p * row[a]), row[a]
-        rows.append(tuple(r))
-    return RatMatrix(tuple(rows))
+            col, scale = _combine(
+                cols[b], -scales[b], cols[a], -factor.param * scales[a]
+            )
+            cols[a], cols[b] = col, cols[a]
+            scales[a], scales[b] = scale, scales[a]
+
+    def minor(self, row_set: Sequence[int], col_set: Sequence[int]) -> Fraction:
+        """``RatMatrix.minor`` of the product, on valid 1-based index sets."""
+        # One row per chosen column: the transpose has the same determinant.
+        sub = [[self.cols[c - 1][r - 1] for r in row_set] for c in col_set]
+        det = Fraction(_bareiss_det(sub))
+        return math.prod((self.scales[c - 1] for c in col_set), start=det)
+
+    def matrix(self) -> RatMatrix:
+        return RatMatrix(
+            tuple(
+                tuple(s * col[r] for col, s in zip(self.cols, self.scales))
+                for r in range(len(self.cols))
+            )
+        )
+
+    def spans(self, z: RatMatrix, w: Permutation) -> bool:
+        """Whether the product spans the flag z w B+, for upper-unipotent z.
+
+        Scales do not change a flag, so only the integer columns G enter.
+        X = z^{-1} G comes from back substitution, with row r of X multiplied
+        by the row denominators s_r, ..., s_d of z so that it stays integral;
+        z is unipotent, so no pivot is divided by.  The flags agree exactly
+        when w^{-1} X is upper triangular, that is when column j of X is
+        nonzero at row w(j) and zero at the rows w(j'), j' > j.
+        """
+        z_rows, s = z._integer_rows
+        g_rows = list(zip(*self.cols))
+        d = len(g_rows)
+        x: list[list[int]] = [[]] * d
+        mult = 1
+        for r in reversed(range(d)):
+            # Row r of z X = G, times s_r ... s_d; row c > r of x carries
+            # s_c ... s_d, so its coefficient is z_rows[r][c] s_(r+1) ... s_(c-1).
+            mult *= s[r]
+            acc = [mult * e for e in g_rows[r]]
+            carry = 1
+            for c in range(r + 1, d):
+                coef = z_rows[r][c] * carry
+                if coef:
+                    acc = [e - coef * f for e, f in zip(acc, x[c])]
+                carry *= s[c]
+            x[r] = acc
+        pivots = [x[im - 1] for im in w.images]
+        return all(
+            pivots[j][j] != 0 and not any(row[j] for row in pivots[j + 1 :])
+            for j in range(d)
+        )
 
 
 def evaluate(gw: GroupWord) -> RatMatrix:
-    out = RatMatrix.identity(gw.d)
+    g = _Columns(gw.d)
     for f in gw.factors:
-        out = apply_factor(out, f)
-    return out
+        g.apply(f)
+    return g.matrix()
 
 
 def partial(gw: GroupWord, k: int) -> RatMatrix:

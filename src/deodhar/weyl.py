@@ -150,15 +150,15 @@ def _int_from_json(x, what: str) -> int:
 
 
 def identity_perm(d: int) -> Permutation:
-    return Permutation(tuple(range(1, d + 1)))
+    return Permutation(tuple(range(1, _int_from_json(d, "degree") + 1)))
 
 
 def simple_reflection(d: int, i: int) -> Permutation:
-    return identity_perm(d).times_s(i)
+    return identity_perm(d).times_s(_int_from_json(i, "reflection index"))
 
 
 def longest_element(d: int) -> Permutation:
-    return Permutation(tuple(range(d, 0, -1)))
+    return Permutation(tuple(range(_int_from_json(d, "degree"), 0, -1)))
 
 
 def bruhat_leq(v: Permutation, w: Permutation) -> bool:
@@ -263,10 +263,15 @@ def all_permutations(d: int) -> Iterator[Permutation]:
 
 def fundamental_weight(d: int, i: int) -> Weight:
     """e_1 + ... + e_i as a coordinate vector.  i = 0 gives the zero weight."""
+    d = _int_from_json(d, "degree")
     i = _int_from_json(i, "fundamental weight index")
     if not 0 <= i <= d:
         raise InputError(f"fundamental weight index {i} out of range 0..{d}")
     return tuple(1 if j < i else 0 for j in range(d))
+
+
+def _check_weight(lam: Sequence[int]) -> Weight:
+    return tuple(_int_from_json(x, "weight entry") for x in lam)
 
 
 def act(w: Permutation, lam: Sequence[int]) -> Weight:
@@ -275,6 +280,7 @@ def act(w: Permutation, lam: Sequence[int]) -> Weight:
     >>> act(Permutation((1, 2, 4, 3)), fundamental_weight(4, 3))
     (1, 1, 0, 1)
     """
+    lam = _check_weight(lam)
     if len(lam) != w.d:
         raise InputError("weight length does not match permutation degree")
     inv = w.inverse()
@@ -283,6 +289,7 @@ def act(w: Permutation, lam: Sequence[int]) -> Weight:
 
 def pair(lam: Sequence[int], i: int) -> int:
     """Pair a weight against the i-th simple coroot: lam[i] - lam[i+1]."""
+    lam = _check_weight(lam)
     i = _int_from_json(i, "coroot index")
     if not 1 <= i <= len(lam) - 1:
         raise InputError(f"coroot index {i} out of range 1..{len(lam) - 1}")

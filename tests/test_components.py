@@ -364,15 +364,38 @@ def enumerate_distinguished_all(w, word):
 def test_flag_check_catches_a_dropped_factor(monkeypatch):
     # A kernel that forgets the column update of y factors must make the
     # final flag check of factorize fail, not pass unnoticed.
-    import deodhar.components as components
+    import deodhar.pinning as pinning
 
-    real = components.apply_factor
+    real = pinning._Columns.apply
 
     def drop_y(g, factor):
-        return g if factor.kind == "y" else real(g, factor)
+        if factor.kind != "y":
+            real(g, factor)
 
-    monkeypatch.setattr(components, "apply_factor", drop_y)
+    monkeypatch.setattr(pinning._Columns, "apply", drop_y)
     with pytest.raises(InternalCheckError, match="does not match the input flag"):
+        factorize(s102_matrix(), S102_WORD)
+
+
+def test_a_stale_column_scale_is_caught(monkeypatch):
+    # A kernel that updates the integer columns of a combined column but
+    # keeps its old scale multiplies out a different product: evaluate no
+    # longer matches the dense product, and factorize raises.
+    import deodhar.pinning as pinning
+    from deodhar.pinning import GroupFactor, GroupWord, factor_matrix
+
+    real = pinning._combine
+
+    def stale(u, su, v, sv):
+        return real(u, su, v, sv)[0], su
+
+    monkeypatch.setattr(pinning, "_combine", stale)
+    gw = GroupWord(2, (GroupFactor("y", 1, Fraction(1, 2)),))
+    assert evaluate(gw) != factor_matrix(2, gw.factors[0])
+    with pytest.raises(
+        InternalCheckError,
+        match="descent parameter mismatch|does not match the input flag",
+    ):
         factorize(s102_matrix(), S102_WORD)
 
 

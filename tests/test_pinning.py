@@ -13,7 +13,7 @@ from deodhar.pinning import (
     FACTOR_Y,
     GroupFactor,
     GroupWord,
-    apply_factor,
+    _Columns,
     apply_lift,
     evaluate,
     factor_matrix,
@@ -42,6 +42,7 @@ from deodhar.weyl import (
 
 from support import (
     S102_WORD,
+    random_component_flag,
     random_matrix,
     random_nonzero,
     random_perm,
@@ -401,12 +402,32 @@ def random_invertible(rng, d):
             return g
 
 
+def random_factor(rng, d, i=None):
+    kind = rng.choice([FACTOR_Y, FACTOR_S, FACTOR_XSINV])
+    i = rng.randrange(1, d) if i is None else i
+    if kind == FACTOR_S:
+        return GroupFactor(kind, i)
+    return GroupFactor(kind, i, random_rational(rng))
+
+
+def kernel_of(d, factors):
+    g = _Columns(d)
+    for f in factors:
+        g.apply(f)
+    return g
+
+
 def test_apply_factor_matches_dense_product():
+    # The group-word kernel multiplies each factor onto a random product so
+    # far exactly as the dense product with factor_matrix does.
     import random
 
     rng = random.Random(29)
     for d in (2, 3, 6, 8, 12):
-        g = random_invertible(rng, d)
+        prefix = [random_factor(rng, d) for _ in range(2 * d)]
+        dense = RatMatrix.identity(d)
+        for f in prefix:
+            dense = dense * factor_matrix(d, f)
         for i in sorted({1, d // 2, d - 1}):
             for param in (rng.randint(-9, 9), random_rational(rng)):
                 for f in (
@@ -414,11 +435,67 @@ def test_apply_factor_matches_dense_product():
                     GroupFactor(FACTOR_S, i),
                     GroupFactor(FACTOR_XSINV, i, param),
                 ):
-                    out = apply_factor(g, f)
-                    assert out == g * factor_matrix(d, f)
+                    out = kernel_of(d, prefix + [f]).matrix()
+                    assert out == dense * factor_matrix(d, f)
                     assert all(type(x) is Fraction for row in out.rows for x in row)
     with pytest.raises(InputError):
-        apply_factor(RatMatrix.identity(3), GroupFactor(FACTOR_S, 3))
+        evaluate(GroupWord(3, (GroupFactor(FACTOR_S, 3),)))
+
+
+def test_kernel_columns_stay_primitive():
+    import math
+    import random
+
+    rng = random.Random(31)
+    for d in (2, 4, 7):
+        g = kernel_of(d, [random_factor(rng, d) for _ in range(30)])
+        assert all(math.gcd(*col) == 1 for col in g.cols)
+
+
+def test_kernel_minors_match_minors_of_the_product():
+    import itertools
+    import random
+
+    rng = random.Random(41)
+    for d in (1, 2, 3, 4, 5):
+        for _ in range(3):
+            factors = [random_factor(rng, d) for _ in range(3 * d)] if d > 1 else []
+            g = kernel_of(d, factors)
+            dense = g.matrix()
+            for size in range(d + 1):
+                for rows in itertools.combinations(range(1, d + 1), size):
+                    for cols in itertools.combinations(range(1, d + 1), size):
+                        assert g.minor(rows, cols) == dense.minor(rows, cols)
+
+
+def test_kernel_flag_check_agrees_with_flag_equal():
+    # True cases are factorizations of random component flags; one entry of
+    # the integer columns perturbed breaks the flag unless the column's
+    # change stays inside the span of the columns before it.
+    import random
+
+    from deodhar.components import factorize
+
+    rng = random.Random(43)
+    outcomes = set()
+    for d in (2, 2, 3, 4, 5, 6) * 4:
+        desc, z = random_component_flag(rng, d)
+        w = evaluate_word(d, desc.word)
+        g = kernel_of(d, factorize(z, desc.word).group_word.factors)
+        target = apply_lift(z, w)
+        assert g.spans(z, w)
+        assert flag_equal(g.matrix(), target)
+        for _ in range(4):
+            j, r = rng.randrange(d), rng.randrange(d)
+            delta = rng.choice([-2, -1, 1, 3])
+            g.cols[j][r] += delta
+            if g.matrix().det() == 0:
+                assert not g.spans(z, w)
+            else:
+                outcomes.add(g.spans(z, w))
+                assert g.spans(z, w) == flag_equal(g.matrix(), target)
+            g.cols[j][r] -= delta
+    assert outcomes == {True, False}
 
 
 def test_apply_lift_matches_reduced_word_product():

@@ -23,6 +23,7 @@ from deodhar.diagrams import classify_graphical
 from deodhar.errors import DomainError
 from deodhar.linalg import RatMatrix, rational_from_json, unipotent_representative
 from deodhar.pinning import (
+    _Columns,
     evaluate,
     factor_matrix,
     group_word_from_json,
@@ -82,6 +83,22 @@ def _dense_product(group_word) -> RatMatrix:
 
 def _same_flag(a: RatMatrix, b: RatMatrix) -> bool:
     return (a.inverse() * b).is_upper_triangular()
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.integers(2, 7))
+def test_group_word_kernel_matches_dense_products(seed, d):
+    # Every prefix of a component element's group word, multiplied out in
+    # integer columns, equals the dense product of its factor matrices.
+    desc, z = random_component_flag(random.Random(seed), d)
+    gw = factorize(z, desc.word).group_word
+    g = _Columns(d)
+    dense = RatMatrix.identity(d)
+    for f in gw.factors:
+        g.apply(f)
+        dense = dense * factor_matrix(d, f)
+        assert g.matrix() == dense
+    assert evaluate(gw) == dense
 
 
 @settings(max_examples=40, deadline=None)

@@ -244,3 +244,25 @@ def test_letter_checks_refuse_booleans(build):
     with pytest.raises(InputError) as info:
         build()
     assert str(info.value) == "letter must be an integer, got True"
+
+
+_NOT_INTEGERS = {
+    "identity_perm": (identity_perm, "degree"),
+    "longest_element": (longest_element, "degree"),
+    "fundamental_weight": (lambda x: fundamental_weight(x, 1), "degree"),
+    "simple_reflection": (lambda x: simple_reflection(3, x), "reflection index"),
+    "pair-first": (lambda x: pair((x, 0), 1), "weight entry"),
+    "pair-unpaired": (lambda x: pair((1, 0, x), 1), "weight entry"),
+    "act": (lambda x: act(identity_perm(2), (x, 0)), "weight entry"),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, 1.5, True])
+@pytest.mark.parametrize("caller", sorted(_NOT_INTEGERS))
+def test_degrees_indices_and_weights_take_only_integers(caller, value):
+    # A float or a bool is refused by name, never read as the integer it
+    # compares equal to and never left to escape as a bare TypeError.
+    call, what = _NOT_INTEGERS[caller]
+    with pytest.raises(InputError) as exc:
+        call(value)
+    assert str(exc.value) == f"{what} must be an integer, got {value!r}"
