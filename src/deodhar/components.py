@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -60,7 +60,6 @@ from .weyl import (
     Permutation,
     Word,
     _int_from_json,
-    _prefix_products,
     check_reduced_word,
     simple_reflection,
 )
@@ -85,13 +84,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ComponentDescriptor:
-    """A Deodhar component, named by its distinguished trace."""
+    """A Deodhar component, named by a distinguished trace of a reduced word.
+
+    ``prefix_perms`` holds the word's prefix products w_(0), ..., w_(n).
+    """
 
     trace: SubexpressionTrace
+    prefix_perms: tuple[Permutation, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_distinguished(self.trace):
             raise InputError("component descriptor needs a distinguished trace")
+        _, prefixes = check_reduced_word(self.d, self.word)
+        object.__setattr__(self, "prefix_perms", prefixes)
 
     @property
     def word(self) -> Word:
@@ -104,11 +109,6 @@ class ComponentDescriptor:
     @property
     def endpoint(self) -> Permutation:
         return self.trace.endpoint
-
-    @functools.cached_property
-    def prefix_perms(self) -> tuple[Permutation, ...]:
-        """The prefix products w_(0), ..., w_(n) of the word."""
-        return _prefix_products(self.d, self.word)
 
     @functools.cached_property
     def step_minors(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:

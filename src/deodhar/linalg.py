@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DomainError, InputError
-from .weyl import Permutation, _int_from_json, longest_element
+from .errors import DomainError, InputError, InternalCheckError
+from .weyl import Permutation, _int_from_json, _int_in_range, longest_element
 
 __all__ = [
-    "Rational",
     "RatMatrix",
     "rational_from_json",
     "rational_to_json",
@@ -34,8 +33,6 @@ __all__ = [
     "opposite_position",
     "unipotent_representative",
 ]
-
-Rational = Fraction
 
 
 def rational_from_json(x) -> Fraction:
@@ -66,8 +63,8 @@ def rational_to_json(x: Fraction) -> str:
 def _check_index_set(ix: Sequence[int], d: int) -> tuple[int, ...]:
     ix = tuple(ix)
     for a in ix:
-        if not 1 <= a <= d:
-            raise InputError(f"index {a} out of range 1..{d}")
+        if not (type(a) is int and 0 < a <= d):
+            _int_in_range(a, 1, d, "index")
     if any(ix[k] >= ix[k + 1] for k in range(len(ix) - 1)):
         raise InputError(f"index set must be strictly increasing: {ix!r}")
     return ix
@@ -127,8 +124,8 @@ class RatMatrix:
         return len(self.rows)
 
     def entry(self, i: int, j: int) -> Fraction:
-        if not (1 <= i <= self.d and 1 <= j <= self.d):
-            raise InputError(f"entry ({i},{j}) out of range for size {self.d}")
+        i = _int_in_range(i, 1, self.d, "row index")
+        j = _int_in_range(j, 1, self.d, "column index")
         return self.rows[i - 1][j - 1]
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
@@ -287,5 +284,5 @@ def unipotent_representative(g: RatMatrix) -> tuple[RatMatrix, Permutation]:
             z[r][target] = m[r][j]
     out = RatMatrix(tuple(tuple(row) for row in z))
     if not out.is_upper_unipotent():
-        raise DomainError("matrix is singular")
+        raise InternalCheckError("column reduction did not give an upper-unipotent z")
     return out, w

@@ -42,7 +42,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .linalg import RatMatrix, _bareiss_det, rational_from_json, rational_to_json
-from .weyl import Permutation, _int_from_json, evaluate_word
+from .weyl import Permutation, _int_from_json, _int_in_range, evaluate_word
 
 __all__ = [
     "FACTOR_Y",
@@ -71,11 +71,6 @@ FACTOR_S = "s"
 FACTOR_XSINV = "xsinv"
 
 
-def _check_gen_index(d: int, i: int) -> None:
-    if not 1 <= _int_from_json(i, "generator index") <= d - 1:
-        raise InputError(f"generator index {i} out of range 1..{d - 1}")
-
-
 def _identity_rows(d: int) -> list[list[Fraction]]:
     return [[Fraction(1 if a == b else 0) for b in range(d)] for a in range(d)]
 
@@ -87,17 +82,17 @@ def _elementary(d: int, r: int, c: int, value: Fraction) -> RatMatrix:
 
 
 def gen_x(d: int, i: int, m) -> RatMatrix:
-    _check_gen_index(d, i)
+    i = _int_in_range(i, 1, d - 1, "generator index")
     return _elementary(d, i, i + 1, rational_from_json(m))
 
 
 def gen_y(d: int, i: int, t) -> RatMatrix:
-    _check_gen_index(d, i)
+    i = _int_in_range(i, 1, d - 1, "generator index")
     return _elementary(d, i + 1, i, rational_from_json(t))
 
 
 def gen_sdot(d: int, i: int) -> RatMatrix:
-    _check_gen_index(d, i)
+    i = _int_in_range(i, 1, d - 1, "generator index")
     rows = _identity_rows(d)
     rows[i - 1][i - 1] = Fraction(0)
     rows[i][i] = Fraction(0)
@@ -107,18 +102,12 @@ def gen_sdot(d: int, i: int) -> RatMatrix:
 
 
 def gen_sdot_inv(d: int, i: int) -> RatMatrix:
-    """The inverse lift, equal to gen_acheck(d, i, -1) * gen_sdot(d, i)."""
-    _check_gen_index(d, i)
-    rows = _identity_rows(d)
-    rows[i - 1][i - 1] = Fraction(0)
-    rows[i][i] = Fraction(0)
-    rows[i - 1][i] = Fraction(1)
-    rows[i][i - 1] = Fraction(-1)
-    return RatMatrix(tuple(tuple(row) for row in rows))
+    """The inverse lift of s_i."""
+    return gen_acheck(d, i, -1) * gen_sdot(d, i)
 
 
 def gen_acheck(d: int, i: int, t) -> RatMatrix:
-    _check_gen_index(d, i)
+    i = _int_in_range(i, 1, d - 1, "generator index")
     t = rational_from_json(t)
     if t == 0:
         raise InputError("torus parameter must be nonzero")
@@ -157,7 +146,7 @@ class GroupWord:
 
     def __post_init__(self) -> None:
         for f in self.factors:
-            _check_gen_index(self.d, f.index)
+            _int_in_range(f.index, 1, self.d - 1, "generator index")
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -279,9 +268,7 @@ def evaluate(gw: GroupWord) -> RatMatrix:
 
 def partial(gw: GroupWord, k: int) -> RatMatrix:
     """The product of the first k factors."""
-    k = _int_from_json(k, "partial index")
-    if not 0 <= k <= len(gw.factors):
-        raise InputError(f"partial index {k} out of range 0..{len(gw.factors)}")
+    k = _int_in_range(k, 0, len(gw.factors), "partial index")
     return evaluate(GroupWord(gw.d, gw.factors[:k]))
 
 
@@ -322,17 +309,13 @@ def gmin(g: RatMatrix, v: Permutation, w: Permutation, i: int) -> Fraction:
     """
     if v.d != g.d or w.d != g.d:
         raise InputError("degree mismatch in generalized minor")
-    i = _int_from_json(i, "minor size")
-    if not 0 <= i <= g.d:
-        raise InputError(f"minor size {i} out of range 0..{g.d}")
+    i = _int_in_range(i, 0, g.d, "minor size")
     return g.minor(v.prefix_set(i), w.prefix_set(i))
 
 
 def reduce_flag(z: RatMatrix, word: Sequence[int], k: int) -> RatMatrix:
     """Representative of the flag z times the lift of the k-letter prefix."""
-    k = _int_from_json(k, "prefix length")
-    if not 0 <= k <= len(word):
-        raise InputError(f"prefix length {k} out of range 0..{len(word)}")
+    k = _int_in_range(k, 0, len(word), "prefix length")
     return apply_lift(z, evaluate_word(z.d, tuple(word[:k])))
 
 

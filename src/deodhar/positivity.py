@@ -32,7 +32,7 @@ from .errors import DomainError, InputError
 from .linalg import RatMatrix, rational_from_json, rational_to_json
 from .pinning import GroupWord, group_word_to_json
 from .subexpr import positive_subexpression
-from .weyl import Permutation
+from .weyl import Permutation, _int_from_json
 
 __all__ = [
     "PositiveSample",
@@ -99,7 +99,7 @@ def random_positive_sample(
     v: Permutation, word: Sequence[int], seed: int
 ) -> PositiveSample:
     """A reproducible positive sample, one small random parameter per stay."""
-    rng = random.Random(seed)
+    rng = random.Random(_int_from_json(seed, "seed"))
     params = [
         Fraction(rng.randint(1, 9), rng.randint(1, 9))
         for _ in range(len(word) - v.length())

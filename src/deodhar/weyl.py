@@ -11,6 +11,10 @@ Weights of the diagonal torus are integer vectors of length ``d``.  The
 fundamental weight ``omega_i`` is ``e_1 + ... + e_i``, permutations act by
 ``act(w, lam)[j] = lam[w^{-1}(j)]``, and pairing against the i-th simple
 coroot takes ``lam[i] - lam[i+1]``.
+
+A caller-supplied integer is read by ``_int_from_json`` and an index by
+``_int_in_range``, the only range check.  A permutation's images are checked
+when it is built from outside; products of valid ones skip the check.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ class Permutation:
         d = len(self.images)
         if d == 0:
             raise InputError("permutation must have degree at least 1")
+        for x in self.images:
+            _int_from_json(x, "permutation image")
         if sorted(self.images) != list(range(1, d + 1)):
             raise InputError(f"not a permutation of 1..{d}: {self.images!r}")
 
@@ -74,21 +80,19 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, j: int) -> int:
-        if not 1 <= j <= self.d:
-            raise InputError(f"index {j} out of range 1..{self.d}")
-        return self.images[j - 1]
+        return self.images[_int_in_range(j, 1, self.d, "index") - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition (a*b)(j) = a(b(j))."""
         if self.d != other.d:
             raise InputError("degree mismatch in permutation product")
-        return Permutation(tuple(self.images[k - 1] for k in other.images))
+        return _product(tuple(self.images[k - 1] for k in other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.d
         for j, im in enumerate(self.images, start=1):
             inv[im - 1] = j
-        return Permutation(tuple(inv))
+        return _product(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(im == j for j, im in enumerate(self.images, start=1))
@@ -109,29 +113,28 @@ class Permutation:
 
     def right_descent(self, i: int) -> bool:
         """True when multiplying by s_i on the right shortens the element."""
-        if not 1 <= i <= self.d - 1:
-            raise InputError(f"reflection index {i} out of range 1..{self.d - 1}")
+        if not (type(i) is int and 0 < i < len(self.images)):
+            i = _int_in_range(i, 1, self.d - 1, "reflection index")
         return self.images[i - 1] > self.images[i]
 
     def times_s(self, i: int) -> "Permutation":
         """Right multiplication by the simple transposition s_i."""
-        if not 1 <= i <= self.d - 1:
-            raise InputError(f"reflection index {i} out of range 1..{self.d - 1}")
+        if not (type(i) is int and 0 < i < len(self.images)):
+            i = _int_in_range(i, 1, self.d - 1, "reflection index")
         im = list(self.images)
         im[i - 1], im[i] = im[i], im[i - 1]
-        return Permutation(tuple(im))
+        return _product(tuple(im))
 
     def s_times(self, i: int) -> "Permutation":
         """Left multiplication by the simple transposition s_i."""
-        if not 1 <= i <= self.d - 1:
-            raise InputError(f"reflection index {i} out of range 1..{self.d - 1}")
+        i = _int_in_range(i, 1, self.d - 1, "reflection index")
         swap = {i: i + 1, i + 1: i}
-        return Permutation(tuple(swap.get(v, v) for v in self.images))
+        return _product(tuple(swap.get(v, v) for v in self.images))
 
     def prefix_set(self, i: int) -> tuple[int, ...]:
         """The sorted image of {1, ..., i}, the index set attached to w omega_i."""
-        if not 0 <= i <= self.d:
-            raise InputError(f"prefix size {i} out of range 0..{self.d}")
+        if not (type(i) is int and 0 <= i <= len(self.images)):
+            i = _int_in_range(i, 0, self.d, "prefix size")
         return tuple(sorted(self.images[:i]))
 
     def __repr__(self) -> str:
@@ -149,12 +152,31 @@ def _int_from_json(x, what: str) -> int:
     return x
 
 
+def _int_in_range(x, lo: int, hi: int, what: str) -> int:
+    """Read an index by ``_int_from_json`` and check that lo <= x <= hi.
+
+    The hot methods of a sweep test a valid index inline and call this only
+    when that test fails.
+    """
+    x = _int_from_json(x, what)
+    if not lo <= x <= hi:
+        raise InputError(f"{what} {x} out of range {lo}..{hi}")
+    return x
+
+
+def _product(images: tuple[int, ...]) -> Permutation:
+    """A permutation built from valid ones, without ``__post_init__``'s check."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 def identity_perm(d: int) -> Permutation:
     return Permutation(tuple(range(1, _int_from_json(d, "degree") + 1)))
 
 
 def simple_reflection(d: int, i: int) -> Permutation:
-    return identity_perm(d).times_s(_int_from_json(i, "reflection index"))
+    return identity_perm(d).times_s(i)
 
 
 def longest_element(d: int) -> Permutation:
@@ -198,11 +220,7 @@ def is_reduced(d: int, word: Sequence[int]) -> bool:
 
 def _check_letters(d: int, word: Sequence[int]) -> Word:
     """The word as a tuple; InputError names a letter that is not an int in 1..d-1."""
-    word = tuple(word)
-    for i in word:
-        if not 1 <= _int_from_json(i, "letter") <= d - 1:
-            raise InputError(f"letter {i} out of range 1..{d - 1}")
-    return word
+    return tuple(_int_in_range(i, 1, d - 1, "letter") for i in word)
 
 
 def check_reduced_word(
@@ -264,9 +282,7 @@ def all_permutations(d: int) -> Iterator[Permutation]:
 def fundamental_weight(d: int, i: int) -> Weight:
     """e_1 + ... + e_i as a coordinate vector.  i = 0 gives the zero weight."""
     d = _int_from_json(d, "degree")
-    i = _int_from_json(i, "fundamental weight index")
-    if not 0 <= i <= d:
-        raise InputError(f"fundamental weight index {i} out of range 0..{d}")
+    i = _int_in_range(i, 0, d, "fundamental weight index")
     return tuple(1 if j < i else 0 for j in range(d))
 
 
@@ -290,9 +306,7 @@ def act(w: Permutation, lam: Sequence[int]) -> Weight:
 def pair(lam: Sequence[int], i: int) -> int:
     """Pair a weight against the i-th simple coroot: lam[i] - lam[i+1]."""
     lam = _check_weight(lam)
-    i = _int_from_json(i, "coroot index")
-    if not 1 <= i <= len(lam) - 1:
-        raise InputError(f"coroot index {i} out of range 1..{len(lam) - 1}")
+    i = _int_in_range(i, 1, len(lam) - 1, "coroot index")
     return lam[i - 1] - lam[i]
 
 

@@ -133,6 +133,22 @@ def test_boolean_matrix_entry_exits_one(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "input"
 
 
+def test_word_that_is_not_an_array_exits_one(z_file, capsys):
+    code, out = run(capsys, ["classify", "--matrix", z_file, "--word", '{"1": 2}'])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "input"
+    assert err["message"] == "word must be a JSON array of integers"
+
+
+def test_conditions_without_matrix_or_v_exits_one(capsys):
+    code, out = run(capsys, ["conditions", "--word", WORD_JSON])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "input"
+    assert err["message"] == "need --matrix or --v"
+
+
 def test_missing_flag_exits_one(capsys):
     code, out = run(capsys, ["classify", "--word", WORD_JSON])
     assert code == 1

@@ -27,7 +27,7 @@ from deodhar.errors import (
 )
 from deodhar.linalg import RatMatrix, flag_equal, unipotent_representative
 from deodhar.pinning import evaluate, partial, perm_matrix, reduce_flag
-from deodhar.subexpr import enumerate_distinguished
+from deodhar.subexpr import SubexpressionTrace, enumerate_distinguished
 from deodhar.weyl import Permutation, evaluate_word
 
 from support import (
@@ -87,6 +87,23 @@ def test_classify_and_factorize_refuse_boolean_letters():
     for call in (classify, factorize):
         with pytest.raises(InputError, match="letter must be an integer, got True"):
             call(RatMatrix.identity(2), [True])
+
+
+def test_descriptor_refuses_a_non_distinguished_trace():
+    # s1 . s2 . s1: the third step stays at a descent of s1.
+    s1 = Permutation((2, 1, 3))
+    trace = SubexpressionTrace((1, 2, 1), (Permutation((1, 2, 3)), s1, s1, s1), ("+", "o", "o"))
+    with pytest.raises(InputError, match="needs a distinguished trace"):
+        ComponentDescriptor(trace)
+
+
+def test_descriptor_refuses_a_non_reduced_word():
+    # The trace is distinguished, but s1 s1 does not name a cell.
+    e = Permutation((1, 2, 3))
+    trace = SubexpressionTrace((1, 1), (e, e, e), ("o", "o"))
+    with pytest.raises(InputError) as info:
+        ComponentDescriptor(trace)
+    assert str(info.value) == "word (1, 1) is not reduced"
 
 
 def test_descriptor_json_round_trip():

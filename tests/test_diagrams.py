@@ -288,6 +288,11 @@ def test_chamber_lookup():
         arr.chamber_at(5, 0)
 
 
+def test_build_arrangement_classical_is_the_wiring_diagram_of_the_word():
+    desc = desc102()
+    assert build_arrangement(CLASSICAL, desc) == classical_arrangement(desc.word, desc.d)
+
+
 def test_build_arrangement_validation():
     with pytest.raises(InputError):
         build_arrangement("diagonal", desc102())

@@ -18,8 +18,11 @@ from deodhar import (
     perm_matrix,
     unipotent_representative,
 )
+from deodhar import linalg
+from deodhar.errors import InternalCheckError
 from deodhar.linalg import rational_from_json, rational_to_json
 from deodhar.pinning import gen_y
+from deodhar.weyl import Permutation
 
 from support import (
     det_cofactor,
@@ -345,6 +348,23 @@ def test_unipotent_representative_round_trip():
         assert z.is_upper_unipotent()
         assert w == bruhat_position(g)
         assert flag_equal(z * perm_matrix(w), g)
+
+
+def test_unipotent_representative_check_is_internal(monkeypatch):
+    # Column reduction of an invertible matrix always regroups into an
+    # upper-unipotent z; a reduction that does not is a fault of the library.
+    monkeypatch.setattr(
+        linalg,
+        "_column_reduce",
+        lambda g: ([list(row) for row in g.rows], Permutation((2, 1))),
+    )
+    with pytest.raises(InternalCheckError):
+        unipotent_representative(RatMatrix.identity(2))
+
+
+def test_flag_equal_refuses_a_size_mismatch():
+    with pytest.raises(InputError, match="size mismatch in flag comparison"):
+        flag_equal(RatMatrix.identity(2), RatMatrix.identity(3))
 
 
 def test_singular_rejected():
