@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import DomainError, InputError, InternalCheckError, NotInComponentError
-from .linalg import RatMatrix, rational_from_json, rational_to_json
+from .linalg import RatMatrix, _check_index_set, rational_from_json, rational_to_json
 from .pinning import (
     FACTOR_S,
     FACTOR_XSINV,
@@ -59,6 +59,7 @@ from .subexpr import (
 from .weyl import (
     Permutation,
     Word,
+    _built,
     _int_from_json,
     check_reduced_word,
     simple_reflection,
@@ -171,7 +172,9 @@ def _sweep(z: RatMatrix, word: Sequence[int]) -> tuple[ComponentDescriptor, dict
     """The classifying sweep: the component, and the probe of each free step.
 
     A free step's probe is the minor of ``desc.step_minors[k-1]``: the
-    standard chamber minor at a stay, a vanishing minor at an ascent.
+    standard chamber minor at a stay, a vanishing minor at an ascent.  A
+    right descent always moves, so the trace is distinguished and, like the
+    descriptor, is built from the word checked here without ``__post_init__``.
     """
     _check_unipotent(z)
     word, w = check_reduced_word(z.d, word)
@@ -185,8 +188,8 @@ def _sweep(z: RatMatrix, word: Sequence[int]) -> tuple[ComponentDescriptor, dict
         mark, v = _step(v, i, k not in probes or probes[k] == 0)
         marks.append(mark)
         values.append(v)
-    trace = SubexpressionTrace(word, tuple(values), tuple(marks))
-    return ComponentDescriptor(trace), probes
+    trace = _built(SubexpressionTrace, word=word, values=tuple(values), marks=tuple(marks))
+    return _built(ComponentDescriptor, trace=trace, prefix_perms=w), probes
 
 
 _MARK_CASE = {MARK_STAY: "stay", MARK_UP: "ascend", MARK_DOWN: "forced"}
@@ -254,8 +257,7 @@ def minor_polynomial(rows: Sequence[int], cols: Sequence[int], d: int) -> str:
     Entries above the diagonal are symbols ``a{i}{j}``; guard keeps the
     permanent-style expansion small.
     """
-    rows = tuple(rows)
-    cols = tuple(cols)
+    rows, cols = _check_index_set(rows, d), _check_index_set(cols, d)
     if len(rows) != len(cols):
         raise InputError("minor needs equally many rows and columns")
     if len(rows) > POLY_EXPANSION_GUARD:

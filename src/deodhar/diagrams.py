@@ -231,6 +231,8 @@ def diagram_formulas(desc: ComponentDescriptor, z: RatMatrix) -> dict:
     descent steps.  A vanishing denominator means z is not in the
     component and raises NotInComponentError.
     """
+    if z.d != desc.d:
+        raise InputError("degree mismatch in generalized minor")
     arr = build_arrangement(ANSATZ, desc)
 
     def minor(level: int, cell: int) -> Fraction:

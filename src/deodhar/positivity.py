@@ -211,9 +211,3 @@ def braid_move_y(a, b, c) -> tuple[Fraction, Fraction, Fraction]:
     if a + c == 0:
         raise DomainError("braid move undefined: a + c = 0")
     return (b * c / (a + c), a + c, a * b / (a + c))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -4,7 +4,9 @@ Fix a reduced word (i_1, ..., i_n).  A subexpression is recorded as its trace:
 the partial products v_(0) = e, v_(1), ..., v_(n).  Step k either keeps
 v_(k-1), marked "o", or multiplies it by s_{i_k} on the right, marked "-" when
 i_k is a right descent of v_(k-1) and "+" otherwise.  ``_step`` states this
-rule once; traces are built and checked through it.
+rule once; traces are built and checked through it.  A trace from a caller
+always meets the check of every step in ``__post_init__``; one the library
+builds by ``_step`` on a checked word skips it.
 
 A trace is distinguished when every forced descent is taken: whenever
 v_(k-1) s_{i_k} is shorter than v_(k-1), the step must move down.  It is
@@ -41,6 +43,7 @@ from .errors import DomainError, InputError, InternalCheckError
 from .weyl import (
     Permutation,
     Word,
+    _built,
     _check_letters,
     _int_from_json,
     bruhat_leq,
@@ -124,14 +127,14 @@ def _step(v: Permutation, i: int, move: bool) -> tuple[str, Permutation]:
 
 
 def _trace_from_moves(word: Word, d: int, moves: Sequence[bool]) -> SubexpressionTrace:
-    """Build a trace from a word and a keep/multiply decision per step."""
+    """Build a trace from a checked reduced word and a keep/move decision per step."""
     values = [identity_perm(d)]
     marks: list[str] = []
     for i, move in zip(word, moves):
         mark, value = _step(values[-1], i, move)
         marks.append(mark)
         values.append(value)
-    return SubexpressionTrace(word, tuple(values), tuple(marks))
+    return _built(SubexpressionTrace, word=word, values=tuple(values), marks=tuple(marks))
 
 
 def _merge(
@@ -374,9 +377,3 @@ def trace_from_json(data: dict) -> SubexpressionTrace:
     trace = SubexpressionTrace(word, values, marks)
     check_reduced_word(trace.d, trace.word)
     return trace
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

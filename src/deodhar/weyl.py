@@ -14,7 +14,9 @@ coroot takes ``lam[i] - lam[i+1]``.
 
 A caller-supplied integer is read by ``_int_from_json`` and an index by
 ``_int_in_range``, the only range check.  A permutation's images are checked
-when it is built from outside; products of valid ones skip the check.
+when it is built from outside; products of valid ones skip the check.  Every
+value type keeps this rule: ``__post_init__`` checks each value a caller
+builds, and ``_product`` and ``_built`` skip it for values the library builds.
 """
 
 from __future__ import annotations
@@ -171,6 +173,14 @@ def _product(images: tuple[int, ...]) -> Permutation:
     return p
 
 
+def _built(cls, **fields):
+    """A frozen dataclass from fields the library made valid, without ``__post_init__``."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def identity_perm(d: int) -> Permutation:
     return Permutation(tuple(range(1, _int_from_json(d, "degree") + 1)))
 
@@ -317,9 +327,3 @@ def cartan_entry(j: int, i: int) -> int:
     if abs(j - i) == 1:
         return -1
     return 0
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -1,11 +1,13 @@
 """Tests for component classification, conditions, and parameter recovery."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from deodhar import weyl
 from deodhar.components import (
     ComponentDescriptor,
     build_element,
@@ -27,6 +29,7 @@ from deodhar.errors import (
 )
 from deodhar.linalg import RatMatrix, flag_equal, unipotent_representative
 from deodhar.pinning import evaluate, partial, perm_matrix, reduce_flag
+from deodhar.positivity import is_totally_nonnegative
 from deodhar.subexpr import SubexpressionTrace, enumerate_distinguished
 from deodhar.weyl import Permutation, evaluate_word
 
@@ -140,6 +143,19 @@ def test_minor_polynomial_strings():
         minor_polynomial(tuple(range(1, 8)), tuple(range(1, 8)), 9)
     with pytest.raises(DomainError):
         minor_polynomial((1,), (2,), 10)
+
+
+@pytest.mark.parametrize("rows", [(2, 1), (1, 1)])
+def test_minor_polynomial_reads_index_sets_as_minor_does(rows):
+    # (2, 1) used to expand with its sign flipped, (1, 1) to a zero minor.
+    for call in (
+        lambda: minor_polynomial(rows, (3, 4), 4),
+        lambda: minor_polynomial((3, 4), rows, 4),
+        lambda: RatMatrix.identity(4).minor(rows, (3, 4)),
+    ):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == f"index set must be strictly increasing: {rows!r}"
 
 
 def test_minor_polynomial_matches_numeric_minor():
@@ -458,6 +474,39 @@ def test_chamber_coordinates_degree_mismatch():
     for z in (RatMatrix.identity(3), random_unipotent(random.Random(2), 5)):
         with pytest.raises(InputError, match="degree mismatch"):
             chamber_coordinates(z, desc)
+
+
+def test_sweep_checks_the_word_once_and_trusts_what_it_builds(monkeypatch):
+    # classify, factorize and tnn-check read the caller's word once; the
+    # trace and descriptor the sweep builds from it skip __post_init__.
+    calls = Counter()
+    real_check = weyl.check_reduced_word
+
+    def counted_check(d, word):
+        calls["check_reduced_word"] += 1
+        return real_check(d, word)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "deodhar" and hasattr(module, "check_reduced_word"):
+            monkeypatch.setattr(module, "check_reduced_word", counted_check)
+    for cls in (SubexpressionTrace, ComponentDescriptor):
+
+        def counted_init(self, real=cls.__post_init__, name=cls.__name__):
+            calls[name] += 1
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted_init)
+    rng = random.Random(17)
+    for _ in range(10):
+        desc, z = random_component_flag(rng, 6)
+        # The public constructor still checks, through the patched names.
+        calls.clear()
+        assert ComponentDescriptor(desc.trace) == desc
+        assert calls == {"check_reduced_word": 1, "ComponentDescriptor": 1}
+        for entry in (classify, factorize, is_totally_nonnegative):
+            calls.clear()
+            entry(z, list(desc.word))
+            assert calls == {"check_reduced_word": 1}, entry.__name__
 
 
 def test_factorize_evaluates_each_minor_of_z_once(monkeypatch):

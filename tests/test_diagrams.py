@@ -35,6 +35,7 @@ from support import (
     random_perm,
     random_rational,
     random_reduced_word,
+    random_unipotent,
     s102_matrix,
 )
 
@@ -302,3 +303,13 @@ def test_diagram_formulas_outside_component():
     # The identity lies in the all-ascent component, not in +oo-+.
     with pytest.raises(NotInComponentError, match="step 2"):
         diagram_formulas(desc102(), RatMatrix.identity(4))
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_diagram_formulas_degree_mismatch(d):
+    # A unipotent z of another degree is malformed input, not a flag outside
+    # the component, as in chamber_coordinates.
+    for z in (RatMatrix.identity(d), random_unipotent(random.Random(d), d)):
+        with pytest.raises(InputError) as exc:
+            diagram_formulas(desc102(), z)
+        assert str(exc.value) == "degree mismatch in generalized minor"

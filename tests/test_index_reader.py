@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from deodhar.components import minor_polynomial
 from deodhar.errors import InputError
 from deodhar.linalg import RatMatrix
 from deodhar.pinning import (
@@ -52,6 +53,8 @@ SITES = {
     "pair": (lambda x: pair((1, 0, 0), x), "coroot index", 1, 2),
     "minor-rows": (lambda x: _I.minor((x,), (1,)), "index", 1, 3),
     "minor-cols": (lambda x: _I.minor((2,), (x,)), "index", 1, 3),
+    "minor_polynomial-rows": (lambda x: minor_polynomial((x,), (1,), 3), "index", 1, 3),
+    "minor_polynomial-cols": (lambda x: minor_polynomial((2,), (x,), 3), "index", 1, 3),
     "entry-row": (lambda x: _I.entry(x, 1), "row index", 1, 3),
     "entry-column": (lambda x: _I.entry(1, x), "column index", 1, 3),
     "partial": (lambda x: partial(_GW, x), "partial index", 0, 2),

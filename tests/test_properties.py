@@ -33,6 +33,7 @@ from deodhar.pinning import (
 from deodhar.positivity import is_totally_nonnegative, random_positive_sample
 from deodhar.subexpr import (
     MARK_DOWN,
+    SubexpressionTrace,
     enumerate_distinguished,
     positive_subexpression,
     trace_from_json,
@@ -142,6 +143,40 @@ def test_positive_subexpression_is_the_only_descent_free_trace(seed, d, below):
         assert descent_free == []
         with pytest.raises(DomainError):
             positive_subexpression(v, word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(2, 6), st.booleans())
+def test_what_the_library_builds_meets_the_public_checks(seed, d, generic):
+    # Traces and descriptors the library builds skip __post_init__; each
+    # must equal its rebuild through the checking constructors.
+    rng = random.Random(seed)
+    if generic:
+        word = random_reduced_word(rng, random_perm(rng, d))
+        z = random_unipotent(rng, d)
+    else:
+        desc, z = random_component_flag(rng, d)
+        word = desc.word
+    descriptors = [
+        classify(z, word),
+        factorize(z, word).descriptor,
+        is_totally_nonnegative(z, word).descriptor,
+        classify_graphical(z, word),
+    ]
+    traces = [desc.trace for desc in descriptors]
+    for v in (descriptors[0].endpoint, random_perm(rng, d)):
+        try:
+            traces.append(positive_subexpression(v, word))
+        except DomainError:
+            pass
+        if d <= 5:
+            traces += enumerate_distinguished(v, word)
+    for trace in traces:
+        rebuilt = SubexpressionTrace(trace.word, trace.values, trace.marks)
+        assert rebuilt == trace and hash(rebuilt) == hash(trace)
+    for desc in descriptors:
+        rebuilt = ComponentDescriptor(SubexpressionTrace(desc.word, desc.trace.values, desc.trace.marks))
+        assert rebuilt == desc and rebuilt.prefix_perms == desc.prefix_perms
 
 
 def _flag_with_coordinates(desc, coords):

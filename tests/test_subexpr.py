@@ -463,6 +463,7 @@ def test_malformed_trace_messages(data, message):
         with pytest.raises(InputError) as exc:
             SubexpressionTrace(*direct)
         assert str(exc.value) == message
-    with pytest.raises(InputError) as exc:
-        trace_from_json(data)
-    assert str(exc.value) == message
+    for load in (trace_from_json, ComponentDescriptor.from_json):
+        with pytest.raises(InputError) as exc:
+            load(data)
+        assert str(exc.value) == message
