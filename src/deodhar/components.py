@@ -257,6 +257,7 @@ def minor_polynomial(rows: Sequence[int], cols: Sequence[int], d: int) -> str:
     Entries above the diagonal are symbols ``a{i}{j}``; guard keeps the
     permanent-style expansion small.
     """
+    d = _int_from_json(d, "degree")
     rows, cols = _check_index_set(rows, d), _check_index_set(cols, d)
     if len(rows) != len(cols):
         raise InputError("minor needs equally many rows and columns")

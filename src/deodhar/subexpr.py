@@ -14,29 +14,36 @@ positive when it is distinguished and never moves down.  Both are found
 right to left from v_(n) = v, reading w_(k), the product of the first k
 letters, from the tuple ``check_reduced_word`` returned.  Step k is a
 forced ascent from y s_{i_k} when i_k is a right descent of y = v_(k);
-otherwise it is a stay or a descent from y s_{i_k}.  By the lifting
-property, y <= w_(k) gives v_(k-1) <= w_(k-1) after an ascent or a stay, so
-only a descent needs a check, y s_{i_k} <= w_(k-1).  The positive trace is
-the greedy path that never descends: it checks nothing and reaches e
-exactly when v <= w_(n).
+otherwise it is a stay or a descent from y s_{i_k}.  Since i_k is a right
+descent of w_(k), the lifting property turns y <= w_(k) into v_(k-1) <=
+w_(k-1) after an ascent or a stay, so only a descent needs a check,
+x = y s_{i_k} <= w_(k-1).  That check is one prefix comparison.  Here i_k is
+not a right descent of y, so lifting gives y <= w_(k-1) as well.  Bruhat
+order compares the sorted first j images for every j, and right
+multiplication by s_i moves only the i-th of those prefix sets.  So x <=
+w_(k-1) exactly when the sorted first i_k images of x are entrywise at most
+those of w_(k-1) (``_prefix_below``).  The positive trace is the greedy path
+that never descends: it checks nothing and reaches e exactly when v <= w_(n).
 
 ``_pass_back`` applies the rule to (step, value) states, from {v} at step n
-down to {e} at step 0.  It tallies the traces through each state by a key,
-the sum of a weight per step over the steps that stay, and merges traces
-that meet in a state with equal keys.  ``enumerate_distinguished`` weighs
-step k by 2^(k-1), so a key is the set of steps that stay; that set fixes
-the trace, so no two merge.  ``r_polynomial`` weighs every step by 1, so a
-key is a stay count.  Each distinguished trace ending at v contributes
-(q - 1)^{#stays} * q^{#descents} to R.  Going back, an ascent shortens the
-value by one, a descent lengthens it by one and a stay keeps it, so a trace
-with s stays of a word of length n has (n - s - l(v)) / 2 descents, and the
-stay counts at e give R.
+down to {e} at step 0.  A value is held as its image tuple, so a step by s_i
+swaps two entries and a descent test compares them.  The pass tallies the
+traces through each state by a key, the sum of a weight per step over the
+steps that stay, and merges traces that meet in a state with equal keys.
+``enumerate_distinguished`` weighs step k by 2^(k-1), so a key is the set of
+steps that stay; that set fixes the trace, so no two merge.  ``r_polynomial``
+weighs every step by 1, so a key is a stay count.  Each distinguished trace
+ending at v contributes (q - 1)^{#stays} * q^{#descents} to R.  Going back, an
+ascent shortens the value by one, a descent lengthens it by one and a stay
+keeps it, so a trace with s stays of a word of length n has (n - s - l(v)) / 2
+descents, and the stay counts at e give R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import le
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InputError, InternalCheckError
@@ -68,6 +75,8 @@ __all__ = [
 MARK_UP = "+"
 MARK_STAY = "o"
 MARK_DOWN = "-"
+
+Images = tuple[int, ...]
 
 ENUMERATION_GUARD = 6
 R_POLYNOMIAL_GUARD = 9
@@ -138,12 +147,17 @@ def _trace_from_moves(word: Word, d: int, moves: Sequence[bool]) -> Subexpressio
 
 
 def _merge(
-    level: dict[Permutation, dict[int, int]], y: Permutation, tally: dict[int, int], shift: int
+    level: dict[Images, dict[int, int]], y: Images, tally: dict[int, int], shift: int
 ) -> None:
     """Add the trace counts of tally, with keys raised by shift, to level[y]."""
     into = level.setdefault(y, {})
     for key, count in tally.items():
         into[key + shift] = into.get(key + shift, 0) + count
+
+
+def _prefix_below(x: Images, i: int, bound: list[int]) -> bool:
+    """Whether the sorted first i images of x are entrywise at most bound."""
+    return all(map(le, sorted(x[:i]), bound))
 
 
 def _pass_back(
@@ -155,22 +169,23 @@ def _pass_back(
     weights[k-1] over the steps k that stay.
     """
     # level[y] counts the traces from v_(k) = y to v_(n) = v by their keys;
-    # top is w_(k-1) while level k is read.
-    level: dict[Permutation, dict[int, int]] = {v: {0: 1}}
+    # bound is the sorted i-prefix of w_(k-1) while level k is read.
+    level: dict[Images, dict[int, int]] = {v.images: {0: 1}}
     for i, top, weight in zip(reversed(word), reversed(w[:-1]), reversed(weights)):
-        below: dict[Permutation, dict[int, int]] = {}
+        bound = sorted(top.images[:i])
+        below: dict[Images, dict[int, int]] = {}
         for y, tally in level.items():
-            x = y.times_s(i)
-            if y.right_descent(i):
+            x = y[: i - 1] + (y[i], y[i - 1]) + y[i + 1 :]
+            if y[i - 1] > y[i]:
                 _merge(below, x, tally, 0)
             else:
                 _merge(below, y, tally, weight)
-                if bruhat_leq(x, top):
+                if _prefix_below(x, i, bound):
                     _merge(below, x, tally, 0)
         level = below
-    if list(level) != [w[0]]:
+    if list(level) != [w[0].images]:
         raise InternalCheckError("backward pass did not end at the identity")
-    return level[w[0]]
+    return level[w[0].images]
 
 
 def positive_subexpression(v: Permutation, word: Sequence[int]) -> SubexpressionTrace:

@@ -145,6 +145,13 @@ def test_minor_polynomial_strings():
         minor_polynomial((1,), (2,), 10)
 
 
+@pytest.mark.parametrize("d", [True, 2.5, "3"])
+def test_minor_polynomial_reads_its_degree_as_an_integer(d):
+    with pytest.raises(InputError) as exc:
+        minor_polynomial((1,), (1,), d)
+    assert str(exc.value) == f"degree must be an integer, got {d!r}"
+
+
 @pytest.mark.parametrize("rows", [(2, 1), (1, 1)])
 def test_minor_polynomial_reads_index_sets_as_minor_does(rows):
     # (2, 1) used to expand with its sign flipped, (1, 1) to a zero minor.

@@ -337,7 +337,7 @@ def test_r_polynomial_validates_the_word_once(monkeypatch):
 def test_r_polynomial_pass_raises_when_it_misses_the_identity(monkeypatch):
     # A descent check that lets every value through leaves states other
     # than e at step 0; the pass must raise, never return a value.
-    monkeypatch.setattr(subexpr, "bruhat_leq", lambda a, b: True)
+    monkeypatch.setattr(subexpr, "_prefix_below", lambda x, i, bound: True)
     w0 = longest_element(4)
     with pytest.raises(InternalCheckError, match="did not end at the identity"):
         r_polynomial(identity_perm(4), w0, a_reduced_word(w0))
@@ -346,10 +346,48 @@ def test_r_polynomial_pass_raises_when_it_misses_the_identity(monkeypatch):
 def test_enumeration_pass_raises_when_it_misses_the_identity(monkeypatch):
     # The same broken descent check under enumeration: listing fewer traces
     # than exist would be a silent wrong answer.
-    monkeypatch.setattr(subexpr, "bruhat_leq", lambda a, b: True)
+    monkeypatch.setattr(subexpr, "_prefix_below", lambda x, i, bound: True)
     w0 = longest_element(4)
     with pytest.raises(InternalCheckError, match="did not end at the identity"):
         enumerate_distinguished(identity_perm(4), a_reduced_word(w0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_one_prefix_rule_matches_bruhat_leq(d):
+    # If y <= w and i is not a right descent of y, then y s_i <= w is
+    # decided by the i-th sorted prefix alone.
+    perms = list(all_permutations(d))
+    outcomes = set()
+    for w in perms:
+        for y in perms:
+            if not _leq(y, w):
+                continue
+            for i in range(1, d):
+                if y.right_descent(i):
+                    continue
+                x = y.times_s(i)
+                bound = sorted(w.images[:i])
+                below = subexpr._prefix_below(x.images, i, bound)
+                assert below == _leq(x, w), (y, w, i)
+                outcomes.add(below)
+    assert outcomes == {True, False}
+
+
+def test_backward_pass_makes_no_bruhat_check(monkeypatch):
+    # r_polynomial compares v with w once; the pass itself compares nothing.
+    calls = []
+    original = subexpr.bruhat_leq
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(subexpr, "bruhat_leq", counting)
+    w0 = longest_element(5)
+    for word in (a_reduced_word(w0), tuple(reversed(a_reduced_word(w0)))):
+        calls.clear()
+        r_polynomial(identity_perm(5), w0, word)
+        assert calls == [(identity_perm(5), w0)]
 
 
 def test_positive_subexpression_makes_no_bruhat_check(monkeypatch):
