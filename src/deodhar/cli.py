@@ -14,23 +14,7 @@ import os
 import sys
 from typing import Sequence
 
-from .components import ComponentDescriptor, classify, component_conditions, factorize
-from .diagrams import (
-    ANSATZ,
-    CLASSICAL,
-    LOWER,
-    UPPER,
-    Arrangement,
-    build_arrangement,
-    classical_arrangement,
-    render,
-)
-from .errors import DomainError, InputError
-from .linalg import RatMatrix, matrix_from_json, matrix_to_json, unipotent_representative
-from .pinning import evaluate
-from .positivity import is_totally_nonnegative, random_positive_sample
-from .subexpr import positive_subexpression, r_polynomial
-from .weyl import Permutation, _int_from_json, a_reduced_word
+from . import components, diagrams, errors, linalg, pinning, positivity, subexpr, weyl
 
 __all__ = ["main"]
 
@@ -47,10 +31,10 @@ def _parse_json(text: str, what: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"{what} is not valid JSON: {exc}") from exc
+        raise errors.InputError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _load_matrix(source: str) -> RatMatrix:
+def _load_matrix(source: str) -> linalg.RatMatrix:
     if source == "-":
         text = sys.stdin.read()
     else:
@@ -58,39 +42,39 @@ def _load_matrix(source: str) -> RatMatrix:
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise InputError(f"cannot read matrix file {source}: {exc}") from exc
-    return matrix_from_json(_parse_json(text, "matrix"))
+            raise errors.InputError(f"cannot read matrix file {source}: {exc}") from exc
+    return linalg.matrix_from_json(_parse_json(text, "matrix"))
 
 
 def _parse_word(text: str, what: str = "word") -> tuple[int, ...]:
     data = _parse_json(text, what)
     if not isinstance(data, list):
-        raise InputError(f"{what} must be a JSON array of integers")
-    return tuple(_int_from_json(i, f"{what} entry") for i in data)
+        raise errors.InputError(f"{what} must be a JSON array of integers")
+    return tuple(weyl._int_from_json(i, f"{what} entry") for i in data)
 
 
-def _parse_perm(text: str, what: str) -> Permutation:
-    return Permutation(_parse_word(text, what))
+def _parse_perm(text: str, what: str) -> weyl.Permutation:
+    return weyl.Permutation(_parse_word(text, what))
 
 
-def _descriptor_from_args(args) -> ComponentDescriptor:
+def _descriptor_from_args(args) -> components.ComponentDescriptor:
     """A component descriptor from --matrix (classified) or --v (positive)."""
     if args.matrix is not None and args.v is not None:
-        raise InputError("give --matrix or --v, not both")
+        raise errors.InputError("give --matrix or --v, not both")
     word = _parse_word(_require(args.word, "--word"))
     if args.matrix is not None:
         z = _load_matrix(args.matrix)
-        return classify(z, word)
+        return components.classify(z, word)
     if args.v is not None:
         v = _parse_perm(args.v, "--v")
-        return ComponentDescriptor(positive_subexpression(v, word))
-    raise InputError("need --matrix or --v")
+        return components.ComponentDescriptor(subexpr.positive_subexpression(v, word))
+    raise errors.InputError("need --matrix or --v")
 
 
 def _cmd_classify(args) -> dict:
     z = _load_matrix(_require(args.matrix, "--matrix"))
     word = _parse_word(_require(args.word, "--word"))
-    desc = classify(z, word)
+    desc = components.classify(z, word)
     out = desc.to_json()
     out["stays"] = list(desc.stay_positions)
     out["ascents"] = list(desc.ascent_positions)
@@ -101,13 +85,13 @@ def _cmd_classify(args) -> dict:
 def _cmd_factorize(args) -> dict:
     z = _load_matrix(_require(args.matrix, "--matrix"))
     word = _parse_word(_require(args.word, "--word"))
-    return factorize(z, word).to_json()
+    return components.factorize(z, word).to_json()
 
 
 def _cmd_conditions(args) -> dict:
     desc = _descriptor_from_args(args)
     out = {"trace": desc.to_json()}
-    out.update(component_conditions(desc).to_json(desc.d))
+    out.update(components.component_conditions(desc).to_json(desc.d))
     return out
 
 
@@ -115,28 +99,28 @@ def _cmd_rpoly(args) -> str:
     v = _parse_perm(_require(args.v, "--v"), "--v")
     w = _parse_perm(_require(args.w, "--w"), "--w")
     if args.d is not None and args.d != v.d:
-        raise InputError(f"--d {args.d} does not match the permutations (degree {v.d})")
-    word = _parse_word(args.word) if args.word is not None else a_reduced_word(w)
-    return r_polynomial(v, w, word).pretty()
+        raise errors.InputError(f"--d {args.d} does not match the permutations (degree {v.d})")
+    word = _parse_word(args.word) if args.word is not None else weyl.a_reduced_word(w)
+    return subexpr.r_polynomial(v, w, word).pretty()
 
 
 def _cmd_tnn_check(args) -> dict:
     z = _load_matrix(_require(args.matrix, "--matrix"))
     word = _parse_word(_require(args.word, "--word"))
-    return is_totally_nonnegative(z, word).to_json()
+    return positivity.is_totally_nonnegative(z, word).to_json()
 
 
 def _cmd_sample(args) -> dict:
     v = _parse_perm(_require(args.v, "--v"), "--v")
     word = _parse_word(_require(args.word, "--word"))
-    sample = random_positive_sample(v, word, args.seed)
+    sample = positivity.random_positive_sample(v, word, args.seed)
     out = sample.to_json()
-    z, _ = unipotent_representative(evaluate(sample.group_word))
-    out["matrix"] = matrix_to_json(z)
+    z, _ = linalg.unipotent_representative(pinning.evaluate(sample.group_word))
+    out["matrix"] = linalg.matrix_to_json(z)
     return out
 
 
-def _arrangement_json(arr: Arrangement) -> dict:
+def _arrangement_json(arr: diagrams.Arrangement) -> dict:
     chambers = []
     for ch in arr.chambers:
         rec = {
@@ -162,24 +146,24 @@ def _arrangement_json(arr: Arrangement) -> dict:
 
 
 def _cmd_diagram(args) -> dict | str:
-    for flag in ("--matrix", "--v") if args.kind == CLASSICAL else ("--d",):
+    for flag in ("--matrix", "--v") if args.kind == diagrams.CLASSICAL else ("--d",):
         if getattr(args, flag[2:]) is not None:
-            raise InputError(f"{flag} is not read by --kind {args.kind}")
-    if args.kind == CLASSICAL:
+            raise errors.InputError(f"{flag} is not read by --kind {args.kind}")
+    if args.kind == diagrams.CLASSICAL:
         word = _parse_word(_require(args.word, "--word"))
         if args.d is None:
-            raise InputError("classical diagrams need --d")
-        arr = classical_arrangement(word, args.d)
+            raise errors.InputError("classical diagrams need --d")
+        arr = diagrams.classical_arrangement(word, args.d)
     else:
-        arr = build_arrangement(args.kind, _descriptor_from_args(args))
+        arr = diagrams.build_arrangement(args.kind, _descriptor_from_args(args))
     if args.format == "json":
         return _arrangement_json(arr)
-    return render(arr, args.format)
+    return diagrams.render(arr, args.format)
 
 
 def _require(value, flag: str):
     if value is None:
-        raise InputError(f"{flag} is required")
+        raise errors.InputError(f"{flag} is required")
     return value
 
 
@@ -237,8 +221,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--d", type=int, help="strand count for classical diagrams")
     p.add_argument(
         "--kind",
-        choices=[CLASSICAL, UPPER, LOWER, ANSATZ],
-        default=ANSATZ,
+        # diagrams.CLASSICAL, UPPER, LOWER and ANSATZ, spelled out so that
+        # building the parser does not run diagrams.
+        choices=["classical", "upper", "lower", "ansatz"],
+        default="ansatz",
         help="arrangement flavor",
     )
     p.add_argument(
@@ -258,7 +244,7 @@ def _emit(text: str, out_path: str | None) -> None:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text if text.endswith("\n") else text + "\n")
         except OSError as exc:
-            raise InputError(f"cannot write output file {out_path}: {exc}") from exc
+            raise errors.InputError(f"cannot write output file {out_path}: {exc}") from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -280,9 +266,9 @@ def _run(args) -> int:
             result = json.dumps(result, indent=2)
         _emit(result, args.out)
         return 0
-    except InputError as exc:
+    except errors.InputError as exc:
         code, error = 1, {"type": "input", "message": str(exc)}
-    except DomainError as exc:
+    except errors.DomainError as exc:
         kind = type(exc).__name__
         code, error = 2, {"type": "domain", "kind": kind, "message": str(exc)}
     _emit(json.dumps({"error": error}), None)
