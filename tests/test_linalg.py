@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from deodhar import (
     InputError,
     RatMatrix,
     bruhat_position,
+    classify_steps,
     flag_equal,
     identity_perm,
     matrix_from_json,
@@ -26,6 +28,7 @@ from deodhar.weyl import Permutation
 
 from support import (
     det_cofactor,
+    random_component_flag,
     random_matrix,
     random_nonzero,
     random_perm,
@@ -136,18 +139,18 @@ def test_det_matches_cofactor_property(rows):
     assert RatMatrix.from_rows(rows).det() == det_cofactor(rows)
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(9, 12), st.booleans())
-def test_det_and_minor_match_sympy_beyond_cofactor_reach(seed, d, repeat_row):
+def _berkowitz(rows) -> Fraction:
     # det_cofactor is practical up to d = 8; sympy's Berkowitz determinant
     # is an independent oracle for larger matrices.
     sympy = pytest.importorskip("sympy")
+    exact = [[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]
+    value = sympy.Matrix(exact).det(method="berkowitz")
+    return Fraction(int(value.p), int(value.q))
 
-    def berkowitz(rows) -> Fraction:
-        exact = [[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]
-        value = sympy.Matrix(exact).det(method="berkowitz")
-        return Fraction(int(value.p), int(value.q))
 
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(9, 12), st.booleans())
+def test_det_and_minor_match_sympy_beyond_cofactor_reach(seed, d, repeat_row):
     rng = random.Random(seed)
     rows = [[random_rational(rng) for _ in range(d)] for _ in range(d)]
     if repeat_row:
@@ -155,14 +158,123 @@ def test_det_and_minor_match_sympy_beyond_cofactor_reach(seed, d, repeat_row):
         rows[a] = list(rows[b])
     m = RatMatrix.from_rows(rows)
     det = m.det()
-    assert det == berkowitz(rows)
+    assert det == _berkowitz(rows)
     if repeat_row:
         assert det == 0
     k = rng.randint(9, d)
     row_set = tuple(sorted(rng.sample(range(1, d + 1), k)))
     col_set = tuple(sorted(rng.sample(range(1, d + 1), k)))
     sub = [[rows[r - 1][c - 1] for c in col_set] for r in row_set]
-    assert m.minor(row_set, col_set) == berkowitz(sub)
+    assert m.minor(row_set, col_set) == _berkowitz(sub)
+
+
+@st.composite
+def _triangular_matrices(draw, max_d: int):
+    """Upper-triangular matrices: unipotent, or with any diagonal, zeros included."""
+    d = draw(st.integers(1, max_d))
+    unipotent = draw(st.booleans())
+    return [
+        [
+            Fraction(0) if c < r
+            else Fraction(1) if c == r and unipotent
+            else draw(_entries)
+            for c in range(d)
+        ]
+        for r in range(d)
+    ]
+
+
+def _gale_pairs(row_set, col_set):
+    """The drawn pair, its entrywise lower and upper sets, and those swapped.
+
+    The entrywise min and max of two increasing tuples are increasing, and
+    min <= max entry by entry; unless the two coincide, (max, min) has a row
+    beyond its paired column, so its minor on an upper-triangular matrix is 0.
+    """
+    lo = tuple(map(min, row_set, col_set))
+    hi = tuple(map(max, row_set, col_set))
+    return [(row_set, col_set), (lo, hi), (hi, lo)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_triangular_minor_matches_cofactor_property(data):
+    rows = data.draw(_triangular_matrices(8))
+    m = RatMatrix.from_rows(rows)
+    assert m.is_upper_triangular()
+    for _ in range(2):
+        for row_set, col_set in _gale_pairs(*data.draw(_index_sets(len(rows)))):
+            assert m.minor(row_set, col_set) == _oracle_minor(rows, row_set, col_set)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(9, 12), st.booleans())
+def test_triangular_minor_matches_sympy_beyond_cofactor_reach(seed, d, unipotent):
+    rng = random.Random(seed)
+    rows = [
+        [
+            Fraction(0) if c < r
+            else Fraction(1) if c == r and unipotent
+            else random_rational(rng)
+            for c in range(d)
+        ]
+        for r in range(d)
+    ]
+    m = RatMatrix.from_rows(rows)
+    k = rng.randint(9, d)
+    drawn = (
+        tuple(sorted(rng.sample(range(1, d + 1), k))),
+        tuple(sorted(rng.sample(range(1, d + 1), k))),
+    )
+    for row_set, col_set in _gale_pairs(*drawn):
+        sub = [[rows[r - 1][c - 1] for c in col_set] for r in row_set]
+        assert m.minor(row_set, col_set) == _berkowitz(sub)
+
+
+def _record_bareiss_sizes(monkeypatch) -> list[int]:
+    sizes: list[int] = []
+    bareiss = linalg._bareiss_det
+
+    def recording(m):
+        sizes.append(len(m))
+        return bareiss(m)
+
+    monkeypatch.setattr(linalg, "_bareiss_det", recording)
+    return sizes
+
+
+def test_triangular_minor_skips_bareiss_where_the_pattern_decides(monkeypatch):
+    sizes = _record_bareiss_sizes(monkeypatch)
+    z = random_unipotent(random.Random(18), 8)
+    # Equal index sets of a unipotent matrix: the diagonal blocks are all 1x1.
+    for ix in ((1,), (2, 5), (1, 3, 4, 8), tuple(range(1, 9))):
+        value = z.minor(ix, ix)
+        assert type(value) is Fraction and value == 1
+    # Row 5 lies below column 4: columns {2, 3, 4} live on rows 1..4, and of
+    # those only rows 1 and 2 are chosen.  Without the Gale test, the split
+    # alone would still send the 2x2 block on rows {1, 2} to Bareiss.
+    value = z.minor((1, 2, 5), (2, 3, 4))
+    assert type(value) is Fraction and value == 0
+    assert sizes == []
+    # A general matrix is one block, however small.
+    random_matrix(random.Random(19), 4).minor((1, 2), (3, 4))
+    assert sizes == [2]
+
+
+def test_d12_classify_probe_reaches_bareiss_in_smaller_blocks(monkeypatch):
+    desc, z = random_component_flag(random.Random(0), 12)
+    step = max(
+        (s for s in classify_steps(z, desc.word) if s.rows is not None),
+        key=lambda s: len(s.rows),
+    )
+    int_rows, scales = z._integer_rows
+    unsplit = Fraction(
+        linalg._bareiss_det([[int_rows[r - 1][c - 1] for c in step.cols] for r in step.rows]),
+        math.prod(scales[r - 1] for r in step.rows),
+    )
+    sizes = _record_bareiss_sizes(monkeypatch)
+    assert z.minor(step.rows, step.cols) == step.probe == unsplit
+    assert sizes and max(sizes) < len(step.rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,18 +298,22 @@ def test_minor_and_det_repeat_in_either_order(data):
 
 
 def test_minor_cache_leaves_equality_and_hash_alone():
+    # Both the cleared rows and the triangularity flag are cached on the
+    # matrix; neither may take part in == or hash.
     rng = random.Random(12)
     for d in (1, 3, 5):
-        m = random_matrix(rng, d)
-        twin = RatMatrix.from_rows(m.rows)
-        other = RatMatrix.from_rows([[x + 1 for x in r] for r in m.rows])
-        h = hash(m)
-        m.det()
-        m.minor((1,), (d,))
-        assert hash(m) == h == hash(twin)
-        assert m == twin and twin == m
-        assert m != other
-        assert len({m, twin}) == 1
+        for m in (random_matrix(rng, d), random_unipotent(rng, d)):
+            twin = RatMatrix.from_rows(m.rows)
+            other = RatMatrix.from_rows([[x + 1 for x in r] for r in m.rows])
+            h = hash(m)
+            m.det()
+            m.minor((1,), (d,))
+            m.minor(tuple(range(1, d + 1)), tuple(range(1, d + 1)))
+            m.is_upper_unipotent()
+            assert hash(m) == h == hash(twin)
+            assert m == twin and twin == m
+            assert m != other
+            assert len({m, twin}) == 1
 
 
 def test_inverse():
