@@ -67,7 +67,7 @@ def _descriptor_from_args(args) -> components.ComponentDescriptor:
         return components.classify(z, word)
     if args.v is not None:
         v = _parse_perm(args.v, "--v")
-        return components.ComponentDescriptor(subexpr.positive_subexpression(v, word))
+        return components._positive_component(v, word)
     raise errors.InputError("need --matrix or --v")
 
 

@@ -28,13 +28,14 @@ implemented.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import DomainError, InputError, InternalCheckError, NotInComponentError
+from .errors import DomainError, InputError, InternalCheckError, NotInComponentError, check_limit
 from .linalg import RatMatrix, _check_index_set, rational_from_json, rational_to_json
 from .pinning import (
     FACTOR_S,
@@ -51,6 +52,7 @@ from .subexpr import (
     MARK_STAY,
     MARK_UP,
     SubexpressionTrace,
+    _positive_walk,
     _step,
     is_distinguished,
     trace_from_json,
@@ -146,6 +148,12 @@ class ComponentDescriptor:
         return ComponentDescriptor(trace_from_json(data))
 
 
+def _positive_component(v: Permutation, word: Sequence[int]) -> ComponentDescriptor:
+    """The component of the positive trace of v, from the word checked once."""
+    trace, w = _positive_walk(v, word)
+    return _built(ComponentDescriptor, trace=trace, prefix_perms=w)
+
+
 @dataclass(frozen=True)
 class ClassifyStep:
     """One step of the classifying sweep.
@@ -172,8 +180,9 @@ def _sweep(z: RatMatrix, word: Sequence[int]) -> tuple[ComponentDescriptor, dict
     """The classifying sweep: the component, and the probe of each free step.
 
     A free step's probe is the minor of ``desc.step_minors[k-1]``: the
-    standard chamber minor at a stay, a vanishing minor at an ascent.  A
-    right descent always moves, so the trace is distinguished and, like the
+    standard chamber minor at a stay, a vanishing minor at an ascent.  The
+    sweep hands the descriptor those index sets for every step.  A right
+    descent always moves, so the trace is distinguished and, like the
     descriptor, is built from the word checked here without ``__post_init__``.
     """
     _check_unipotent(z)
@@ -181,15 +190,18 @@ def _sweep(z: RatMatrix, word: Sequence[int]) -> tuple[ComponentDescriptor, dict
     v = w[0]
     values = [v]
     marks: list[str] = []
+    minors = []
     probes: dict[int, Fraction] = {}
     for k, i in enumerate(word, start=1):
+        minors.append((v.prefix_set(i), w[k].prefix_set(i)))
         if not v.right_descent(i):
-            probes[k] = z.minor(v.prefix_set(i), w[k].prefix_set(i))
+            probes[k] = z.minor(*minors[-1])
         mark, v = _step(v, i, k not in probes or probes[k] == 0)
         marks.append(mark)
         values.append(v)
     trace = _built(SubexpressionTrace, word=word, values=tuple(values), marks=tuple(marks))
-    return _built(ComponentDescriptor, trace=trace, prefix_perms=w), probes
+    desc = _built(ComponentDescriptor, trace=trace, prefix_perms=w, step_minors=tuple(minors))
+    return desc, probes
 
 
 _MARK_CASE = {MARK_STAY: "stay", MARK_UP: "ascend", MARK_DOWN: "forced"}
@@ -229,12 +241,11 @@ class ComponentConditions:
             out = []
             for k, rows, cols in items:
                 rec = {"k": k, "rows": list(rows), "cols": list(cols)}
-                if expand and len(rows) <= POLY_EXPANSION_GUARD:
+                with contextlib.suppress(DomainError):
                     rec["poly"] = minor_polynomial(rows, cols, d)
                 out.append(rec)
             return out
 
-        expand = d <= _POLY_DEGREE_LIMIT
         return {"zero": fmt(self.zero_minors), "nonzero": fmt(self.nonzero_minors)}
 
 
@@ -247,26 +258,18 @@ def component_conditions(desc: ComponentDescriptor) -> ComponentConditions:
     )
 
 
-POLY_EXPANSION_GUARD = 6
-_POLY_DEGREE_LIMIT = 9
-
-
 def minor_polynomial(rows: Sequence[int], cols: Sequence[int], d: int) -> str:
     """The minor of a generic upper-unipotent matrix, expanded as a string.
 
-    Entries above the diagonal are symbols ``a{i}{j}``; guard keeps the
-    permanent-style expansion small.
+    Entries above the diagonal are symbols ``a{i}{j}``; the expansion limits
+    keep the permanent-style expansion small.
     """
     d = _int_from_json(d, "degree")
     rows, cols = _check_index_set(rows, d), _check_index_set(cols, d)
     if len(rows) != len(cols):
         raise InputError("minor needs equally many rows and columns")
-    if len(rows) > POLY_EXPANSION_GUARD:
-        raise DomainError(
-            f"symbolic expansion is limited to size {POLY_EXPANSION_GUARD}"
-        )
-    if d > _POLY_DEGREE_LIMIT:
-        raise DomainError("symbolic entry names need single-digit indices")
+    check_limit("expansion size", len(rows))
+    check_limit("expansion degree", d)
     n = len(rows)
     terms: dict[tuple[str, ...], int] = {}
     for perm in itertools.permutations(range(n)):

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its size limits."""
 
 __all__ = [
     "DeodharError",
@@ -27,3 +27,23 @@ class NotInComponentError(DomainError):
 
 class InternalCheckError(DeodharError, RuntimeError):
     """An internal cross-check failed.  Indicates a bug, never bad input."""
+
+
+# Every size limit: name -> (largest value allowed, message above it).  The
+# degree row is set from ``factorize`` on w0, 13 s at d = 64 (README, Limits).
+LIMITS = {
+    "degree": (64, "degree {value} is above the degree limit {limit}"),
+    "reduced words": (6, "reduced word enumeration is limited to degree {limit}"),
+    "distinguished": (6, "distinguished enumeration is limited to degree {limit}"),
+    "R-polynomial": (9, "R-polynomials are limited to degree {limit}"),
+    "expansion size": (6, "symbolic expansion is limited to size {limit}"),
+    "expansion degree": (9, "symbolic entry names need single-digit indices"),
+}
+
+
+def check_limit(name: str, value: int) -> int:
+    """Return value, or raise DomainError when it is above the named limit."""
+    limit, message = LIMITS[name]
+    if value > limit:
+        raise DomainError(message.format(value=value, limit=limit))
+    return value

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DomainError, InputError, InternalCheckError
-from .weyl import Permutation, _int_from_json, _int_in_range, longest_element
+from .errors import DomainError, InputError, InternalCheckError, check_limit
+from .weyl import Permutation, _degree, _int_in_range, longest_element
 
 __all__ = [
     "RatMatrix",
@@ -107,6 +107,7 @@ class RatMatrix:
         d = len(self.rows)
         if d == 0:
             raise InputError("matrix must have at least one row")
+        check_limit("degree", d)
         if any(len(r) != d for r in self.rows):
             raise InputError("matrix must be square")
 
@@ -116,7 +117,7 @@ class RatMatrix:
 
     @staticmethod
     def identity(d: int) -> "RatMatrix":
-        d = _int_from_json(d, "matrix size")
+        d = _degree(d, "matrix size")
         return RatMatrix(
             tuple(
                 tuple(Fraction(1 if r == c else 0) for c in range(d))

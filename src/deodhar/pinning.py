@@ -42,7 +42,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .linalg import RatMatrix, _bareiss_det, rational_from_json, rational_to_json
-from .weyl import Permutation, _int_from_json, _int_in_range, evaluate_word
+from .weyl import Permutation, _degree, _int_from_json, _int_in_range, evaluate_word
 
 __all__ = [
     "FACTOR_Y",
@@ -72,6 +72,7 @@ FACTOR_XSINV = "xsinv"
 
 
 def _identity_rows(d: int) -> list[list[Fraction]]:
+    d = _degree(d)
     return [[Fraction(1 if a == b else 0) for b in range(d)] for a in range(d)]
 
 
@@ -145,6 +146,7 @@ class GroupWord:
     factors: tuple[GroupFactor, ...]
 
     def __post_init__(self) -> None:
+        _degree(self.d)
         for f in self.factors:
             _int_in_range(f.index, 1, self.d - 1, "generator index")
 

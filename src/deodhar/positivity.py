@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 from .components import (
     ComponentDescriptor,
     _by_step,
+    _positive_component,
     _sweep,
     build_element,
     component_conditions,
@@ -31,7 +32,6 @@ from .components import (
 from .errors import DomainError, InputError
 from .linalg import RatMatrix, rational_from_json, rational_to_json
 from .pinning import GroupWord, group_word_to_json
-from .subexpr import positive_subexpression
 from .weyl import Permutation, _int_from_json
 
 __all__ = [
@@ -71,7 +71,7 @@ def sample_positive(
     step, and must all be positive.  Keys are ints; values are ints,
     Fractions or "p/q" strings.
     """
-    desc = ComponentDescriptor(positive_subexpression(v, word))
+    desc = _positive_component(v, word)
     stays = desc.stay_positions
     if isinstance(t_params, Mapping):
         params = _by_step(t_params, "t parameter")

@@ -4,9 +4,9 @@ Fix a reduced word (i_1, ..., i_n).  A subexpression is recorded as its trace:
 the partial products v_(0) = e, v_(1), ..., v_(n).  Step k either keeps
 v_(k-1), marked "o", or multiplies it by s_{i_k} on the right, marked "-" when
 i_k is a right descent of v_(k-1) and "+" otherwise.  ``_step`` states this
-rule once; traces are built and checked through it.  A trace from a caller
-always meets the check of every step in ``__post_init__``; one the library
-builds by ``_step`` on a checked word skips it.
+rule once; traces are checked, and all but the positive one built, through
+it.  A trace from a caller always meets the check of every step in
+``__post_init__``; one the library builds on a checked word skips it.
 
 A trace is distinguished when every forced descent is taken: whenever
 v_(k-1) s_{i_k} is shorter than v_(k-1), the step must move down.  It is
@@ -46,7 +46,7 @@ from math import comb
 from operator import le
 from typing import Iterable, Sequence
 
-from .errors import DomainError, InputError, InternalCheckError
+from .errors import DomainError, InputError, InternalCheckError, check_limit
 from .weyl import (
     Permutation,
     Word,
@@ -77,9 +77,6 @@ MARK_STAY = "o"
 MARK_DOWN = "-"
 
 Images = tuple[int, ...]
-
-ENUMERATION_GUARD = 6
-R_POLYNOMIAL_GUARD = 9
 
 
 @dataclass(frozen=True)
@@ -188,28 +185,35 @@ def _pass_back(
     return level[w[0].images]
 
 
+def _positive_walk(
+    v: Permutation, word: Sequence[int]
+) -> tuple[SubexpressionTrace, tuple[Permutation, ...]]:
+    """The positive trace of v, and the prefix products of the word it checked."""
+    word, w = check_reduced_word(v.d, word)
+    values, marks = [v], []
+    for i in reversed(word):
+        move = values[-1].right_descent(i)
+        values.append(values[-1].times_s(i) if move else values[-1])
+        marks.append(MARK_UP if move else MARK_STAY)
+    if not values[-1].is_identity():
+        raise DomainError("no subexpression: endpoint is not below the word's product")
+    values, marks = tuple(values[::-1]), tuple(marks[::-1])
+    return _built(SubexpressionTrace, word=word, values=values, marks=marks), w
+
+
 def positive_subexpression(v: Permutation, word: Sequence[int]) -> SubexpressionTrace:
     """The unique distinguished trace for v with no descents.
 
-    The greedy backward walk: from v_(n) = v, step k moves exactly when i_k
-    is a right descent of v_(k).  Raises ``DomainError`` exactly when v is
-    not below the word's product in Bruhat order.
+    The greedy backward walk: from v_(n) = v, step k moves up exactly when
+    i_k is a right descent of v_(k).  Raises ``DomainError`` exactly when v
+    is not below the word's product in Bruhat order.
 
     >>> from .weyl import Permutation
     >>> t = positive_subexpression(Permutation((1, 3, 2, 4)), (3, 2, 1, 3, 2, 3))
     >>> t.marks
     ('o', 'o', 'o', 'o', '+', 'o')
     """
-    word, _ = check_reduced_word(v.d, word)
-    moves = []
-    y = v
-    for i in reversed(word):
-        moves.append(y.right_descent(i))
-        if moves[-1]:
-            y = y.times_s(i)
-    if not y.is_identity():
-        raise DomainError("no subexpression: endpoint is not below the word's product")
-    return _trace_from_moves(word, v.d, moves[::-1])
+    return _positive_walk(v, word)[0]
 
 
 def is_distinguished(trace: SubexpressionTrace) -> bool:
@@ -228,10 +232,7 @@ def enumerate_distinguished(
 
     Degree is guarded because the search is exhaustive.
     """
-    if v.d > ENUMERATION_GUARD:
-        raise DomainError(
-            f"distinguished enumeration is limited to degree {ENUMERATION_GUARD}"
-        )
+    check_limit("distinguished", v.d)
     word, w = check_reduced_word(v.d, word)
     if not bruhat_leq(v, w[-1]):
         return []
@@ -339,7 +340,7 @@ def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolyno
 
     The word must be a reduced word for w; the value does not depend on
     which one is chosen.  Pairs with v not below w give the zero polynomial;
-    comparable pairs above degree ``R_POLYNOMIAL_GUARD`` raise ``DomainError``.
+    comparable pairs above the R-polynomial limit raise ``DomainError``.
 
     >>> from .weyl import longest_element
     >>> r_polynomial(identity_perm(3), longest_element(3), (1, 2, 1)).pretty()
@@ -352,8 +353,7 @@ def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolyno
         raise InputError("word does not multiply out to w")
     if not bruhat_leq(v, w):
         return RPolynomial.zero()
-    if v.d > R_POLYNOMIAL_GUARD:
-        raise DomainError(f"R-polynomials are limited to degree {R_POLYNOMIAL_GUARD}")
+    check_limit("R-polynomial", v.d)
     tally = _pass_back(v, word, prefixes, [1] * len(word))
     # (q-1)^s q^{(L-s)/2} by the binomial theorem, with L = l(w) - l(v); then
     # the Kazhdan-Lusztig identity q^L R(1/q) = (-1)^L R(q) as a cross-check.

@@ -12,11 +12,12 @@ fundamental weight ``omega_i`` is ``e_1 + ... + e_i``, permutations act by
 ``act(w, lam)[j] = lam[w^{-1}(j)]``, and pairing against the i-th simple
 coroot takes ``lam[i] - lam[i+1]``.
 
-A caller-supplied integer is read by ``_int_from_json`` and an index by
-``_int_in_range``, the only range check.  A permutation's images are checked
-when it is built from outside; products of valid ones skip the check.  Every
-value type keeps this rule: ``__post_init__`` checks each value a caller
-builds, and ``_product`` and ``_built`` skip it for values the library builds.
+A caller-supplied integer is read by ``_int_from_json``, a degree by
+``_degree`` against the degree limit, and an index by ``_int_in_range``, the
+only range check.  A permutation's images and degree are checked when it is
+built from outside; products of valid ones skip the check.  Every value
+type keeps this rule: ``__post_init__`` checks each value a caller builds,
+and ``_product`` and ``_built`` skip it for values the library builds.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import DomainError, InputError
+from .errors import InputError, check_limit
 
 __all__ = [
     "Permutation",
@@ -50,8 +51,6 @@ __all__ = [
 Word = tuple[int, ...]
 Weight = tuple[int, ...]
 
-REDUCED_WORD_GUARD = 6
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -72,6 +71,7 @@ class Permutation:
         d = len(self.images)
         if d == 0:
             raise InputError("permutation must have degree at least 1")
+        check_limit("degree", d)
         for x in self.images:
             _int_from_json(x, "permutation image")
         if sorted(self.images) != list(range(1, d + 1)):
@@ -166,6 +166,11 @@ def _int_in_range(x, lo: int, hi: int, what: str) -> int:
     return x
 
 
+def _degree(d, what: str = "degree") -> int:
+    """Read a caller's degree by ``_int_from_json`` and hold it to the degree limit."""
+    return check_limit("degree", _int_from_json(d, what))
+
+
 def _product(images: tuple[int, ...]) -> Permutation:
     """A permutation built from valid ones, without ``__post_init__``'s check."""
     p = object.__new__(Permutation)
@@ -182,7 +187,7 @@ def _built(cls, **fields):
 
 
 def identity_perm(d: int) -> Permutation:
-    return Permutation(tuple(range(1, _int_from_json(d, "degree") + 1)))
+    return Permutation(tuple(range(1, _degree(d) + 1)))
 
 
 def simple_reflection(d: int, i: int) -> Permutation:
@@ -190,7 +195,7 @@ def simple_reflection(d: int, i: int) -> Permutation:
 
 
 def longest_element(d: int) -> Permutation:
-    return Permutation(tuple(range(_int_from_json(d, "degree"), 0, -1)))
+    return Permutation(tuple(range(_degree(d), 0, -1)))
 
 
 def bruhat_leq(v: Permutation, w: Permutation) -> bool:
@@ -267,10 +272,7 @@ def reduced_words(w: Permutation) -> list[Word]:
     >>> sorted(reduced_words(longest_element(3)))
     [(1, 2, 1), (2, 1, 2)]
     """
-    if w.d > REDUCED_WORD_GUARD:
-        raise DomainError(
-            f"reduced word enumeration is limited to degree {REDUCED_WORD_GUARD}"
-        )
+    check_limit("reduced words", w.d)
 
     def rec(x: Permutation) -> list[Word]:
         if x.is_identity():
@@ -285,13 +287,13 @@ def reduced_words(w: Permutation) -> list[Word]:
 
 
 def all_permutations(d: int) -> Iterator[Permutation]:
-    for im in itertools.permutations(range(1, d + 1)):
+    for im in itertools.permutations(range(1, _degree(d) + 1)):
         yield Permutation(im)
 
 
 def fundamental_weight(d: int, i: int) -> Weight:
     """e_1 + ... + e_i as a coordinate vector.  i = 0 gives the zero weight."""
-    d = _int_from_json(d, "degree")
+    d = _degree(d)
     i = _int_in_range(i, 0, d, "fundamental weight index")
     return tuple(1 if j < i else 0 for j in range(d))
 

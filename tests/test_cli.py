@@ -11,6 +11,7 @@ import pytest
 
 import deodhar
 from deodhar.cli import main
+from deodhar.errors import LIMITS
 from deodhar.linalg import matrix_to_json
 
 from support import S102_WORD, s102_matrix
@@ -85,7 +86,7 @@ def test_rpoly_degree_limit_exits_two(capsys):
     err = json.loads(out)["error"]
     assert err["type"] == "domain"
     assert err["kind"] == "DomainError"
-    assert "limited to degree 9" in err["message"]
+    assert err["message"] == "R-polynomials are limited to degree 9"
 
 
 def test_rpoly_degree_mismatch(capsys):
@@ -323,6 +324,32 @@ def test_diagram_classical_degree_below_one(capsys, d, fmt):
     error = json.loads(out)["error"]
     assert error["type"] == "input"
     assert error["message"] == f"an arrangement needs at least one strand, got d = {d}"
+
+
+ABOVE = LIMITS["degree"][0] + 1
+E_ABOVE = json.dumps(list(range(1, ABOVE + 1)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagram", "--kind", "classical", "--word", "[1]", "--d", str(ABOVE)],
+        ["rpoly", "--v", E_ABOVE, "--w", json.dumps(list(range(ABOVE, 0, -1)))],
+        ["sample", "--v", E_ABOVE, "--word", "[1]"],
+        ["conditions", "--v", E_ABOVE, "--word", "[1]"],
+    ],
+    ids=["diagram", "rpoly", "sample", "conditions"],
+)
+def test_degree_above_the_limit_exits_two(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": {
+            "type": "domain",
+            "kind": "DomainError",
+            "message": f"degree {ABOVE} is above the degree limit {ABOVE - 1}",
+        }
+    }
 
 
 def test_diagram_ansatz_carries_minors(z_file, capsys):

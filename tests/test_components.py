@@ -1,5 +1,7 @@
 """Tests for component classification, conditions, and parameter recovery."""
 
+import argparse
+import json
 import random
 import sys
 from collections import Counter
@@ -29,7 +31,8 @@ from deodhar.errors import (
 )
 from deodhar.linalg import RatMatrix, flag_equal, unipotent_representative
 from deodhar.pinning import evaluate, partial, perm_matrix, reduce_flag
-from deodhar.positivity import is_totally_nonnegative
+from deodhar.cli import _descriptor_from_args
+from deodhar.positivity import is_totally_nonnegative, random_positive_sample
 from deodhar.subexpr import SubexpressionTrace, enumerate_distinguished
 from deodhar.weyl import Permutation, evaluate_word
 
@@ -143,6 +146,19 @@ def test_minor_polynomial_strings():
         minor_polynomial(tuple(range(1, 8)), tuple(range(1, 8)), 9)
     with pytest.raises(DomainError):
         minor_polynomial((1,), (2,), 10)
+
+
+def test_minor_polynomial_limits():
+    # Size 6 and degree 9 pass; one above either raises the limit's message.
+    six = tuple(range(1, 7))
+    assert minor_polynomial(six, six, 9) == "1"
+    assert minor_polynomial((1,), (9,), 9) == "a19"
+    with pytest.raises(DomainError) as exc:
+        minor_polynomial(six + (7,), six + (7,), 9)
+    assert str(exc.value) == "symbolic expansion is limited to size 6"
+    with pytest.raises(DomainError) as exc:
+        minor_polynomial((1,), (2,), 10)
+    assert str(exc.value) == "symbolic entry names need single-digit indices"
 
 
 @pytest.mark.parametrize("d", [True, 2.5, "3"])
@@ -483,15 +499,20 @@ def test_chamber_coordinates_degree_mismatch():
             chamber_coordinates(z, desc)
 
 
-def test_sweep_checks_the_word_once_and_trusts_what_it_builds(monkeypatch):
-    # classify, factorize and tnn-check read the caller's word once; the
-    # trace and descriptor the sweep builds from it skip __post_init__.
+@pytest.fixture
+def checks(monkeypatch):
+    """Counts of check_reduced_word, the trace and descriptor checks, and prefix_set."""
     calls = Counter()
     real_check = weyl.check_reduced_word
+    real_prefix_set = Permutation.prefix_set
 
     def counted_check(d, word):
         calls["check_reduced_word"] += 1
         return real_check(d, word)
+
+    def counted_prefix_set(self, i):
+        calls["prefix_set"] += 1
+        return real_prefix_set(self, i)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "deodhar" and hasattr(module, "check_reduced_word"):
@@ -503,17 +524,59 @@ def test_sweep_checks_the_word_once_and_trusts_what_it_builds(monkeypatch):
             real(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted_init)
+    monkeypatch.setattr(Permutation, "prefix_set", counted_prefix_set)
+    return calls
+
+
+def test_sweep_checks_the_word_once_and_trusts_what_it_builds(checks):
+    # classify, factorize and tnn-check read the caller's word once; the
+    # trace and descriptor the sweep builds from it skip __post_init__.
     rng = random.Random(17)
     for _ in range(10):
         desc, z = random_component_flag(rng, 6)
         # The public constructor still checks, through the patched names.
-        calls.clear()
+        checks.clear()
         assert ComponentDescriptor(desc.trace) == desc
-        assert calls == {"check_reduced_word": 1, "ComponentDescriptor": 1}
+        assert checks == {"check_reduced_word": 1, "ComponentDescriptor": 1}
         for entry in (classify, factorize, is_totally_nonnegative):
-            calls.clear()
+            checks.clear()
             entry(z, list(desc.word))
-            assert calls == {"check_reduced_word": 1}, entry.__name__
+            del checks["prefix_set"]
+            assert checks == {"check_reduced_word": 1}, entry.__name__
+
+
+def test_sweep_hands_the_descriptor_its_index_sets(checks):
+    # The sweep takes two prefix sets per step, forced steps included, and
+    # the descriptor reads its step_minors from them.
+    rng = random.Random(23)
+    for _ in range(10):
+        desc, z = random_component_flag(rng, 6)
+        expected = desc.step_minors
+        checks.clear()
+        swept = classify(z, desc.word)
+        assert checks["prefix_set"] == 2 * len(desc.word)
+        assert swept.step_minors == expected
+        component_conditions(swept)
+        assert checks["prefix_set"] == 2 * len(desc.word)
+
+
+def test_positive_component_checks_the_word_once_and_trusts_what_it_builds(checks):
+    # sample_positive and the CLI's --v build their descriptor from the
+    # positive walk: one word check, and no trace or descriptor check.
+    rng = random.Random(29)
+    for _ in range(10):
+        d = rng.choice([4, 5, 6])
+        word = random_reduced_word(rng, random_perm(rng, d))
+        v = random_distinguished(rng, d, word).endpoint
+        checks.clear()
+        desc = random_positive_sample(v, word, rng.randrange(100)).descriptor
+        assert checks == {"check_reduced_word": 1}
+        args = argparse.Namespace(
+            matrix=None, v=json.dumps(list(v.images)), word=json.dumps(list(word))
+        )
+        checks.clear()
+        assert _descriptor_from_args(args) == desc
+        assert checks == {"check_reduced_word": 1}
 
 
 def test_factorize_evaluates_each_minor_of_z_once(monkeypatch):

@@ -4,6 +4,7 @@ Each example draws a seed and builds its case with the generators in
 ``support``, so a failure shrinks to a seed that reproduces it.
 """
 
+import argparse
 import json
 import random
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deodhar.cli import _descriptor_from_args
 from deodhar.components import (
     ComponentDescriptor,
     build_element,
@@ -163,20 +165,26 @@ def test_what_the_library_builds_meets_the_public_checks(seed, d, generic):
         is_totally_nonnegative(z, word).descriptor,
         classify_graphical(z, word),
     ]
-    traces = [desc.trace for desc in descriptors]
+    traces = []
     for v in (descriptors[0].endpoint, random_perm(rng, d)):
         try:
             traces.append(positive_subexpression(v, word))
+            descriptors.append(random_positive_sample(v, word, seed).descriptor)
+            args = argparse.Namespace(
+                matrix=None, v=json.dumps(list(v.images)), word=json.dumps(list(word))
+            )
+            descriptors.append(_descriptor_from_args(args))
         except DomainError:
             pass
         if d <= 5:
             traces += enumerate_distinguished(v, word)
-    for trace in traces:
+    for trace in traces + [desc.trace for desc in descriptors]:
         rebuilt = SubexpressionTrace(trace.word, trace.values, trace.marks)
         assert rebuilt == trace and hash(rebuilt) == hash(trace)
     for desc in descriptors:
         rebuilt = ComponentDescriptor(SubexpressionTrace(desc.word, desc.trace.values, desc.trace.marks))
         assert rebuilt == desc and rebuilt.prefix_perms == desc.prefix_perms
+        assert rebuilt.step_minors == desc.step_minors
 
 
 def _flag_with_coordinates(desc, coords):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from deodhar.cli import main
+from deodhar.errors import LIMITS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -55,3 +56,9 @@ def test_readme_factorize_excerpt(readme_dir, capsys):
 def test_readme_library_example():
     (example,) = _blocks("python")
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_readme_limits_match_the_table():
+    section = README.split("### Limits\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (\d+) \|", section, flags=re.M)
+    assert rows == [(name, str(limit)) for name, (limit, _) in LIMITS.items()]

@@ -90,6 +90,30 @@ def test_four_distinguished_for_s2():
     assert positive_subexpression(v, WORD633) == positives[0]
 
 
+def test_enumeration_degree_limit():
+    assert [_marks(t) for t in enumerate_distinguished(identity_perm(6), (1,))] == ["o"]
+    with pytest.raises(DomainError) as exc:
+        enumerate_distinguished(identity_perm(7), (1,))
+    assert str(exc.value) == "distinguished enumeration is limited to degree 6"
+
+
+def test_positive_subexpression_is_one_walk(monkeypatch):
+    # One product per letter to check the word, and one per move of the
+    # backward walk: no forward rebuild and no re-check of the trace.
+    real = Permutation.times_s
+    calls = []
+    monkeypatch.setattr(
+        Permutation, "times_s", lambda self, i: calls.append(i) or real(self, i)
+    )
+    rng = random.Random(41)
+    for _ in range(20):
+        word = random_reduced_word(rng, longest_element(6))
+        v = random_perm(rng, 6)
+        calls.clear()
+        trace = positive_subexpression(v, word)
+        assert len(calls) == len(word) + len(trace.positions("+"))
+
+
 def test_recovered_trace_values():
     v = simple_reflection(4, 2)
     by_marks = {_marks(t): t for t in enumerate_distinguished(v, WORD633)}
@@ -313,9 +337,12 @@ def test_r_polynomial_of_w0_above_enumeration_limit(d):
 
 
 def test_r_polynomial_degree_limit():
+    w0 = longest_element(9)
+    assert r_polynomial(identity_perm(9), w0, a_reduced_word(w0)).degree == 36
     w0 = longest_element(10)
-    with pytest.raises(DomainError, match="limited to degree 9"):
+    with pytest.raises(DomainError) as exc:
         r_polynomial(identity_perm(10), w0, a_reduced_word(w0))
+    assert str(exc.value) == "R-polynomials are limited to degree 9"
     # Incomparable pairs are decided before the limit, so they stay zero.
     s1, s2 = simple_reflection(10, 1), simple_reflection(10, 2)
     assert r_polynomial(s1, s2, (2,)).is_zero

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from deodhar import (
+    DomainError,
     InputError,
     Permutation,
     a_reduced_word,
@@ -19,7 +21,9 @@ from deodhar import (
 )
 from deodhar.components import classify_steps
 from deodhar.diagrams import classical_arrangement, classify_graphical
+from deodhar.errors import LIMITS
 from deodhar.linalg import RatMatrix
+from deodhar.pinning import GroupWord, gen_x, group_word_from_json
 from deodhar.subexpr import (
     SubexpressionTrace,
     enumerate_distinguished,
@@ -129,6 +133,54 @@ def test_reduced_words_known_counts():
     assert reduced_words(longest_element(3)) == [(1, 2, 1), (2, 1, 2)]
     assert len(reduced_words(longest_element(4))) == 16
     assert reduced_words(identity_perm(3)) == [()]
+
+
+def test_reduced_words_degree_limit():
+    assert reduced_words(simple_reflection(6, 5)) == [(5,)]
+    with pytest.raises(DomainError) as exc:
+        reduced_words(simple_reflection(7, 6))
+    assert str(exc.value) == "reduced word enumeration is limited to degree 6"
+
+
+DEGREE_LIMIT = LIMITS["degree"][0]
+
+# Each site where a caller fixes the degree, called with a valid input of
+# degree d.
+DEGREE_SITES = {
+    "identity_perm": identity_perm,
+    "longest_element": longest_element,
+    "all_permutations": lambda d: next(all_permutations(d)),
+    "fundamental_weight": lambda d: fundamental_weight(d, 1),
+    "RatMatrix.identity": RatMatrix.identity,
+    "classical_arrangement": lambda d: classical_arrangement([1], d),
+    "GroupWord": lambda d: GroupWord(d, ()),
+    "group_word_from_json": lambda d: group_word_from_json(d, [{"s": [1]}]),
+    "gen_x": lambda d: gen_x(d, 1, 2),
+    "Permutation": lambda d: Permutation(tuple(range(d, 0, -1))),
+    "RatMatrix": lambda d: RatMatrix(((Fraction(1),) * d,) * d),
+}
+
+
+@pytest.mark.parametrize("site", DEGREE_SITES)
+def test_degree_limit_at_every_site(site):
+    DEGREE_SITES[site](DEGREE_LIMIT)
+    with pytest.raises(DomainError) as exc:
+        DEGREE_SITES[site](DEGREE_LIMIT + 1)
+    assert str(exc.value) == (
+        f"degree {DEGREE_LIMIT + 1} is above the degree limit {DEGREE_LIMIT}"
+    )
+
+
+def test_degree_limit_comes_before_any_work_of_size_d():
+    # A huge degree is refused before a tuple of that size is built, and a
+    # caller's permutation or matrix before any entry is read.
+    for build in (identity_perm, longest_element):
+        with pytest.raises(DomainError, match="degree 1000000000000 is above"):
+            build(10**12)
+    with pytest.raises(DomainError, match="is above the degree limit"):
+        Permutation((0.5,) * (DEGREE_LIMIT + 1))
+    with pytest.raises(DomainError, match="is above the degree limit"):
+        RatMatrix(((),) * (DEGREE_LIMIT + 1))
 
 
 def test_reduced_words_are_reduced_and_evaluate():
