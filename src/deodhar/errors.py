@@ -30,12 +30,12 @@ class InternalCheckError(DeodharError, RuntimeError):
 
 
 # Every size limit: name -> (largest value allowed, message above it).  The
-# degree row is set from ``factorize`` on w0, 13 s at d = 64 (README, Limits).
+# degree and R-polynomial rows are set from timings of w0 (README, Limits).
 LIMITS = {
     "degree": (64, "degree {value} is above the degree limit {limit}"),
     "reduced words": (6, "reduced word enumeration is limited to degree {limit}"),
     "distinguished": (6, "distinguished enumeration is limited to degree {limit}"),
-    "R-polynomial": (9, "R-polynomials are limited to degree {limit}"),
+    "R-polynomial": (11, "R-polynomials are limited to degree {limit}"),
     "expansion size": (6, "symbolic expansion is limited to size {limit}"),
     "expansion degree": (9, "symbolic entry names need single-digit indices"),
 }

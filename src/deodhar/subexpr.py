@@ -27,16 +27,17 @@ that never descends: it checks nothing and reaches e exactly when v <= w_(n).
 
 ``_pass_back`` applies the rule to (step, value) states, from {v} at step n
 down to {e} at step 0.  A value is held as its image tuple, so a step by s_i
-swaps two entries and a descent test compares them.  The pass tallies the
-traces through each state by a key, the sum of a weight per step over the
-steps that stay, and merges traces that meet in a state with equal keys.
-``enumerate_distinguished`` weighs step k by 2^(k-1), so a key is the set of
-steps that stay; that set fixes the trace, so no two merge.  ``r_polynomial``
-weighs every step by 1, so a key is a stay count.  Each distinguished trace
-ending at v contributes (q - 1)^{#stays} * q^{#descents} to R.  Going back, an
-ascent shortens the value by one, a descent lengthens it by one and a stay
-keeps it, so a trace with s stays of a word of length n has (n - s - l(v)) / 2
-descents, and the stay counts at e give R.
+swaps two entries and a descent test compares them.  A state's tally is one
+int: a trace adds 1 shifted left by the shifts of the steps that stay, and
+traces that meet in a state add up.  ``enumerate_distinguished`` shifts step
+k by 2^(k-1), so bit S is set exactly when S is the stay set of a trace; a
+stay set fixes its trace, so no two land on one bit.  ``r_polynomial`` shifts
+each stay by b = n + 1 bits, so the field at bit s*b counts the traces with s
+stays; there are at most 2^n traces, so no field overflows.  Each
+distinguished trace ending at v contributes (q - 1)^{#stays} * q^{#descents}
+to R.  Going back, an ascent shortens the value by one, a descent lengthens
+it by one and a stay keeps it, so a trace with s stays of a word of length n
+has (n - s - l(v)) / 2 descents, and the fields of the tally at e give R.
 """
 
 from __future__ import annotations
@@ -143,42 +144,33 @@ def _trace_from_moves(word: Word, d: int, moves: Sequence[bool]) -> Subexpressio
     return _built(SubexpressionTrace, word=word, values=tuple(values), marks=tuple(marks))
 
 
-def _merge(
-    level: dict[Images, dict[int, int]], y: Images, tally: dict[int, int], shift: int
-) -> None:
-    """Add the trace counts of tally, with keys raised by shift, to level[y]."""
-    into = level.setdefault(y, {})
-    for key, count in tally.items():
-        into[key + shift] = into.get(key + shift, 0) + count
-
-
 def _prefix_below(x: Images, i: int, bound: list[int]) -> bool:
     """Whether the sorted first i images of x are entrywise at most bound."""
     return all(map(le, sorted(x[:i]), bound))
 
 
 def _pass_back(
-    v: Permutation, word: Word, w: tuple[Permutation, ...], weights: Sequence[int]
-) -> dict[int, int]:
-    """Count the distinguished traces ending at v by the weights of their stays.
+    v: Permutation, word: Word, w: tuple[Permutation, ...], shifts: Sequence[int]
+) -> int:
+    """Tally the distinguished traces ending at v in one int.
 
-    w holds the word's prefix products and v <= w_(n); a key is the sum of
-    weights[k-1] over the steps k that stay.
+    w holds the word's prefix products and v <= w_(n); a trace adds
+    1 << (the sum of shifts[k-1] over the steps k that stay).
     """
-    # level[y] counts the traces from v_(k) = y to v_(n) = v by their keys;
-    # bound is the sorted i-prefix of w_(k-1) while level k is read.
-    level: dict[Images, dict[int, int]] = {v.images: {0: 1}}
-    for i, top, weight in zip(reversed(word), reversed(w[:-1]), reversed(weights)):
+    # level[y] tallies the traces from v_(k) = y to v_(n) = v; bound is the
+    # sorted i-prefix of w_(k-1) while level k is read.
+    level: dict[Images, int] = {v.images: 1}
+    for i, top, shift in zip(reversed(word), reversed(w[:-1]), reversed(shifts)):
         bound = sorted(top.images[:i])
-        below: dict[Images, dict[int, int]] = {}
+        below: dict[Images, int] = {}
         for y, tally in level.items():
             x = y[: i - 1] + (y[i], y[i - 1]) + y[i + 1 :]
             if y[i - 1] > y[i]:
-                _merge(below, x, tally, 0)
+                below[x] = below.get(x, 0) + tally
             else:
-                _merge(below, y, tally, weight)
+                below[y] = below.get(y, 0) + (tally << shift)
                 if _prefix_below(x, i, bound):
-                    _merge(below, x, tally, 0)
+                    below[x] = below.get(x, 0) + tally
         level = below
     if list(level) != [w[0].images]:
         raise InternalCheckError("backward pass did not end at the identity")
@@ -236,12 +228,14 @@ def enumerate_distinguished(
     word, w = check_reduced_word(v.d, word)
     if not bruhat_leq(v, w[-1]):
         return []
-    # Step k weighs 2^(k-1), so a key is the set of steps that stay.
-    stays = _pass_back(v, word, w, [1 << k for k in range(len(word))])
-    traces = (
-        _trace_from_moves(word, v.d, [not s >> k & 1 for k in range(len(word))])
-        for s in stays
-    )
+    # Step k shifts by 2^(k-1), so bit S is set exactly when S is a stay set.
+    tally = _pass_back(v, word, w, [1 << k for k in range(len(word))])
+    traces = []
+    while tally:
+        s = (tally & -tally).bit_length() - 1
+        tally &= tally - 1
+        moves = [not s >> k & 1 for k in range(len(word))]
+        traces.append(_trace_from_moves(word, v.d, moves))
     return sorted(traces, key=lambda t: "".join(t.marks))
 
 
@@ -252,8 +246,10 @@ class RPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
+        coeffs = tuple(_int_from_json(c, "R-polynomial coefficient") for c in self.coeffs)
+        if coeffs and coeffs[-1] == 0:
             raise InputError("coefficient tuple has trailing zeros")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[int]) -> "RPolynomial":
@@ -354,18 +350,21 @@ def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolyno
     if not bruhat_leq(v, w):
         return RPolynomial.zero()
     check_limit("R-polynomial", v.d)
-    tally = _pass_back(v, word, prefixes, [1] * len(word))
+    # The field at bit s*b counts the traces with s stays (module docstring).
+    b = len(word) + 1
+    tally = _pass_back(v, word, prefixes, [b] * len(word))
     # (q-1)^s q^{(L-s)/2} by the binomial theorem, with L = l(w) - l(v); then
     # the Kazhdan-Lusztig identity q^L R(1/q) = (-1)^L R(q) as a cross-check.
     length = len(word) - v.length()
     coeffs = [0] * (length + 1)
-    for stays, count in tally.items():
+    for stays in range(length + 1):
+        tally, count = divmod(tally, 1 << b)
         descents = (length - stays) // 2
         for j in range(stays + 1):
             coeffs[descents + j] += count * comb(stays, j) * (-1) ** (stays - j)
     if coeffs[-1] != 1 or coeffs[::-1] != [(-1) ** length * c for c in coeffs]:
         raise InternalCheckError("R-polynomial fails its monic or q^L R(1/q) check")
-    return RPolynomial(tuple(coeffs))
+    return _built(RPolynomial, coeffs=tuple(coeffs))
 
 
 def trace_to_json(trace: SubexpressionTrace) -> dict:

@@ -80,13 +80,17 @@ def test_rpoly_above_enumeration_limit(capsys):
 
 
 def test_rpoly_degree_limit_exits_two(capsys):
-    v, w = json.dumps(list(range(1, 11))), json.dumps(list(range(10, 0, -1)))
+    v, w = json.dumps(list(range(1, 12))), json.dumps(list(range(11, 0, -1)))
+    code, out = run(capsys, ["rpoly", "--v", v, "--w", w])
+    assert code == 0
+    assert json.loads(out).startswith("q^55 - ")
+    v, w = json.dumps(list(range(1, 13))), json.dumps(list(range(12, 0, -1)))
     code, out = run(capsys, ["rpoly", "--v", v, "--w", w])
     assert code == 2
     err = json.loads(out)["error"]
     assert err["type"] == "domain"
     assert err["kind"] == "DomainError"
-    assert err["message"] == "R-polynomials are limited to degree 9"
+    assert err["message"] == "R-polynomials are limited to degree 11"
 
 
 def test_rpoly_degree_mismatch(capsys):

@@ -237,6 +237,29 @@ def test_rpolynomial_arithmetic():
     assert RPolynomial.from_coeffs([0, 1]).pretty() == "q"
 
 
+@pytest.mark.parametrize(
+    ("build", "arg", "want"),
+    [
+        (RPolynomial, (1.5,), "got 1.5"),
+        (RPolynomial, (True,), "got True"),
+        (RPolynomial, ("1",), "got '1'"),
+        (RPolynomial.from_coeffs, [0.0, 1.0], "got 0.0"),
+        (RPolynomial, [1, 2], (1, 2)),
+    ],
+    ids=["float", "bool", "string", "from_coeffs float", "list"],
+)
+def test_rpolynomial_takes_only_integer_coefficients(build, arg, want):
+    # Each coefficient is read as an integer and the tuple is stored, so a
+    # list of ints gives a hashable polynomial.
+    if isinstance(want, tuple):
+        p = build(arg)
+        assert p.coeffs == want and p in {RPolynomial(want)}
+        return
+    with pytest.raises(InputError) as exc:
+        build(arg)
+    assert str(exc.value) == f"R-polynomial coefficient must be an integer, {want}"
+
+
 def _power(p: RPolynomial, n: int) -> RPolynomial:
     out = RPolynomial.one()
     for _ in range(n):
@@ -293,11 +316,18 @@ def test_r_polynomial_word_independent_spot():
 
 
 def test_r_polynomial_matches_oracle_on_every_pair_at_degree_five():
-    perms = list(all_permutations(5))
-    for w in perms:
-        word = a_reduced_word(w)
-        for v in perms:
-            assert r_polynomial(v, w, word).coeffs == tuple(kl_r_polynomial(v, w)), (v, w)
+    # Every pair at d = 3, 4 and 5; and Deodhar's count for every w: the
+    # components of the cell of w partition it, so sum_v R_{v,w} = q^{l(w)}.
+    for d in (3, 4, 5):
+        perms = list(all_permutations(d))
+        for w in perms:
+            word = a_reduced_word(w)
+            total = RPolynomial.zero()
+            for v in perms:
+                r = r_polynomial(v, w, word)
+                assert r.coeffs == tuple(kl_r_polynomial(v, w)), (v, w)
+                total = total + r
+            assert total.coeffs == (0,) * w.length() + (1,), w
 
 
 def test_r_polynomials_of_w0_sum_to_its_cell():
@@ -327,24 +357,28 @@ def test_r_polynomial_matches_enumerated_traces_at_degree_six():
         assert r_polynomial(v, w, word) == expected, (v, w, word)
 
 
-@pytest.mark.parametrize("d", [7, 8])
+@pytest.mark.parametrize("d", [7, 8, 11])
 def test_r_polynomial_of_w0_above_enumeration_limit(d):
+    # A reduced word reversed is one for w0^{-1} = w0, and R does not depend
+    # on the word; d = 11 is the R-polynomial limit.
     w0 = longest_element(d)
-    r = r_polynomial(identity_perm(d), w0, a_reduced_word(w0))
+    word = a_reduced_word(w0)
+    r = r_polynomial(identity_perm(d), w0, word)
+    assert r_polynomial(identity_perm(d), w0, tuple(reversed(word))) == r
     assert r.degree == w0.length()
     assert r.is_monic()
     assert r(1) == 0
 
 
 def test_r_polynomial_degree_limit():
-    w0 = longest_element(9)
-    assert r_polynomial(identity_perm(9), w0, a_reduced_word(w0)).degree == 36
-    w0 = longest_element(10)
+    w0 = longest_element(11)
+    assert r_polynomial(identity_perm(11), w0, a_reduced_word(w0)).degree == 55
+    w0 = longest_element(12)
     with pytest.raises(DomainError) as exc:
-        r_polynomial(identity_perm(10), w0, a_reduced_word(w0))
-    assert str(exc.value) == "R-polynomials are limited to degree 9"
+        r_polynomial(identity_perm(12), w0, a_reduced_word(w0))
+    assert str(exc.value) == "R-polynomials are limited to degree 11"
     # Incomparable pairs are decided before the limit, so they stay zero.
-    s1, s2 = simple_reflection(10, 1), simple_reflection(10, 2)
+    s1, s2 = simple_reflection(12, 1), simple_reflection(12, 2)
     assert r_polynomial(s1, s2, (2,)).is_zero
 
 
