@@ -64,7 +64,6 @@ from .weyl import (
     _built,
     _int_from_json,
     check_reduced_word,
-    simple_reflection,
 )
 
 __all__ = [
@@ -309,14 +308,32 @@ def minor_polynomial(rows: Sequence[int], cols: Sequence[int], d: int) -> str:
     return "".join(parts)
 
 
-def _by_step(params: Mapping[int, object], what: str) -> dict[int, Fraction]:
-    """Parameters keyed by integer steps, each value read as a JSON rational."""
+def _by_step(params: Mapping, what: str, steps: Sequence[int]) -> dict[int, Fraction]:
+    """Parameters keyed by exactly the given steps, each value read as a JSON rational."""
     if not isinstance(params, Mapping):
         raise InputError(f"{what}s must be a mapping keyed by step")
-    return {
-        _int_from_json(k, f"{what} key"): rational_from_json(x)
-        for k, x in params.items()
-    }
+    out = {_int_from_json(k, f"{what} key"): rational_from_json(x) for k, x in params.items()}
+    if set(out) != set(steps):
+        raise InputError(f"{what}s must be keyed by {sorted(steps)}")
+    return out
+
+
+_MARK_FACTOR = {MARK_STAY: FACTOR_Y, MARK_UP: FACTOR_S, MARK_DOWN: FACTOR_XSINV}
+
+
+def _group_word(desc: ComponentDescriptor, param: Callable, then=None) -> GroupWord:
+    """The component's word: step k gives ``_MARK_FACTOR[mark]`` with ``param(k)``.
+
+    The word is checked and the caller read each parameter, so no factor or
+    word runs ``__post_init__``.  ``then(k, factor)``, if given, sees each
+    factor before the next parameter is asked for.
+    """
+    factors = []
+    for k, (i, mark) in enumerate(zip(desc.word, desc.trace.marks), start=1):
+        factors.append(_built(GroupFactor, kind=_MARK_FACTOR[mark], index=i, param=param(k)))
+        if then is not None:
+            then(k, factors[-1])
+    return _built(GroupWord, d=desc.d, factors=tuple(factors))
 
 
 def build_element(
@@ -330,28 +347,12 @@ def build_element(
     ``m_params`` by the descent positions; ascent steps take no parameter.
     Keys are ints; values are ints, Fractions or "p/q" strings.
     """
-    t_params = _by_step(t_params, "t parameter")
-    m_params = _by_step(m_params, "m parameter")
-    tr = desc.trace
-    stays = set(desc.stay_positions)
-    downs = set(desc.descent_positions)
-    if set(t_params) != stays:
-        raise InputError(f"t parameters must be keyed by {sorted(stays)}")
-    if set(m_params) != downs:
-        raise InputError(f"m parameters must be keyed by {sorted(downs)}")
-    factors: list[GroupFactor] = []
-    for k, i in enumerate(tr.word, start=1):
-        mark = tr.marks[k - 1]
-        if mark == MARK_STAY:
-            t = t_params[k]
-            if t == 0:
-                raise DomainError(f"t parameter at step {k} must be nonzero")
-            factors.append(GroupFactor(FACTOR_Y, i, t))
-        elif mark == MARK_UP:
-            factors.append(GroupFactor(FACTOR_S, i))
-        else:
-            factors.append(GroupFactor(FACTOR_XSINV, i, m_params[k]))
-    return GroupWord(desc.d, tuple(factors))
+    t_params = _by_step(t_params, "t parameter", desc.stay_positions)
+    m_params = _by_step(m_params, "m parameter", desc.descent_positions)
+    for k in desc.stay_positions:
+        if t_params[k] == 0:
+            raise DomainError(f"t parameter at step {k} must be nonzero")
+    return _group_word(desc, {**t_params, **m_params}.get)
 
 
 def _stay_minor_product(
@@ -410,7 +411,7 @@ def chamber_m(
         raise NotInComponentError("standard chamber minor vanishes")
     num = gmin(z, tr.values[k - 1], w[k], i) * prev_std
     den = _stay_minor_product(z, tr.values[k], w[k], i)
-    correction = gmin(g_prefix, tr.values[k - 1], simple_reflection(z.d, i), i)
+    correction = gmin(g_prefix, tr.values[k - 1], w[0].times_s(i), i)
     return num / den - correction
 
 
@@ -449,32 +450,29 @@ def _solve(
     in the integer columns of ``pinning._Columns``.
     """
     tr = desc.trace
-    d = desc.d
-    row = [Fraction(1)] * (d + 1)
-    g = _Columns(d)
+    row = [Fraction(1)] * (desc.d + 1)
+    g = _Columns(desc.d)
     t_params: dict[int, Fraction] = {}
     m_params: dict[int, Fraction] = {}
     corrections: dict[int, Fraction] = {}
-    factors: list[GroupFactor] = []
-    for k, i in enumerate(tr.word, start=1):
-        mark = tr.marks[k - 1]
+
+    def param(k: int) -> Fraction | None:
+        i, mark = tr.word[k - 1], tr.marks[k - 1]
         if mark == MARK_STAY:
-            t = row[i - 1] * row[i + 1] / (row[i] * coords[k])
-            t_params[k] = t
-            factors.append(GroupFactor(FACTOR_Y, i, t))
-        elif mark == MARK_UP:
-            factors.append(GroupFactor(FACTOR_S, i))
-        else:
-            correction = g.minor(
-                tr.values[k - 1].prefix_set(i), simple_reflection(d, i).prefix_set(i)
-            )
-            m = row[i] * coords[k] / (row[i - 1] * row[i + 1]) - correction
-            m_params[k] = m
-            corrections[k] = correction
-            factors.append(GroupFactor(FACTOR_XSINV, i, m))
-        g.apply(factors[-1])
-        row[i] = coords[k] if mark == MARK_STAY else chamber(k, i, g)
-    gw = GroupWord(d, tuple(factors))
+            t_params[k] = row[i - 1] * row[i + 1] / (row[i] * coords[k])
+            return t_params[k]
+        if mark == MARK_DOWN:
+            cols = desc.prefix_perms[0].times_s(i).prefix_set(i)
+            corrections[k] = g.minor(tr.values[k - 1].prefix_set(i), cols)
+            m_params[k] = row[i] * coords[k] / (row[i - 1] * row[i + 1]) - corrections[k]
+            return m_params[k]
+        return None
+
+    def then(k: int, f: GroupFactor) -> None:
+        g.apply(f)
+        row[f.index] = coords[k] if f.kind == FACTOR_Y else chamber(k, f.index, g)
+
+    gw = _group_word(desc, param, then)
     return FactorizationResult(desc, t_params, m_params, corrections, gw), g
 
 
@@ -543,10 +541,7 @@ def element_from_coordinates(
     chamber minor of the element being built.  Keys are ints; values are
     ints, Fractions or "p/q" strings.
     """
-    coords = _by_step(coords, "coordinate")
-    expected = set(desc.stay_positions) | set(desc.descent_positions)
-    if set(coords) != expected:
-        raise InputError(f"coordinates must be keyed by {sorted(expected)}")
+    coords = _by_step(coords, "coordinate", desc.stay_positions + desc.descent_positions)
     for k in desc.stay_positions:
         if coords[k] == 0:
             raise DomainError(f"stay coordinate at step {k} must be nonzero")

@@ -42,7 +42,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .linalg import RatMatrix, _bareiss_det, rational_from_json, rational_to_json
-from .weyl import Permutation, _degree, _int_from_json, _int_in_range, evaluate_word
+from .weyl import Permutation, _built, _degree, _int_from_json, _int_in_range, evaluate_word
 
 __all__ = [
     "FACTOR_Y",
@@ -269,9 +269,9 @@ def evaluate(gw: GroupWord) -> RatMatrix:
 
 
 def partial(gw: GroupWord, k: int) -> RatMatrix:
-    """The product of the first k factors."""
+    """The product of the first k factors, a slice of a checked word."""
     k = _int_in_range(k, 0, len(gw.factors), "partial index")
-    return evaluate(GroupWord(gw.d, gw.factors[:k]))
+    return evaluate(_built(GroupWord, d=gw.d, factors=gw.factors[:k]))
 
 
 def perm_matrix(w: Permutation) -> RatMatrix:

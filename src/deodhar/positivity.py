@@ -24,9 +24,9 @@ from typing import Mapping, Sequence
 from .components import (
     ComponentDescriptor,
     _by_step,
+    _group_word,
     _positive_component,
     _sweep,
-    build_element,
     component_conditions,
 )
 from .errors import DomainError, InputError
@@ -74,25 +74,20 @@ def sample_positive(
     desc = _positive_component(v, word)
     stays = desc.stay_positions
     if isinstance(t_params, Mapping):
-        params = _by_step(t_params, "t parameter")
+        params = _by_step(t_params, "t parameter", stays)
     elif isinstance(t_params, (list, tuple)):
         values = [rational_from_json(x) for x in t_params]
         if len(values) != len(stays):
-            raise InputError(
-                f"expected {len(stays)} parameters, got {len(values)}"
-            )
+            raise InputError(f"expected {len(stays)} parameters, got {len(values)}")
         params = dict(zip(stays, values))
     else:
         raise InputError(
             f"t parameters must be a list, a tuple or a mapping, got {t_params!r}"
         )
-    if set(params) != set(stays):
-        raise InputError(f"t parameters must be keyed by {list(stays)}")
     for k, t in params.items():
         if t <= 0:
             raise DomainError(f"parameter at step {k} must be positive")
-    gw = build_element(desc, params, {})
-    return PositiveSample(desc, params, gw)
+    return PositiveSample(desc, params, _group_word(desc, params.get))
 
 
 def random_positive_sample(

@@ -43,6 +43,7 @@ has (n - s - l(v)) / 2 descents, and the fields of the tally at e give R.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import comb
 from operator import le
 from typing import Iterable, Sequence
@@ -246,6 +247,10 @@ class RPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.coeffs, (list, tuple)):
+            raise InputError(
+                f"R-polynomial coefficients must be a list or a tuple, got {self.coeffs!r}"
+            )
         coeffs = tuple(_int_from_json(c, "R-polynomial coefficient") for c in self.coeffs)
         if coeffs and coeffs[-1] == 0:
             raise InputError("coefficient tuple has trailing zeros")
@@ -253,18 +258,16 @@ class RPolynomial:
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[int]) -> "RPolynomial":
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return RPolynomial(tuple(cs))
+        """A caller's coefficients, each read once, with trailing zeros dropped."""
+        return _trimmed([_int_from_json(c, "R-polynomial coefficient") for c in coeffs])
 
     @staticmethod
     def zero() -> "RPolynomial":
-        return RPolynomial(())
+        return _built(RPolynomial, coeffs=())
 
     @staticmethod
     def one() -> "RPolynomial":
-        return RPolynomial((1,))
+        return _built(RPolynomial, coeffs=(1,))
 
     @property
     def is_zero(self) -> bool:
@@ -279,12 +282,7 @@ class RPolynomial:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __add__(self, other: "RPolynomial") -> "RPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RPolynomial.from_coeffs(
-            (self.coeffs[k] if k < len(self.coeffs) else 0)
-            + (other.coeffs[k] if k < len(other.coeffs) else 0)
-            for k in range(n)
-        )
+        return _trimmed([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __mul__(self, other: "RPolynomial") -> "RPolynomial":
         if self.is_zero or other.is_zero:
@@ -293,7 +291,7 @@ class RPolynomial:
         for a, ca in enumerate(self.coeffs):
             for b, cb in enumerate(other.coeffs):
                 out[a + b] += ca * cb
-        return RPolynomial.from_coeffs(out)
+        return _trimmed(out)
 
     def __call__(self, q) -> object:
         out = 0
@@ -329,6 +327,13 @@ class RPolynomial:
 
     def __str__(self) -> str:
         return self.pretty()
+
+
+def _trimmed(coeffs: list[int]) -> RPolynomial:
+    """An R-polynomial from integers already read, with trailing zeros dropped."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return _built(RPolynomial, coeffs=tuple(coeffs))
 
 
 def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolynomial:

@@ -15,9 +15,11 @@ coroot takes ``lam[i] - lam[i+1]``.
 A caller-supplied integer is read by ``_int_from_json``, a degree by
 ``_degree`` against the degree limit, and an index by ``_int_in_range``, the
 only range check.  A permutation's images and degree are checked when it is
-built from outside; products of valid ones skip the check.  Every value
-type keeps this rule: ``__post_init__`` checks each value a caller builds,
-and ``_product`` and ``_built`` skip it for values the library builds.
+built from outside; products of valid ones skip the check.  ``Permutation``,
+``SubexpressionTrace``, ``ComponentDescriptor``, ``GroupFactor``, ``GroupWord``
+and ``RPolynomial`` keep this rule: ``__post_init__`` checks each value a
+caller builds, and ``_product`` and ``_built`` skip it for values the library
+builds.  ``RatMatrix`` keeps its shape check, which reads no entry.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from deodhar import weyl
+from deodhar import linalg, weyl
 from deodhar.components import (
     ComponentDescriptor,
     build_element,
@@ -30,9 +30,9 @@ from deodhar.errors import (
     NotInComponentError,
 )
 from deodhar.linalg import RatMatrix, flag_equal, unipotent_representative
-from deodhar.pinning import evaluate, partial, perm_matrix, reduce_flag
+from deodhar.pinning import GroupFactor, GroupWord, evaluate, partial, perm_matrix, reduce_flag
 from deodhar.cli import _descriptor_from_args
-from deodhar.positivity import is_totally_nonnegative, random_positive_sample
+from deodhar.positivity import is_totally_nonnegative, random_positive_sample, sample_positive
 from deodhar.subexpr import SubexpressionTrace, enumerate_distinguished
 from deodhar.weyl import Permutation, evaluate_word
 
@@ -42,6 +42,7 @@ from support import (
     random_distinguished,
     random_nonzero,
     random_perm,
+    random_positive,
     random_rational,
     random_reduced_word,
     random_unipotent,
@@ -384,6 +385,12 @@ def test_wrong_component_parameters_raise():
     desc = classify(s102_matrix(), S102_WORD)
     with pytest.raises(NotInComponentError):
         chamber_t(RatMatrix.identity(4), desc, 2)
+    with pytest.raises(NotInComponentError, match="^standard chamber minor vanishes$"):
+        chamber_coordinates(RatMatrix.identity(4), desc)
+    with pytest.raises(
+        NotInComponentError, match="^standard chamber minor with weight index 2 vanishes$"
+    ):
+        chamber_t(RatMatrix.identity(4), desc, 3)
 
 
 def test_conditions_characterize_component():
@@ -577,6 +584,54 @@ def test_positive_component_checks_the_word_once_and_trusts_what_it_builds(check
         checks.clear()
         assert _descriptor_from_args(args) == desc
         assert checks == {"check_reduced_word": 1}
+
+
+def test_entry_points_read_each_parameter_once_and_trust_the_words_they_build(monkeypatch):
+    # build_element, sample_positive and element_from_coordinates read each
+    # caller parameter once, and an entry point that checks a word checks one
+    # permutation, the identity its prefix products start from.  None of
+    # them, partial included, runs the factor or word check on what it builds.
+    calls = Counter()
+    for cls in (GroupFactor, GroupWord, Permutation):
+
+        def counted_init(self, real=cls.__post_init__, name=cls.__name__):
+            calls[name] += 1
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted_init)
+    real_read = linalg.rational_from_json
+
+    def counted_read(x):
+        calls["rational_from_json"] += 1
+        return real_read(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "deodhar" and hasattr(module, "rational_from_json"):
+            monkeypatch.setattr(module, "rational_from_json", counted_read)
+    rng = random.Random(41)
+    descents = 0
+    for _ in range(20):
+        desc, z = random_component_flag(rng, rng.choice([4, 5, 6]))
+        v, word = desc.endpoint, desc.word
+        descents += len(desc.descent_positions)
+        t_params = {k: random_nonzero(rng) for k in desc.stay_positions}
+        m_params = {k: random_rational(rng) for k in desc.descent_positions}
+        positive = [random_positive(rng) for _ in range(len(word) - v.length())]
+        coords = chamber_coordinates(z, desc)
+        gw = build_element(desc, t_params, m_params)
+        entries = [
+            (lambda: build_element(desc, t_params, m_params), len(t_params) + len(m_params), 0),
+            (lambda: sample_positive(v, word, positive), len(positive), 1),
+            (lambda: random_positive_sample(v, word, 7), len(positive), 1),
+            (lambda: element_from_coordinates(desc, coords), len(coords), 0),
+            (lambda: factorize(z, word), 0, 1),
+            (lambda: partial(gw, rng.randint(0, len(word))), 0, 0),
+        ]
+        for entry, reads, perms in entries:
+            calls.clear()
+            entry()
+            assert calls == Counter(rational_from_json=reads, Permutation=perms)
+    assert descents > 0
 
 
 def test_factorize_evaluates_each_minor_of_z_once(monkeypatch):

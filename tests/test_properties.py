@@ -25,14 +25,17 @@ from deodhar.diagrams import classify_graphical
 from deodhar.errors import DomainError
 from deodhar.linalg import RatMatrix, rational_from_json, unipotent_representative
 from deodhar.pinning import (
+    GroupFactor,
+    GroupWord,
     _Columns,
     evaluate,
     factor_matrix,
     group_word_from_json,
     group_word_to_json,
+    partial,
     perm_matrix,
 )
-from deodhar.positivity import is_totally_nonnegative, random_positive_sample
+from deodhar.positivity import is_totally_nonnegative, random_positive_sample, sample_positive
 from deodhar.subexpr import (
     MARK_DOWN,
     SubexpressionTrace,
@@ -49,6 +52,7 @@ from support import (
     random_distinguished,
     random_nonzero,
     random_perm,
+    random_positive,
     random_rational,
     random_reduced_word,
     random_unipotent,
@@ -185,6 +189,37 @@ def test_what_the_library_builds_meets_the_public_checks(seed, d, generic):
         rebuilt = ComponentDescriptor(SubexpressionTrace(desc.word, desc.trace.values, desc.trace.marks))
         assert rebuilt == desc and rebuilt.prefix_perms == desc.prefix_perms
         assert rebuilt.step_minors == desc.step_minors
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(2, 6))
+def test_group_words_the_library_builds_meet_the_public_checks(seed, d):
+    # Factors and words the library builds skip __post_init__; each word
+    # must equal its rebuild through the checking constructors, and a
+    # partial product must equal that of the checked prefix.
+    rng = random.Random(seed)
+    desc, z = random_component_flag(rng, d)
+    v, word = desc.endpoint, desc.word
+    gw = build_element(
+        desc,
+        {k: random_nonzero(rng) for k in desc.stay_positions},
+        {k: random_rational(rng) for k in desc.descent_positions},
+    )
+    t_params = [random_positive(rng) for _ in range(len(word) - v.length())]
+    words = [
+        gw,
+        sample_positive(v, word, t_params).group_word,
+        random_positive_sample(v, word, seed).group_word,
+        element_from_coordinates(desc, chamber_coordinates(z, desc)).group_word,
+        factorize(z, word).group_word,
+    ]
+    for built in words:
+        rebuilt = GroupWord(
+            built.d, tuple(GroupFactor(f.kind, f.index, f.param) for f in built.factors)
+        )
+        assert rebuilt == built and hash(rebuilt) == hash(built)
+    k = rng.randint(0, len(word))
+    assert partial(gw, k) == evaluate(GroupWord(gw.d, gw.factors[:k]))
 
 
 def _flag_with_coordinates(desc, coords):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -244,9 +245,10 @@ def test_rpolynomial_arithmetic():
         (RPolynomial, (True,), "got True"),
         (RPolynomial, ("1",), "got '1'"),
         (RPolynomial.from_coeffs, [0.0, 1.0], "got 0.0"),
+        (RPolynomial.from_coeffs, [1, 0.0], "got 0.0"),
         (RPolynomial, [1, 2], (1, 2)),
     ],
-    ids=["float", "bool", "string", "from_coeffs float", "list"],
+    ids=["float", "bool", "string", "from_coeffs float", "from_coeffs trailing float", "list"],
 )
 def test_rpolynomial_takes_only_integer_coefficients(build, arg, want):
     # Each coefficient is read as an integer and the tuple is stored, so a
@@ -258,6 +260,48 @@ def test_rpolynomial_takes_only_integer_coefficients(build, arg, want):
     with pytest.raises(InputError) as exc:
         build(arg)
     assert str(exc.value) == f"R-polynomial coefficient must be an integer, {want}"
+
+
+@pytest.mark.parametrize("coeffs", [{1: 2}, 5, None], ids=["dict", "int", "None"])
+def test_rpolynomial_refuses_a_non_sequence(coeffs):
+    # A dict would give the polynomial of its keys, and an int or None would
+    # escape as a bare TypeError.
+    with pytest.raises(InputError) as exc:
+        RPolynomial(coeffs)
+    assert str(exc.value) == (
+        f"R-polynomial coefficients must be a list or a tuple, got {coeffs!r}"
+    )
+
+
+def test_rpolynomial_arithmetic_reads_no_coefficient_again(monkeypatch):
+    # Sums and products of polynomials the library built are built from
+    # integers already read.  Deodhar's count sum_v R_{v,w0} = q^l(w0)
+    # checks the sums, values at q = 0..deg the products.
+    w0 = longest_element(4)
+    polys = [r_polynomial(v, w0, a_reduced_word(w0)) for v in all_permutations(4)]
+    minus_one = RPolynomial((-1,))
+    reads = []
+    real = subexpr._int_from_json
+
+    def counted(x, what):
+        reads.append(x)
+        return real(x, what)
+
+    monkeypatch.setattr(subexpr, "_int_from_json", counted)
+    total = RPolynomial.zero()
+    for p in polys:
+        total = total + p
+    product = RPolynomial.one()
+    for p in polys:
+        product = product * p
+    cancelled = polys[5] + polys[5] * minus_one
+    monkeypatch.undo()
+    assert reads == []
+    assert total == RPolynomial((0, 0, 0, 0, 0, 0, 1))
+    assert product.degree == sum(p.degree for p in polys)
+    for q in range(product.degree + 1):
+        assert product(q) == math.prod(p(q) for p in polys)
+    assert cancelled == RPolynomial.zero() and cancelled.coeffs == ()
 
 
 def _power(p: RPolynomial, n: int) -> RPolynomial:
