@@ -5,7 +5,12 @@ in the Bruhat cell of w.  Sweeping the word letter by letter classifies the
 flag into the component of a unique distinguished trace: at a free step the
 minor of z on rows v_(k-1){1..i_k} and columns w_(k){1..i_k} decides whether
 the trace keeps its value (nonzero minor) or moves up (zero minor), while a
-forced descent consumes a letter without probing.
+forced descent consumes a letter without probing.  The sweep reads that
+minor off a running fraction-free elimination table of the matrix
+M = v̄_(k-1)⁻¹ z w̄_(k-1) (``linalg._ChamberTable``), whose leading
+principal minors are the standard chamber minors; each letter moves one
+pair of adjacent rows or columns of M and rewrites O(d) entries, so no
+minor of z is evaluated on its own.
 
 Each component is cut out by explicit minor equations: the probe minors
 vanish at the ascent steps and the standard chamber minors are nonzero at
@@ -36,7 +41,13 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import DomainError, InputError, InternalCheckError, NotInComponentError, check_limit
-from .linalg import RatMatrix, _check_index_set, rational_from_json, rational_to_json
+from .linalg import (
+    RatMatrix,
+    _ChamberTable,
+    _check_index_set,
+    rational_from_json,
+    rational_to_json,
+)
 from .pinning import (
     FACTOR_S,
     FACTOR_XSINV,
@@ -175,32 +186,40 @@ def _check_unipotent(z: RatMatrix) -> None:
         raise InputError("flag representative must be upper unipotent")
 
 
-def _sweep(z: RatMatrix, word: Sequence[int]) -> tuple[ComponentDescriptor, dict]:
-    """The classifying sweep: the component, and the probe of each free step.
+_MARK_TURN = {MARK_STAY: 0, MARK_UP: 1, MARK_DOWN: -1}
 
-    A free step's probe is the minor of ``desc.step_minors[k-1]``: the
-    standard chamber minor at a stay, a vanishing minor at an ascent.  The
-    sweep hands the descriptor those index sets for every step.  A right
-    descent always moves, so the trace is distinguished and, like the
-    descriptor, is built from the word checked here without ``__post_init__``.
+
+def _sweep(
+    z: RatMatrix, word: Sequence[int]
+) -> tuple[ComponentDescriptor, list[tuple[int, int]], list[tuple[int, int]]]:
+    """The classifying sweep: the component, and what its table read at each step.
+
+    Step k with letter i reads ``before[k-1]``, entry (i, i+1) of the
+    running table of v̄_(k-1)⁻¹ z w̄_(k-1): the minor of
+    ``desc.step_minors[k-1]``, which is the probe of a free step and the
+    chamber coordinate of a descent.  After the step it reads
+    ``after[k-1]``, the standard chamber minor at level i.  Each is an
+    integer numerator with its positive denominator.  A right descent
+    always moves, so the trace is distinguished and, like the descriptor,
+    is built from the word checked here without ``__post_init__``.
     """
     _check_unipotent(z)
     word, w = check_reduced_word(z.d, word)
+    table = _ChamberTable(z)
     v = w[0]
     values = [v]
     marks: list[str] = []
-    minors = []
-    probes: dict[int, Fraction] = {}
-    for k, i in enumerate(word, start=1):
-        minors.append((v.prefix_set(i), w[k].prefix_set(i)))
-        if not v.right_descent(i):
-            probes[k] = z.minor(*minors[-1])
-        mark, v = _step(v, i, k not in probes or probes[k] == 0)
+    before: list[tuple[int, int]] = []
+    after: list[tuple[int, int]] = []
+    for i in word:
+        before.append(table.bordered(i))
+        mark, v = _step(v, i, v.right_descent(i) or not before[-1][0])
+        table.step(i, _MARK_TURN[mark])
+        after.append(table.leading(i))
         marks.append(mark)
         values.append(v)
     trace = _built(SubexpressionTrace, word=word, values=tuple(values), marks=tuple(marks))
-    desc = _built(ComponentDescriptor, trace=trace, prefix_perms=w, step_minors=tuple(minors))
-    return desc, probes
+    return _built(ComponentDescriptor, trace=trace, prefix_perms=w), before, after
 
 
 _MARK_CASE = {MARK_STAY: "stay", MARK_UP: "ascend", MARK_DOWN: "forced"}
@@ -208,14 +227,15 @@ _MARK_CASE = {MARK_STAY: "stay", MARK_UP: "ascend", MARK_DOWN: "forced"}
 
 def classify_steps(z: RatMatrix, word: Sequence[int]) -> list[ClassifyStep]:
     """The classifying sweep step by step, read off its component and probes."""
-    desc, probes = _sweep(z, word)
+    desc, before, _ = _sweep(z, word)
     steps: list[ClassifyStep] = []
     for k, i in enumerate(desc.word, start=1):
-        rows, cols = desc.step_minors[k - 1] if k in probes else (None, None)
         case = _MARK_CASE[desc.trace.marks[k - 1]]
-        steps.append(
-            ClassifyStep(k, i, case, rows, cols, probes.get(k), desc.trace.values[k])
-        )
+        rows, cols, probe = None, None, None
+        if case != "forced":
+            rows, cols = desc.step_minors[k - 1]
+            probe = Fraction(*before[k - 1])
+        steps.append(ClassifyStep(k, i, case, rows, cols, probe, desc.trace.values[k]))
     return steps
 
 
@@ -480,26 +500,25 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
     """Recover the factor parameters of the flag z w B+ from minors of z.
 
     Runs the Chamber Ansatz walk on the chamber coordinates of z, with every
-    chamber minor taken from z: the stay coordinates are the probes of the
-    classifying sweep, so only the descent coordinates are evaluated anew.
-    Each m_k must equal -c_k / Delta_{v_(k) omega_i, w_(k) omega_i}(z) minus
-    its correction, and the rebuilt element g must span the flag: with
-    X = z^{-1} g, found by back substitution on the integer columns of g,
-    w^{-1} X must be upper triangular with a nonzero diagonal.  A failed
-    check raises, it is never a value.
+    chamber minor read off the running table of the classifying sweep: the
+    stay coordinates are its probes, the descent coordinates its entries
+    (i, i+1) before each forced step, and the chamber minor at level i
+    after each ascent and descent its leading minors.  Each m_k must equal
+    -c_k / Delta_{v_(k) omega_i, w_(k) omega_i}(z) minus its correction,
+    and the rebuilt element g must span the flag: with X = z^{-1} g, found
+    by back substitution on the integer columns of g, w^{-1} X must be
+    upper triangular with a nonzero diagonal.  A failed check raises, it
+    is never a value.
     """
-    desc, coords = _sweep(z, word)
-    w = desc.prefix_perms
-    standard: dict[int, Fraction] = {}
+    desc, before, after = _sweep(z, word)
+    coords = {k: Fraction(*before[k - 1]) for k in desc.stay_positions + desc.descent_positions}
+    standard = {k: Fraction(*after[k - 1]) for k in desc.ascent_positions + desc.descent_positions}
 
     def chamber(k: int, i: int, g: _Columns) -> Fraction:
-        standard[k] = gmin(z, desc.trace.values[k], w[k], i)
         if standard[k] == 0:
             raise NotInComponentError("standard chamber minor vanishes")
         return standard[k]
 
-    for k in desc.descent_positions:
-        coords[k] = z.minor(*desc.step_minors[k - 1])
     result, g = _solve(desc, coords, chamber)
     for k, m in result.m_params.items():
         alt = -coords[k] / standard[k] - result.corrections[k]
@@ -507,7 +526,7 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
             raise InternalCheckError(
                 f"descent parameter mismatch at step {k}: {m} vs {alt}"
             )
-    if not g.spans(z, w[-1]):
+    if not g.spans(z, desc.prefix_perms[-1]):
         raise InternalCheckError("rebuilt element does not match the input flag")
     return result
 

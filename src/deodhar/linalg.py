@@ -7,8 +7,11 @@ chosen integer entries, which keeps intermediate values small.  On an
 upper-triangular matrix, such as the unipotent representative of a flag,
 the zero pattern splits a minor into diagonal blocks first: a minor with a
 row index beyond its paired column index is 0, a 1×1 block is its entry,
-and only larger blocks reach Bareiss.  Every other routine is direct
-Gaussian arithmetic on `Fraction`.
+and only larger blocks reach Bareiss.  The classifying sweep reads its
+minors off ``_ChamberTable`` instead: one Bareiss table of a unipotent
+matrix, kept up to date while the rows and columns move by one adjacent
+transposition at a time.  Every other routine is direct Gaussian
+arithmetic on `Fraction`.
 
 Index sets for minors are 1-based, strictly increasing tuples.  Two
 invertible matrices represent the same complete flag when they differ by an
@@ -95,6 +98,91 @@ def _bareiss_det(m: list[list[int]]) -> int:
             m[r][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+class _ChamberTable:
+    """A running fraction-free elimination of M = v̄⁻¹ z w̄, for upper-unipotent z.
+
+    v̄ and w̄ are the pinned lifts of two permutations, both starting at the
+    identity.  Row r of M is row v(r) of z, signed, times its scale, a row
+    of the cleared integer rows Z; so the leading principal minor of size i
+    is the minor of z on rows v{1..i} and columns w{1..i} times S_i, the
+    product of the scales of v(1..i).  Entry (r, c), 1-based, is the minor
+    of M on the leading positions 1..m−1 bordered by row r and column c,
+    m = min(r, c): the entries of every step of Bareiss elimination at
+    once.  It starts as s_1⋯s_(r−1)·Z[r][c] on and above the diagonal and 0
+    below.
+
+    ``step(i, turn)`` moves columns i, i+1 by the lift of s_i and, for turn
+    1 or −1, rows i, i+1 by its inverse or by the lift itself.  A minor
+    whose leading positions hold both i and i+1, or neither, keeps its
+    value up to the move of its border, so only the entries bordered at i
+    or i+1, or led by 1..i, change.  Sylvester's identity rewrites those,
+    O(d) of them, each with one exact division by the leading minor of
+    size i, which must be nonzero.
+    """
+
+    __slots__ = ("entries", "scales", "leads")
+
+    def __init__(self, z: RatMatrix):
+        rows, scales = z._integer_rows
+        self.entries: list[list[int]] = []
+        self.scales = list(scales)
+        self.leads: list[int] = []
+        lead = 1
+        for r, row in enumerate(rows):
+            self.entries.append([0] * r + [lead * x for x in row[r:]])
+            lead *= scales[r]
+            self.leads.append(lead)
+
+    def bordered(self, i: int) -> tuple[int, int]:
+        """Entry (i, i+1) and S_i: the minor on rows 1..i and columns 1..i-1, i+1."""
+        return self.entries[i - 1][i], self.leads[i - 1]
+
+    def leading(self, i: int) -> tuple[int, int]:
+        """Entry (i, i) and S_i: the leading principal minor of size i."""
+        return self.entries[i - 1][i - 1], self.leads[i - 1]
+
+    def step(self, i: int, turn: int) -> None:
+        """Move columns i, i+1 by the lift of s_i, and rows i, i+1 by turn.
+
+        turn 0 leaves the rows, 1 moves them by the inverse lift and -1 by
+        the lift.  Raises InternalCheckError when the leading minor of size
+        i, the one divisor, vanishes.
+        """
+        t = self.entries
+        a, b = i - 1, i
+        ta, tb = t[a], t[b]
+        # Entries (i, i), (i, i+1) and (i+1, i) are led by 1..i-1, entry
+        # (i+1, i+1) by 1..i, so neither move changes it.
+        p, q, x, w = ta[a], ta[b], tb[a], tb[b]
+        if not p:
+            raise InternalCheckError(f"leading minor of size {i} vanished")
+        prev = t[a - 1][a - 1] if a else 1
+        # Entry (i+1, i+1) led by 1..i-1 only: elimination step i undone.
+        y = (w * prev + x * q) // p
+        for r in t[:a]:
+            r[a], r[b] = r[b], -r[a]
+        tails = list(zip(ta[b + 1 :], tb[b + 1 :]))
+        row_b = [(q * v - w * u) // p for u, v in tails]
+        below = t[b + 1 :]
+        if not turn:
+            ta[a], ta[b] = q, -p
+            tb[a] = y
+            tb[b + 1 :] = row_b
+            for r in below:
+                r[a] = (r[b] * prev + r[a] * q) // p
+            return
+        t[a] = [turn * u for u in tb[:a]] + [turn * y, -turn * x]
+        t[a].extend([turn * ((v * prev + x * u) // p) for u, v in tails])
+        t[b] = [-turn * u for u in ta[:a]] + [-turn * q, w] + row_b
+        for r in below:
+            u, v = r[a], r[b]
+            r[a] = (v * prev + u * q) // p
+            r[b] = turn * (x * v - w * u) // p
+        s = self.scales
+        s[a], s[b] = s[b], s[a]
+        self.leads[a] = (self.leads[a - 1] if a else 1) * s[a]
 
 
 @dataclass(frozen=True)

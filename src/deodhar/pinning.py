@@ -344,13 +344,13 @@ def group_word_from_json(d: int, data: list) -> GroupWord:
         if kind == FACTOR_S:
             if len(payload) != 1:
                 raise InputError(f"malformed reflection factor: {item!r}")
-            index = _int_from_json(payload[0], "factor index")
-            factors.append(GroupFactor(FACTOR_S, index))
         elif kind in (FACTOR_Y, FACTOR_XSINV):
             if len(payload) != 2:
                 raise InputError(f"malformed parametrized factor: {item!r}")
-            index = _int_from_json(payload[0], "factor index")
-            factors.append(GroupFactor(kind, index, rational_from_json(payload[1])))
         else:
             raise InputError(f"unknown factor kind {kind!r}")
+        index = _int_from_json(payload[0], "factor index")
+        param = None if kind == FACTOR_S else rational_from_json(payload[1])
+        # Each field is read once here; GroupWord checks the index range.
+        factors.append(_built(GroupFactor, kind=kind, index=index, param=param))
     return GroupWord(d, tuple(factors))

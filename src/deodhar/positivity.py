@@ -157,16 +157,17 @@ def is_totally_nonnegative(z: RatMatrix, word: Sequence[int]) -> TnnCertificate:
     Classifies the flag, requires the trace to be the positive one for its
     endpoint, then checks strict positivity of the stay-step chamber
     minors.  Those values are the probes the classifying sweep already
-    evaluated, so the test costs one minor per free step.  The certificate
-    carries one equality record per ascent step and one inequality record
-    per stay step.
+    read off its running table, so the test evaluates no minor of its own.
+    The certificate carries one equality record per ascent step and one
+    inequality record per stay step.
     """
-    desc, probes = _sweep(z, word)
+    desc, before, _ = _sweep(z, word)
     conditions = component_conditions(desc)
     equalities = tuple(
         MinorRecord(k, rows, cols, Fraction(0), "=", True)
         for k, rows, cols in conditions.zero_minors
     )
+    probes = {k: Fraction(*before[k - 1]) for k in desc.stay_positions}
     inequalities = tuple(
         MinorRecord(k, rows, cols, probes[k], ">", probes[k] > 0)
         for k, rows, cols in conditions.nonzero_minors

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from math import comb
 from operator import le
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, InputError, InternalCheckError, check_limit
 from .weyl import (
@@ -247,19 +247,15 @@ class RPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.coeffs, (list, tuple)):
-            raise InputError(
-                f"R-polynomial coefficients must be a list or a tuple, got {self.coeffs!r}"
-            )
-        coeffs = tuple(_int_from_json(c, "R-polynomial coefficient") for c in self.coeffs)
+        coeffs = tuple(_read_coeffs(self.coeffs))
         if coeffs and coeffs[-1] == 0:
             raise InputError("coefficient tuple has trailing zeros")
         object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
-    def from_coeffs(coeffs: Iterable[int]) -> "RPolynomial":
+    def from_coeffs(coeffs: Sequence[int]) -> "RPolynomial":
         """A caller's coefficients, each read once, with trailing zeros dropped."""
-        return _trimmed([_int_from_json(c, "R-polynomial coefficient") for c in coeffs])
+        return _trimmed(_read_coeffs(coeffs))
 
     @staticmethod
     def zero() -> "RPolynomial":
@@ -327,6 +323,13 @@ class RPolynomial:
 
     def __str__(self) -> str:
         return self.pretty()
+
+
+def _read_coeffs(coeffs) -> list[int]:
+    """A caller's list or tuple of coefficients, each read as an integer."""
+    if not isinstance(coeffs, (list, tuple)):
+        raise InputError(f"R-polynomial coefficients must be a list or a tuple, got {coeffs!r}")
+    return [_int_from_json(c, "R-polynomial coefficient") for c in coeffs]
 
 
 def _trimmed(coeffs: list[int]) -> RPolynomial:

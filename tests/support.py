@@ -196,6 +196,16 @@ def random_unipotent(rng: random.Random, d: int) -> RatMatrix:
     return RatMatrix.from_rows(rows)
 
 
+def random_sparse_unipotent(rng: random.Random, d: int, zeros: float = 0.6) -> RatMatrix:
+    """A random upper-unipotent matrix with about ``zeros`` of its upper entries 0."""
+    rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            if rng.random() >= zeros:
+                rows[i][j] = random_nonzero(rng)
+    return RatMatrix.from_rows(rows)
+
+
 def random_matrix(rng: random.Random, d: int) -> RatMatrix:
     return RatMatrix.from_rows(
         [[random_rational(rng) for _ in range(d)] for _ in range(d)]

@@ -29,12 +29,12 @@ from deodhar.errors import (
     InternalCheckError,
     NotInComponentError,
 )
-from deodhar.linalg import RatMatrix, flag_equal, unipotent_representative
+from deodhar.linalg import RatMatrix, _ChamberTable, flag_equal, unipotent_representative
 from deodhar.pinning import GroupFactor, GroupWord, evaluate, partial, perm_matrix, reduce_flag
 from deodhar.cli import _descriptor_from_args
 from deodhar.positivity import is_totally_nonnegative, random_positive_sample, sample_positive
 from deodhar.subexpr import SubexpressionTrace, enumerate_distinguished
-from deodhar.weyl import Permutation, evaluate_word
+from deodhar.weyl import Permutation, a_reduced_word, evaluate_word, longest_element
 
 from support import (
     random_component_flag,
@@ -45,6 +45,7 @@ from support import (
     random_positive,
     random_rational,
     random_reduced_word,
+    random_sparse_unipotent,
     random_unipotent,
     s102_matrix,
 )
@@ -465,20 +466,47 @@ def test_a_stale_column_scale_is_caught(monkeypatch):
 def test_descent_cross_check_catches_a_wrong_stay_coordinate(monkeypatch):
     # The stay coordinate at step 2 feeds the running chamber minor that the
     # descent at step 4 reads, but not the independent ratio it is checked
-    # against.  factorize takes its stay coordinates from the probes of the
-    # classifying sweep.
+    # against.  factorize takes its stay coordinates from the probes that
+    # the classifying sweep reads off its running table.
     import deodhar.components as components
 
     real = components._sweep
 
     def double_step_2(z, word):
-        desc, stays = real(z, word)
-        stays[2] *= 2
-        return desc, stays
+        desc, before, after = real(z, word)
+        num, den = before[1]
+        before[1] = (2 * num, den)
+        return desc, before, after
 
     monkeypatch.setattr(components, "_sweep", double_step_2)
     with pytest.raises(InternalCheckError, match="descent parameter mismatch at step 4"):
         factorize(s102_matrix(), S102_WORD)
+
+
+@pytest.mark.parametrize("d", [12, 32])
+def test_classify_steps_probes_are_minors_of_z_at_large_degree(d):
+    # On a reduced word for w0, generic z stay at every step; sparse z
+    # ascend and descend, so the table also moves its rows.
+    rng = random.Random(d)
+    words = [a_reduced_word(longest_element(d)), random_reduced_word(rng, longest_element(d))]
+    cases = Counter()
+    for word, z in zip(words, (random_unipotent(rng, d), random_sparse_unipotent(rng, d))):
+        for s in classify_steps(z, word):
+            cases[s.case] += 1
+            if s.case != "forced":
+                assert s.probe == z.minor(s.rows, s.cols)
+    assert cases["ascend"] > 0 and cases["forced"] > 0
+
+
+def test_chamber_table_refuses_a_vanishing_divisor():
+    # A stay whose probe vanished leaves a zero leading minor, which the
+    # next step at that letter must divide by.
+    table = _ChamberTable(RatMatrix.identity(3))
+    assert table.bordered(1) == (0, 1)
+    table.step(1, 0)
+    assert table.leading(1) == (0, 1)
+    with pytest.raises(InternalCheckError, match="leading minor of size 1 vanished"):
+        table.step(1, 1)
 
 
 def test_conditions_are_the_classify_probes():
@@ -552,17 +580,19 @@ def test_sweep_checks_the_word_once_and_trusts_what_it_builds(checks):
             assert checks == {"check_reduced_word": 1}, entry.__name__
 
 
-def test_sweep_hands_the_descriptor_its_index_sets(checks):
-    # The sweep takes two prefix sets per step, forced steps included, and
-    # the descriptor reads its step_minors from them.
+def test_descriptor_builds_its_index_sets_on_first_read(checks):
+    # The sweep reads its probes off a table and takes no prefix set; the
+    # descriptor builds its step_minors, two prefix sets per step, forced
+    # steps included, when they are first read, and only then.
     rng = random.Random(23)
     for _ in range(10):
         desc, z = random_component_flag(rng, 6)
         expected = desc.step_minors
         checks.clear()
         swept = classify(z, desc.word)
-        assert checks["prefix_set"] == 2 * len(desc.word)
+        assert checks["prefix_set"] == 0
         assert swept.step_minors == expected
+        assert checks["prefix_set"] == 2 * len(desc.word)
         component_conditions(swept)
         assert checks["prefix_set"] == 2 * len(desc.word)
 
@@ -634,10 +664,9 @@ def test_entry_points_read_each_parameter_once_and_trust_the_words_they_build(mo
     assert descents > 0
 
 
-def test_factorize_evaluates_each_minor_of_z_once(monkeypatch):
-    # The classifying probes double as the stay coordinates, so what is left
-    # is one probe per ascent, one coordinate per descent, and one chamber
-    # minor after each ascent and descent.
+def test_factorize_evaluates_no_minor_of_z(monkeypatch):
+    # Every chamber minor of z comes from the running table of the sweep,
+    # and the parameters it yields are those the element was built from.
     rng = random.Random(61)
     w0 = Permutation((6, 5, 4, 3, 2, 1))
     real = RatMatrix.minor
@@ -646,12 +675,9 @@ def test_factorize_evaluates_each_minor_of_z_once(monkeypatch):
         desc = ComponentDescriptor(
             random_distinguished(rng, 6, random_reduced_word(rng, w0))
         )
-        gw = build_element(
-            desc,
-            {k: random_nonzero(rng) for k in desc.stay_positions},
-            {k: random_rational(rng) for k in desc.descent_positions},
-        )
-        z = unipotent_representative(evaluate(gw))[0]
+        t = {k: random_nonzero(rng) for k in desc.stay_positions}
+        m = {k: random_rational(rng) for k in desc.descent_positions}
+        z = unipotent_representative(evaluate(build_element(desc, t, m)))[0]
         calls = Counter()
 
         def counting(self, rows, cols):
@@ -660,10 +686,10 @@ def test_factorize_evaluates_each_minor_of_z_once(monkeypatch):
             return real(self, rows, cols)
 
         monkeypatch.setattr(RatMatrix, "minor", counting)
-        assert factorize(z, desc.word).descriptor == desc
+        result = factorize(z, desc.word)
         monkeypatch.undo()
-        assert max(calls.values()) == 1
-        moves = len(desc.ascent_positions) + len(desc.descent_positions)
-        assert sum(calls.values()) == len(desc.stay_positions) + 2 * moves
+        assert not calls
+        assert result.descriptor == desc
+        assert result.t_params == t and result.m_params == m
         descents += len(desc.descent_positions)
     assert descents > 0

@@ -373,6 +373,47 @@ def test_group_word_json_validation():
         group_word_from_json(3, [{"s": [1, "2"]}])
 
 
+@pytest.mark.parametrize(
+    ("payload", "message"),
+    [
+        ([1, None], "cannot interpret None as a rational number"),
+        ([1, 1.5], "cannot interpret 1.5 as a rational number"),
+        ([1, True], "cannot interpret True as a rational number"),
+        ([1, "x"], "not a rational literal: 'x'"),
+        ([1, "2", 3], "malformed parametrized factor: {'y': [1, '2', 3]}"),
+    ],
+    ids=["None", "float", "bool", "not a literal", "wrong length"],
+)
+def test_group_word_json_refuses_a_malformed_parameter(payload, message):
+    with pytest.raises(InputError) as exc:
+        group_word_from_json(3, [{"y": payload}])
+    assert str(exc.value) == message
+
+
+def test_group_word_json_reads_each_parameter_once(monkeypatch):
+    import deodhar.pinning as pinning
+
+    reads = []
+    real = pinning.rational_from_json
+
+    def counted(x):
+        reads.append(x)
+        return real(x)
+
+    monkeypatch.setattr(pinning, "rational_from_json", counted)
+    data = [{"y": [2, "1/2"]}, {"s": [1]}, {"xsinv": [1, "-5/3"]}]
+    gw = group_word_from_json(3, data)
+    assert reads == ["1/2", "-5/3"]
+    assert gw == GroupWord(
+        3,
+        (
+            GroupFactor(FACTOR_Y, 2, Fraction(1, 2)),
+            GroupFactor(FACTOR_S, 1),
+            GroupFactor(FACTOR_XSINV, 1, Fraction(-5, 3)),
+        ),
+    )
+
+
 def test_evaluate_commutes_with_random_samples():
     import random
 

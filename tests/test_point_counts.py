@@ -6,7 +6,11 @@ components over v inside the cell of w add up to R_{v,w}(p).  Every z in
 U(F_p), the upper-unipotent matrices over F_p, gives a flag z w B+ of the
 cell, and each flag of the cell arises from p^{N - l(w)} of them, N = d(d-1)/2.
 With integer entries in 0..p-1 every minor is an integer whose residue mod p
-is the minor over F_p, and classify only asks whether its probes vanish.
+is the minor over F_p.  ``classify_graphical`` only asks whether its probe
+minors vanish, so reducing ``RatMatrix.minor`` mod p classifies over F_p;
+``classify`` reads its probes off an elimination table with exact division,
+which has no such reduction, and ``test_properties`` ties the two
+classifiers together over Q.
 """
 
 import itertools
@@ -14,7 +18,7 @@ from collections import Counter
 
 import pytest
 
-from deodhar.components import classify
+from deodhar.diagrams import classify_graphical
 from deodhar.linalg import RatMatrix
 from deodhar.subexpr import enumerate_distinguished, r_polynomial
 from deodhar.weyl import a_reduced_word, all_permutations
@@ -44,7 +48,7 @@ def test_component_point_counts_over_f_p(monkeypatch, p):
     points = unipotent_points(p)
     for w in all_permutations(D):
         word = a_reduced_word(w)
-        counts = Counter(classify(z, word).trace for z in points)
+        counts = Counter(classify_graphical(z, word).trace for z in points)
         per_flag = p ** (N - w.length())
         accounted = 0
         for v in all_permutations(D):

@@ -358,7 +358,9 @@ def test_certificate_records_are_the_classify_probes():
         ]
 
 
-def test_tnn_check_evaluates_one_minor_per_free_step(monkeypatch):
+def test_tnn_check_evaluates_no_minor_of_z(monkeypatch):
+    # The certificate's minors are the probes the sweep read off its table:
+    # no minor of z is evaluated, and each recorded value is that minor.
     rng = random.Random(67)
     real = RatMatrix.minor
     for n in range(20):
@@ -377,6 +379,10 @@ def test_tnn_check_evaluates_one_minor_per_free_step(monkeypatch):
             return real(self, rows, cols)
 
         monkeypatch.setattr(RatMatrix, "minor", recording)
-        is_totally_nonnegative(z, word)
+        cert = is_totally_nonnegative(z, word)
         monkeypatch.undo()
-        assert calls == [(z, s.rows, s.cols) for s in free]
+        assert not calls
+        records = sorted(cert.equalities + cert.inequalities, key=lambda r: r.k)
+        assert [(r.k, r.rows, r.cols) for r in records] == [(s.k, s.rows, s.cols) for s in free]
+        for r, s in zip(records, free):
+            assert r.value == s.probe == z.minor(r.rows, r.cols)

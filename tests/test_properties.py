@@ -7,6 +7,7 @@ Each example draws a seed and builds its case with the generators in
 import argparse
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from deodhar.cli import _descriptor_from_args
 from deodhar.components import (
     ComponentDescriptor,
+    _sweep,
     build_element,
     chamber_coordinates,
     classify,
@@ -48,6 +50,7 @@ from deodhar.weyl import evaluate_word
 
 from support import (
     bruhat_leq_subword,
+    det_cofactor,
     random_component_flag,
     random_distinguished,
     random_nonzero,
@@ -55,6 +58,7 @@ from support import (
     random_positive,
     random_rational,
     random_reduced_word,
+    random_sparse_unipotent,
     random_unipotent,
 )
 
@@ -79,6 +83,33 @@ def test_classify_agrees_with_classify_graphical(seed, d, generic):
         desc, z = random_component_flag(rng, d)
         word = desc.word
     assert classify_graphical(z, word) == classify(z, word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(2, 8), st.sampled_from(["generic", "positive", "sparse"]))
+def test_sweep_table_reads_minors_of_z(seed, d, kind):
+    # Before each step the walk reads the minor on the step's index sets: a
+    # probe, or a descent coordinate at a forced step; after it, the chamber
+    # minor at level i.  Sparse z make many probes vanish and many steps move.
+    rng = random.Random(seed)
+    word = random_reduced_word(rng, random_perm(rng, d))
+    if kind == "generic":
+        z = random_unipotent(rng, d)
+    elif kind == "sparse":
+        z = random_sparse_unipotent(rng, d)
+    else:
+        v = classify(random_unipotent(rng, d), word).endpoint
+        gw = random_positive_sample(v, word, rng.randrange(100)).group_word
+        z = unipotent_representative(evaluate(gw))[0]
+    desc, before, after = _sweep(z, word)
+    values, w = desc.trace.values, desc.prefix_perms
+
+    def minor(rows, cols):
+        return det_cofactor([[z.rows[r - 1][c - 1] for c in cols] for r in rows])
+
+    for k, i in enumerate(desc.word, start=1):
+        assert Fraction(*before[k - 1]) == minor(*desc.step_minors[k - 1])
+        assert Fraction(*after[k - 1]) == minor(values[k].prefix_set(i), w[k].prefix_set(i))
 
 
 def _dense_product(group_word) -> RatMatrix:

@@ -273,6 +273,19 @@ def test_rpolynomial_refuses_a_non_sequence(coeffs):
     )
 
 
+@pytest.mark.parametrize(
+    "coeffs", [{1: 2}, 5, None, (c for c in [1, 2])], ids=["dict", "int", "None", "generator"]
+)
+def test_from_coeffs_refuses_a_non_sequence(coeffs):
+    # As the constructor does: a dict would give the polynomial of its keys,
+    # and an int or None would escape as a bare TypeError.
+    with pytest.raises(InputError) as exc:
+        RPolynomial.from_coeffs(coeffs)
+    assert str(exc.value) == (
+        f"R-polynomial coefficients must be a list or a tuple, got {coeffs!r}"
+    )
+
+
 def test_rpolynomial_arithmetic_reads_no_coefficient_again(monkeypatch):
     # Sums and products of polynomials the library built are built from
     # integers already read.  Deodhar's count sum_v R_{v,w0} = q^l(w0)
