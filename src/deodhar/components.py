@@ -531,22 +531,31 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
     return result
 
 
+def _parting_step(desc: ComponentDescriptor, swept: ComponentDescriptor) -> int | None:
+    """The first step where two components of one word part, None if they are one."""
+    pairs = zip(desc.trace.marks, swept.trace.marks)
+    return next((k for k, (a, b) in enumerate(pairs, start=1) if a != b), None)
+
+
 def chamber_coordinates(z: RatMatrix, desc: ComponentDescriptor) -> dict:
     """The coordinate system of the component, evaluated at z.
 
     Stay steps contribute their standard chamber minor, descent steps their
-    probe minor; together these determine the element.
+    probe minor, each read off the classifying sweep of z; together these
+    determine the element.  A z outside the component raises
+    NotInComponentError at the first step where its trace leaves the
+    component's: a stay whose chamber minor vanishes, or an ascent whose
+    probe does not.
     """
     if z.d != desc.d:
         raise InputError("degree mismatch in generalized minor")
-    out: dict[int, Fraction] = {}
-    for k, mark in enumerate(desc.trace.marks, start=1):
-        if mark == MARK_UP:
-            continue
-        out[k] = z.minor(*desc.step_minors[k - 1])
-        if mark == MARK_STAY and out[k] == 0:
-            raise NotInComponentError("standard chamber minor vanishes")
-    return out
+    swept, before, _ = _sweep(z, desc.word)
+    k = _parting_step(desc, swept)
+    if k is not None and desc.trace.marks[k - 1] == MARK_STAY:
+        raise NotInComponentError("standard chamber minor vanishes")
+    if k is not None:
+        raise NotInComponentError(f"probe minor at ascent step {k} does not vanish")
+    return {k: Fraction(*before[k - 1]) for k in sorted(desc.stay_positions + desc.descent_positions)}
 
 
 def element_from_coordinates(

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .components import ComponentDescriptor, _check_unipotent
-from .errors import InputError, NotInComponentError
+from .components import ComponentDescriptor, _check_unipotent, _parting_step, classify
+from .errors import InputError, InternalCheckError, NotInComponentError
 from .linalg import RatMatrix
 from .subexpr import MARK_STAY, MARK_UP, SubexpressionTrace, _trace_from_moves
 from .weyl import Permutation, _check_letters, _degree, check_reduced_word
@@ -228,11 +228,15 @@ def diagram_formulas(desc: ComponentDescriptor, z: RatMatrix) -> dict:
     For a stay step the value is the y parameter; for a descent step it is
     the minor ratio before the correction term.  Around each dot the four
     surrounding chambers give above*below/(left*right), inverted on
-    descent steps.  A vanishing denominator means z is not in the
-    component and raises NotInComponentError.
+    descent steps.  A z outside the component raises NotInComponentError
+    naming the first step where its trace leaves the component's; on the
+    component no chamber minor vanishes.
     """
     if z.d != desc.d:
         raise InputError("degree mismatch in generalized minor")
+    k = _parting_step(desc, classify(z, desc.word))
+    if k is not None:
+        raise NotInComponentError(f"z leaves the component at step {k}")
     arr = build_arrangement(ANSATZ, desc)
 
     def minor(level: int, cell: int) -> Fraction:
@@ -253,7 +257,7 @@ def diagram_formulas(desc: ComponentDescriptor, z: RatMatrix) -> dict:
         else:
             num, den = horizontal, vertical
         if den == 0:
-            raise NotInComponentError(f"chamber minor around step {k} vanishes")
+            raise InternalCheckError(f"chamber minor around step {k} vanished")
         out[k] = num / den
     return out
 

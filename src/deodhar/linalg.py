@@ -3,15 +3,12 @@
 Matrices are immutable, square, and store ``fractions.Fraction`` entries.
 A matrix clears the denominators of its rows once and keeps the integer
 rows; a minor runs fraction-free Bareiss elimination on a copy of the
-chosen integer entries, which keeps intermediate values small.  On an
-upper-triangular matrix, such as the unipotent representative of a flag,
-the zero pattern splits a minor into diagonal blocks first: a minor with a
-row index beyond its paired column index is 0, a 1×1 block is its entry,
-and only larger blocks reach Bareiss.  The classifying sweep reads its
-minors off ``_ChamberTable`` instead: one Bareiss table of a unipotent
-matrix, kept up to date while the rows and columns move by one adjacent
-transposition at a time.  Every other routine is direct Gaussian
-arithmetic on `Fraction`.
+chosen integer entries, which keeps intermediate values small.  The
+classifying sweep, and everything that reads minors of z off it, uses
+``_ChamberTable`` instead: one Bareiss table of a unipotent matrix, kept
+up to date while the rows and columns move by one adjacent transposition
+at a time.  Every other routine is direct Gaussian arithmetic on
+`Fraction`.
 
 Index sets for minors are 1-based, strictly increasing tuples.  Two
 invertible matrices represent the same complete flag when they differ by an
@@ -22,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -252,46 +248,19 @@ class RatMatrix:
         rows, scales = self._integer_rows
         return Fraction(_bareiss_det([list(r) for r in rows]), math.prod(scales))
 
-    @functools.cached_property
-    def _upper_triangular(self) -> bool:
-        return not any(x for r, row in enumerate(self.rows) for x in row[:r])
-
     def minor(self, row_set: Sequence[int], col_set: Sequence[int]) -> Fraction:
         """Determinant of the submatrix on the given 1-based index sets.
 
         Both sets must be strictly increasing and of equal size; the empty
-        minor is 1.  On an upper-triangular matrix, with rows r_1 < … < r_n
-        and columns c_1 < … < c_n, the minor is 0 when some r_k > c_k (the
-        first k columns then live on k − 1 rows), and the submatrix is block
-        upper triangular with a cut wherever c_k < r_(k+1), so the minor is
-        the product of its diagonal blocks.  Any other matrix is one block.
+        minor is 1.  Bareiss elimination runs on a copy of the chosen
+        entries of the cleared integer rows.
         """
         rows = _check_index_set(row_set, self.d)
         cols = _check_index_set(col_set, self.d)
-        n = len(rows)
-        if n != len(cols):
+        if len(rows) != len(cols):
             raise InputError("minor needs equally many rows and columns")
-        if not n:
-            return Fraction(1)
-        if not self._upper_triangular:
-            cuts = [n]
-        elif any(map(operator.gt, rows, cols)):
-            return Fraction(0)
-        else:
-            cuts = [k for k in range(1, n) if cols[k - 1] < rows[k]]
-            cuts.append(n)
         int_rows, scales = self._integer_rows
-        det = 1
-        start = 0
-        for stop in cuts:
-            if stop - start == 1:
-                det *= int_rows[rows[start] - 1][cols[start] - 1]
-            else:
-                block_cols = cols[start:stop]
-                det *= _bareiss_det(
-                    [[int_rows[r - 1][c - 1] for c in block_cols] for r in rows[start:stop]]
-                )
-            start = stop
+        det = _bareiss_det([[int_rows[r - 1][c - 1] for c in cols] for r in rows])
         return Fraction(det, math.prod(scales[r - 1] for r in rows))
 
     def inverse(self) -> "RatMatrix":
@@ -312,12 +281,10 @@ class RatMatrix:
         return RatMatrix(tuple(tuple(row[d:]) for row in work))
 
     def is_upper_triangular(self) -> bool:
-        return self._upper_triangular
+        return not any(x for r, row in enumerate(self.rows) for x in row[:r])
 
     def is_upper_unipotent(self) -> bool:
-        return self._upper_triangular and all(
-            self.rows[k][k] == 1 for k in range(self.d)
-        )
+        return self.is_upper_triangular() and all(self.rows[k][k] == 1 for k in range(self.d))
 
     def __repr__(self) -> str:
         body = "; ".join(

@@ -32,11 +32,13 @@ from deodhar.errors import (
 from deodhar.linalg import RatMatrix, _ChamberTable, flag_equal, unipotent_representative
 from deodhar.pinning import GroupFactor, GroupWord, evaluate, partial, perm_matrix, reduce_flag
 from deodhar.cli import _descriptor_from_args
+from deodhar.diagrams import diagram_formulas
 from deodhar.positivity import is_totally_nonnegative, random_positive_sample, sample_positive
-from deodhar.subexpr import SubexpressionTrace, enumerate_distinguished
+from deodhar.subexpr import MARK_UP, SubexpressionTrace, enumerate_distinguished
 from deodhar.weyl import Permutation, a_reduced_word, evaluate_word, longest_element
 
 from support import (
+    det_cofactor,
     random_component_flag,
     S102_WORD,
     random_distinguished,
@@ -534,6 +536,40 @@ def test_chamber_coordinates_degree_mismatch():
             chamber_coordinates(z, desc)
 
 
+@pytest.mark.parametrize(
+    "read",
+    [chamber_coordinates, lambda z, desc: diagram_formulas(desc, z)],
+    ids=["chamber_coordinates", "diagram_formulas"],
+)
+def test_coordinates_refuse_a_z_that_is_not_unipotent(read):
+    # z b with b upper triangular but not unipotent is not the unipotent
+    # representative of a flag; the degree check still comes first.
+    desc = classify(s102_matrix(), S102_WORD)
+    b = RatMatrix.from_rows([[2, 1, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0], [0, 0, 0, "1/2"]])
+    with pytest.raises(InputError, match="^flag representative must be upper unipotent$"):
+        read(s102_matrix() * b, desc)
+    with pytest.raises(InputError, match="^degree mismatch in generalized minor$"):
+        read(RatMatrix.from_rows([[2, 1, 0], [0, 1, 0], [0, 0, 1]]), desc)
+
+
+def test_chamber_coordinates_are_the_step_minors_of_z():
+    # Each coordinate, in step order, is the minor of z on the descriptor's
+    # index sets for its step: the standard chamber minor at a stay and the
+    # probe at a descent.
+    rng = random.Random(67)
+    descents = 0
+    for _ in range(30):
+        desc, z = random_component_flag(rng, rng.choice([3, 4, 5, 6]))
+        coords = chamber_coordinates(z, desc)
+        marks = desc.trace.marks
+        assert list(coords) == [k for k, mark in enumerate(marks, start=1) if mark != MARK_UP]
+        for k, value in coords.items():
+            rows, cols = desc.step_minors[k - 1]
+            assert value == det_cofactor([[z.rows[r - 1][c - 1] for c in cols] for r in rows])
+        descents += len(desc.descent_positions)
+    assert descents > 0
+
+
 @pytest.fixture
 def checks(monkeypatch):
     """Counts of check_reduced_word, the trace and descriptor checks, and prefix_set."""
@@ -691,5 +727,36 @@ def test_factorize_evaluates_no_minor_of_z(monkeypatch):
         assert not calls
         assert result.descriptor == desc
         assert result.t_params == t and result.m_params == m
+        descents += len(desc.descent_positions)
+    assert descents > 0
+
+
+def test_chamber_coordinates_evaluates_no_minor_of_z(monkeypatch):
+    # Every coordinate comes from the running table of the sweep, and the
+    # element they rebuild has the parameters z was built from.
+    rng = random.Random(71)
+    w0 = Permutation((6, 5, 4, 3, 2, 1))
+    real = RatMatrix.minor
+    descents = 0
+    for _ in range(20):
+        desc = ComponentDescriptor(
+            random_distinguished(rng, 6, random_reduced_word(rng, w0))
+        )
+        t = {k: random_nonzero(rng) for k in desc.stay_positions}
+        m = {k: random_rational(rng) for k in desc.descent_positions}
+        z = unipotent_representative(evaluate(build_element(desc, t, m)))[0]
+        calls = Counter()
+
+        def counting(self, rows, cols):
+            if self is z:
+                calls[tuple(rows), tuple(cols)] += 1
+            return real(self, rows, cols)
+
+        monkeypatch.setattr(RatMatrix, "minor", counting)
+        coords = chamber_coordinates(z, desc)
+        monkeypatch.undo()
+        assert not calls
+        rebuilt = element_from_coordinates(desc, coords)
+        assert rebuilt.t_params == t and rebuilt.m_params == m
         descents += len(desc.descent_positions)
     assert descents > 0

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from deodhar import (
     InputError,
     RatMatrix,
     bruhat_position,
-    classify_steps,
     flag_equal,
     identity_perm,
     matrix_from_json,
@@ -28,7 +26,6 @@ from deodhar.weyl import Permutation
 
 from support import (
     det_cofactor,
-    random_component_flag,
     random_matrix,
     random_nonzero,
     random_perm,
@@ -229,52 +226,6 @@ def test_triangular_minor_matches_sympy_beyond_cofactor_reach(seed, d, unipotent
     for row_set, col_set in _gale_pairs(*drawn):
         sub = [[rows[r - 1][c - 1] for c in col_set] for r in row_set]
         assert m.minor(row_set, col_set) == _berkowitz(sub)
-
-
-def _record_bareiss_sizes(monkeypatch) -> list[int]:
-    sizes: list[int] = []
-    bareiss = linalg._bareiss_det
-
-    def recording(m):
-        sizes.append(len(m))
-        return bareiss(m)
-
-    monkeypatch.setattr(linalg, "_bareiss_det", recording)
-    return sizes
-
-
-def test_triangular_minor_skips_bareiss_where_the_pattern_decides(monkeypatch):
-    sizes = _record_bareiss_sizes(monkeypatch)
-    z = random_unipotent(random.Random(18), 8)
-    # Equal index sets of a unipotent matrix: the diagonal blocks are all 1x1.
-    for ix in ((1,), (2, 5), (1, 3, 4, 8), tuple(range(1, 9))):
-        value = z.minor(ix, ix)
-        assert type(value) is Fraction and value == 1
-    # Row 5 lies below column 4: columns {2, 3, 4} live on rows 1..4, and of
-    # those only rows 1 and 2 are chosen.  Without the Gale test, the split
-    # alone would still send the 2x2 block on rows {1, 2} to Bareiss.
-    value = z.minor((1, 2, 5), (2, 3, 4))
-    assert type(value) is Fraction and value == 0
-    assert sizes == []
-    # A general matrix is one block, however small.
-    random_matrix(random.Random(19), 4).minor((1, 2), (3, 4))
-    assert sizes == [2]
-
-
-def test_d12_classify_probe_reaches_bareiss_in_smaller_blocks(monkeypatch):
-    desc, z = random_component_flag(random.Random(0), 12)
-    step = max(
-        (s for s in classify_steps(z, desc.word) if s.rows is not None),
-        key=lambda s: len(s.rows),
-    )
-    int_rows, scales = z._integer_rows
-    unsplit = Fraction(
-        linalg._bareiss_det([[int_rows[r - 1][c - 1] for c in step.cols] for r in step.rows]),
-        math.prod(scales[r - 1] for r in step.rows),
-    )
-    sizes = _record_bareiss_sizes(monkeypatch)
-    assert z.minor(step.rows, step.cols) == step.probe == unsplit
-    assert sizes and max(sizes) < len(step.rows)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,7 @@ Each example draws a seed and builds its case with the generators in
 """
 
 import argparse
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -23,8 +24,8 @@ from deodhar.components import (
     element_from_coordinates,
     factorize,
 )
-from deodhar.diagrams import classify_graphical
-from deodhar.errors import DomainError
+from deodhar.diagrams import classify_graphical, diagram_formulas
+from deodhar.errors import DomainError, NotInComponentError
 from deodhar.linalg import RatMatrix, rational_from_json, unipotent_representative
 from deodhar.pinning import (
     GroupFactor,
@@ -46,7 +47,7 @@ from deodhar.subexpr import (
     trace_from_json,
     trace_to_json,
 )
-from deodhar.weyl import evaluate_word
+from deodhar.weyl import Permutation, evaluate_word
 
 from support import (
     bruhat_leq_subword,
@@ -137,6 +138,30 @@ def test_group_word_kernel_matches_dense_products(seed, d):
         dense = dense * factor_matrix(d, f)
         assert g.matrix() == dense
     assert evaluate(gw) == dense
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, st.integers(2, 5), st.booleans())
+def test_coordinates_refuse_exactly_the_other_components(seed, d, sparse):
+    # Over every distinguished trace of z's word, chamber_coordinates and
+    # diagram_formulas return values on z's own component only.
+    rng = random.Random(seed)
+    if sparse:
+        z = random_sparse_unipotent(rng, d)
+        word = random_reduced_word(rng, random_perm(rng, d))
+    else:
+        desc, z = random_component_flag(rng, d)
+        word = desc.word
+    own = classify(z, word)
+    for v in itertools.permutations(range(1, d + 1)):
+        for trace in enumerate_distinguished(Permutation(v), word):
+            desc = ComponentDescriptor(trace)
+            for read in (lambda: chamber_coordinates(z, desc), lambda: diagram_formulas(desc, z)):
+                if desc == own:
+                    read()
+                else:
+                    with pytest.raises(NotInComponentError):
+                        read()
 
 
 @settings(max_examples=40, deadline=None)
