@@ -457,20 +457,23 @@ class FactorizationResult:
 
 def _solve(
     desc: ComponentDescriptor,
-    coords: Mapping[int, Fraction],
-    chamber: Callable[[int, int, _Columns], Fraction],
+    coords: Mapping[int, tuple[int, int]],
+    chamber: Callable[[int, int, _Columns], tuple[int, int]],
 ) -> tuple[FactorizationResult, _Columns]:
     """The Chamber Ansatz walk from chamber coordinates to the parameters.
 
-    ``row[j]`` is the standard chamber minor at level j; it changes only at
-    steps with letter j.  Step k with letter i and coordinate c_k reads
-    t_k = row[i-1] row[i+1] / (row[i] c_k) at a stay and m_k = row[i] c_k /
-    (row[i-1] row[i+1]) - correction at a descent, then sets row[i] to c_k
+    Every chamber minor of the walk is an integer pair (n, s) for n / s,
+    s nonzero and not reduced: ``coords[k]`` is the coordinate c_k of a
+    stay or descent step k, and ``row[j]`` the standard chamber minor at
+    level j, which changes only at steps with letter j.  Step k with letter
+    i reads t_k = row[i-1] row[i+1] / (row[i] c_k) at a stay and m_k =
+    row[i] c_k / (row[i-1] row[i+1]) - correction at a descent, each as one
+    `Fraction` of products of the pairs' integers, then sets row[i] to c_k
     at a stay and to ``chamber(k, i, g)`` otherwise, g the product so far
     in the integer columns of ``pinning._Columns``.
     """
     tr = desc.trace
-    row = [Fraction(1)] * (desc.d + 1)
+    row = [(1, 1)] * (desc.d + 1)
     g = _Columns(desc.d)
     t_params: dict[int, Fraction] = {}
     m_params: dict[int, Fraction] = {}
@@ -478,15 +481,16 @@ def _solve(
 
     def param(k: int) -> Fraction | None:
         i, mark = tr.word[k - 1], tr.marks[k - 1]
+        if mark == MARK_UP:
+            return None
+        (a, s_a), (x, s_x), (b, s_b), (c, s_c) = row[i - 1], row[i], row[i + 1], coords[k]
         if mark == MARK_STAY:
-            t_params[k] = row[i - 1] * row[i + 1] / (row[i] * coords[k])
+            t_params[k] = Fraction(a * b * s_c * s_x, s_a * s_b * c * x)
             return t_params[k]
-        if mark == MARK_DOWN:
-            cols = desc.prefix_perms[0].times_s(i).prefix_set(i)
-            corrections[k] = g.minor(tr.values[k - 1].prefix_set(i), cols)
-            m_params[k] = row[i] * coords[k] / (row[i - 1] * row[i + 1]) - corrections[k]
-            return m_params[k]
-        return None
+        cols = desc.prefix_perms[0].times_s(i).prefix_set(i)
+        corrections[k] = g.minor(tr.values[k - 1].prefix_set(i), cols)
+        m_params[k] = Fraction(x * c * s_a * s_b, s_x * s_c * a * b) - corrections[k]
+        return m_params[k]
 
     def then(k: int, f: GroupFactor) -> None:
         g.apply(f)
@@ -500,28 +504,29 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
     """Recover the factor parameters of the flag z w B+ from minors of z.
 
     Runs the Chamber Ansatz walk on the chamber coordinates of z, with every
-    chamber minor read off the running table of the classifying sweep: the
-    stay coordinates are its probes, the descent coordinates its entries
-    (i, i+1) before each forced step, and the chamber minor at level i
-    after each ascent and descent its leading minors.  Each m_k must equal
-    -c_k / Delta_{v_(k) omega_i, w_(k) omega_i}(z) minus its correction,
-    and the rebuilt element g must span the flag: with X = z^{-1} g, found
-    by back substitution on the integer columns of g, w^{-1} X must be
-    upper triangular with a nonzero diagonal.  A failed check raises, it
-    is never a value.
+    chamber minor read off the running table of the classifying sweep as
+    its integer pair: the stay coordinates are its probes, the descent
+    coordinates its entries (i, i+1) before each forced step, and the
+    chamber minor at level i after each ascent and descent its leading
+    minors.  Each m_k must equal -c_k / Delta_{v_(k) omega_i, w_(k) omega_i}(z)
+    minus its correction, and the rebuilt element g must span the flag:
+    with X = z^{-1} g, found by back substitution on the integer columns of
+    g, w^{-1} X must be upper triangular with a nonzero diagonal.  A failed
+    check raises, it is never a value.
     """
     desc, before, after = _sweep(z, word)
-    coords = {k: Fraction(*before[k - 1]) for k in desc.stay_positions + desc.descent_positions}
-    standard = {k: Fraction(*after[k - 1]) for k in desc.ascent_positions + desc.descent_positions}
+    coords = {k: before[k - 1] for k in desc.stay_positions + desc.descent_positions}
+    standard = {k: after[k - 1] for k in desc.ascent_positions + desc.descent_positions}
 
-    def chamber(k: int, i: int, g: _Columns) -> Fraction:
-        if standard[k] == 0:
+    def chamber(k: int, i: int, g: _Columns) -> tuple[int, int]:
+        if not standard[k][0]:
             raise NotInComponentError("standard chamber minor vanishes")
         return standard[k]
 
     result, g = _solve(desc, coords, chamber)
     for k, m in result.m_params.items():
-        alt = -coords[k] / standard[k] - result.corrections[k]
+        (c, s_c), (x, s_x) = coords[k], standard[k]
+        alt = Fraction(-c * s_x, s_c * x) - result.corrections[k]
         if m != alt:
             raise InternalCheckError(
                 f"descent parameter mismatch at step {k}: {m} vs {alt}"
@@ -575,10 +580,11 @@ def element_from_coordinates(
             raise DomainError(f"stay coordinate at step {k} must be nonzero")
     w = desc.prefix_perms
 
-    def chamber(k: int, i: int, g: _Columns) -> Fraction:
+    def chamber(k: int, i: int, g: _Columns) -> tuple[int, int]:
         minor = g.minor(w[k].prefix_set(i), w[0].prefix_set(i))
         if minor == 0:
             raise InternalCheckError("partial-product minor vanished")
-        return 1 / minor
+        return minor.denominator, minor.numerator
 
-    return _solve(desc, coords, chamber)[0]
+    pairs = {k: (x.numerator, x.denominator) for k, x in coords.items()}
+    return _solve(desc, pairs, chamber)[0]

@@ -238,13 +238,17 @@ def diagram_formulas(desc: ComponentDescriptor, z: RatMatrix) -> dict:
     if k is not None:
         raise NotInComponentError(f"z leaves the component at step {k}")
     arr = build_arrangement(ANSATZ, desc)
+    # A chamber borders up to four dots; its minor is evaluated once.
+    seen: dict[tuple[int, int, int], Fraction] = {}
 
     def minor(level: int, cell: int) -> Fraction:
         # Levels 0 and d have no minor label; their chamber label serves
         # as both index sets.
         ch = arr.chamber_at(level, cell)
         key = (ch.level, ch.start, ch.end)
-        return z.minor(*arr.minor_labels.get(key, (ch.label, ch.label)))
+        if key not in seen:
+            seen[key] = z.minor(*arr.minor_labels.get(key, (ch.label, ch.label)))
+        return seen[key]
 
     out: dict[int, Fraction] = {}
     for k in desc.stay_positions + desc.descent_positions:

@@ -19,18 +19,21 @@ the inverse lift of s_i.  One factor per step keeps positions aligned with
 the steps of a subexpression trace.
 
 Every factor differs from the identity only in rows and columns i, i+1, so
-a product of factors is kept as integer columns, each with one `Fraction`
-scale, and a factor multiplies onto it from the right as an operation on
-columns i and i+1: the lift of s_i swaps them and negates one scale, while
-y_i(t) and x_i(m) s_i^{-1} fold the parameter and both scales into one ratio
-P/Q, combine the two integer columns with it and divide the new column by
-its gcd.  A minor of the product is a Bareiss determinant of integer
-entries times the scales of its columns, and its flag, which the scales do
-not change, is read off the integer columns alone.  ``evaluate`` folds a
-word this way and builds one matrix at the end; ``apply_lift`` multiplies
-a matrix by the lift of a permutation as a signed column permutation.
-``factor_matrix`` and ``perm_matrix`` build the same factors as dense
-matrices, for products where a matrix is wanted.
+a product of factors is kept as integer columns, each with one scale held
+as an integer pair (n, d), d > 0 and gcd(n, d) = 1, and a factor
+multiplies onto it from the right as an operation on columns i and i+1:
+the lift of s_i swaps them and negates one scale, while y_i(t) and
+x_i(m) s_i^{-1} fold the numerator and denominator of the parameter and
+both scales into one ratio P/Q, combine the two integer columns with it,
+divide the new column by its gcd and reduce its new scale once.  A minor
+of the product is one `Fraction`: a Bareiss determinant of integer entries
+times the numerators of its columns' scales, over their denominators.  Its
+flag, which the scales do not change, is read off the integer columns
+alone.  ``evaluate`` folds a word this way and builds one matrix at the
+end; ``apply_lift`` multiplies a matrix by the lift of a permutation as a
+signed column permutation.  ``factor_matrix`` and ``perm_matrix`` build
+the same factors as dense matrices, for products where a matrix is
+wanted.
 """
 
 from __future__ import annotations
@@ -163,30 +166,43 @@ def factor_matrix(d: int, factor: GroupFactor) -> RatMatrix:
 
 
 def _combine(
-    u: list[int], su: Fraction, v: list[int], sv: Fraction
-) -> tuple[list[int], Fraction]:
-    """A primitive integer column c and its scale s with s c = su u + sv v."""
-    ratio = sv / su
-    p, q = ratio.numerator, ratio.denominator
+    u: list[int], su: tuple[int, int], v: list[int], sv: tuple[int, int]
+) -> tuple[list[int], tuple[int, int]]:
+    """A primitive integer column c and its scale s with s c = su u + sv v.
+
+    Scales are integer pairs (n, d) for n / d.  su and sv need not be
+    reduced, but both denominators must be positive; s comes back reduced
+    with a positive denominator.
+    """
+    (a, b), (c, e) = su, sv
+    # The ratio sv / su = p / q in lowest terms, q > 0.
+    p, q = c * b, e * a
+    if q < 0:
+        p, q = -p, -q
+    h = math.gcd(p, q)
+    p, q = p // h, q // h
     col = [q * x + p * y for x, y in zip(u, v)]
     g = math.gcd(*col)
     if g != 1:
         col = [x // g for x in col]
-    return col, su * g / q
+    n, den = a * g, b * q
+    h = math.gcd(n, den)
+    return col, (n // h, den // h)
 
 
 class _Columns:
     """A product of pinned factors, held as integer columns with scales.
 
-    Column j of the product is ``scales[j]`` times ``cols[j]``, a list of d
-    integers whose gcd is 1.  Starts at the identity.
+    Column j of the product is n / d times ``cols[j]``, a list of d integers
+    whose gcd is 1, where ``scales[j]`` is the integer pair (n, d), d > 0
+    and gcd(n, d) = 1.  Starts at the identity.
     """
 
     __slots__ = ("cols", "scales")
 
     def __init__(self, d: int):
         self.cols = [[int(r == c) for r in range(d)] for c in range(d)]
-        self.scales = [Fraction(1)] * d
+        self.scales = [(1, 1)] * d
 
     def apply(self, factor: GroupFactor) -> None:
         """Multiply ``factor_matrix(d, factor)`` onto the product from the right.
@@ -199,16 +215,17 @@ class _Columns:
         b = a + 1
         cols, scales = self.cols, self.scales
         if factor.kind == FACTOR_S:
+            n, d = scales[a]
             cols[a], cols[b] = cols[b], cols[a]
-            scales[a], scales[b] = scales[b], -scales[a]
-        elif factor.kind == FACTOR_Y:
-            cols[a], scales[a] = _combine(
-                cols[a], scales[a], cols[b], factor.param * scales[b]
-            )
+            scales[a], scales[b] = scales[b], (-n, d)
+            return
+        pn, pd = factor.param.numerator, factor.param.denominator
+        if factor.kind == FACTOR_Y:
+            n, d = scales[b]
+            cols[a], scales[a] = _combine(cols[a], scales[a], cols[b], (pn * n, pd * d))
         else:
-            col, scale = _combine(
-                cols[b], -scales[b], cols[a], -factor.param * scales[a]
-            )
+            (an, ad), (bn, bd) = scales[a], scales[b]
+            col, scale = _combine(cols[b], (-bn, bd), cols[a], (-pn * an, pd * ad))
             cols[a], cols[b] = col, cols[a]
             scales[a], scales[b] = scale, scales[a]
 
@@ -216,13 +233,14 @@ class _Columns:
         """``RatMatrix.minor`` of the product, on valid 1-based index sets."""
         # One row per chosen column: the transpose has the same determinant.
         sub = [[self.cols[c - 1][r - 1] for r in row_set] for c in col_set]
-        det = Fraction(_bareiss_det(sub))
-        return math.prod((self.scales[c - 1] for c in col_set), start=det)
+        chosen = [self.scales[c - 1] for c in col_set]
+        num = math.prod((n for n, _ in chosen), start=_bareiss_det(sub))
+        return Fraction(num, math.prod(d for _, d in chosen))
 
     def matrix(self) -> RatMatrix:
         return RatMatrix(
             tuple(
-                tuple(s * col[r] for col, s in zip(self.cols, self.scales))
+                tuple(Fraction(n * col[r], d) for col, (n, d) in zip(self.cols, self.scales))
                 for r in range(len(self.cols))
             )
         )

@@ -238,7 +238,7 @@ def test_chamber_parameters_match_factorize():
     rng = random.Random(29)
     done = 0
     while done < 24:
-        d = [3, 4, 5, 6][done % 4]
+        d = [3, 4, 5, 6, 8, 12][done % 6]
         word = random_reduced_word(rng, random_perm(rng, d))
         if not word:
             continue
@@ -255,6 +255,32 @@ def test_chamber_parameters_match_factorize():
         for k in desc.descent_positions:
             assert chamber_m(z, desc, k, partial(res.group_word, k - 1)) == res.m_params[k]
         done += 1
+
+
+def test_reported_parameters_and_products_are_fractions():
+    # The walk runs on integer pairs, but every value it reports is a
+    # Fraction, and the element's product is a matrix of Fractions equal to
+    # the dense product of its factors: the JSON and the bit gauge read both.
+    from deodhar.pinning import factor_matrix
+
+    rng = random.Random(59)
+    descents = 0
+    for d in (3, 4, 5, 6, 8) * 3:
+        desc, z = random_component_flag(rng, d)
+        ref = factorize(z, desc.word)
+        res = element_from_coordinates(desc, chamber_coordinates(z, desc))
+        assert res.group_word == ref.group_word
+        for r in (ref, res):
+            for values in (r.t_params, r.m_params, r.corrections):
+                assert all(type(x) is Fraction for x in values.values())
+        descents += len(ref.m_params)
+        dense = RatMatrix.identity(d)
+        for f in ref.group_word.factors:
+            dense = dense * factor_matrix(d, f)
+        g = evaluate(ref.group_word)
+        assert g == dense
+        assert all(type(x) is Fraction for row in g.rows for x in row)
+    assert descents > 0
 
 
 def test_chamber_coordinates_golden():

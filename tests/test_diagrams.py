@@ -313,3 +313,40 @@ def test_diagram_formulas_degree_mismatch(d):
         with pytest.raises(InputError) as exc:
             diagram_formulas(desc102(), z)
         assert str(exc.value) == "degree mismatch in generalized minor"
+
+
+def test_diagram_formulas_evaluates_each_chamber_minor_once(monkeypatch):
+    # A chamber borders up to four dots, but its minor of z is one
+    # elimination per call of diagram_formulas.
+    rng = random.Random(53)
+    cases = []
+    for d in (4, 6, 8):
+        w0 = Permutation(tuple(range(d, 0, -1)))
+        for _ in range(3):
+            desc = ComponentDescriptor(random_distinguished(rng, d, random_reduced_word(rng, w0)))
+            gw = build_element(
+                desc,
+                {k: random_nonzero(rng) for k in desc.stay_positions},
+                {k: random_rational(rng) for k in desc.descent_positions},
+            )
+            cases.append((desc, unipotent_representative(evaluate(gw))[0]))
+    real = RatMatrix.minor
+    calls = []
+
+    def counted(z, rows, cols):
+        calls.append((rows, cols))
+        return real(z, rows, cols)
+
+    monkeypatch.setattr(RatMatrix, "minor", counted)
+    for desc, z in cases:
+        arr = build_arrangement(ANSATZ, desc)
+        chambers = set()
+        for k in desc.stay_positions + desc.descent_positions:
+            col = arr.singular_column(k)
+            i = arr.columns[col - 1].level
+            for level, cell in ((i + 1, col - 1), (i - 1, col - 1), (i, col - 1), (i, col)):
+                ch = arr.chamber_at(level, cell)
+                chambers.add((ch.level, ch.start, ch.end))
+        calls.clear()
+        diagram_formulas(desc, z)
+        assert len(calls) == len(chambers)

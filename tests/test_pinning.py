@@ -458,6 +458,17 @@ def kernel_of(d, factors):
     return g
 
 
+def assert_canonical(g):
+    # Each scale is an integer pair (n, d) in lowest terms with d > 0, and
+    # each integer column is primitive.
+    import math
+
+    for (n, d), col in zip(g.scales, g.cols):
+        assert type(n) is int and type(d) is int
+        assert d > 0 and math.gcd(n, d) == 1
+        assert math.gcd(*col) == 1
+
+
 def test_apply_factor_matches_dense_product():
     # The group-word kernel multiplies each factor onto a random product so
     # far exactly as the dense product with factor_matrix does.
@@ -467,8 +478,11 @@ def test_apply_factor_matches_dense_product():
     for d in (2, 3, 6, 8, 12):
         prefix = [random_factor(rng, d) for _ in range(2 * d)]
         dense = RatMatrix.identity(d)
+        g = _Columns(d)
         for f in prefix:
             dense = dense * factor_matrix(d, f)
+            g.apply(f)
+            assert_canonical(g)
         for i in sorted({1, d // 2, d - 1}):
             for param in (rng.randint(-9, 9), random_rational(rng)):
                 for f in (
@@ -476,7 +490,9 @@ def test_apply_factor_matches_dense_product():
                     GroupFactor(FACTOR_S, i),
                     GroupFactor(FACTOR_XSINV, i, param),
                 ):
-                    out = kernel_of(d, prefix + [f]).matrix()
+                    g = kernel_of(d, prefix + [f])
+                    assert_canonical(g)
+                    out = g.matrix()
                     assert out == dense * factor_matrix(d, f)
                     assert all(type(x) is Fraction for row in out.rows for x in row)
     with pytest.raises(InputError):
