@@ -131,12 +131,12 @@ class ComponentDescriptor:
         ascent, the standard chamber minor at a stay (where v_(k-1) = v_(k)),
         and the chamber coordinate at a descent.
         """
-        values = self.trace.values
-        w = self.prefix_perms
-        return tuple(
-            (values[k - 1].prefix_set(i), w[k].prefix_set(i))
-            for k, i in enumerate(self.word, start=1)
-        )
+        return tuple(self._step_minor(k) for k in range(1, len(self.word) + 1))
+
+    def _step_minor(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Entry k-1 of ``step_minors``, built without the others."""
+        i = self.word[k - 1]
+        return self.trace.values[k - 1].prefix_set(i), self.prefix_perms[k].prefix_set(i)
 
     @property
     def stay_positions(self) -> tuple[int, ...]:
@@ -536,31 +536,45 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
     return result
 
 
-def _parting_step(desc: ComponentDescriptor, swept: ComponentDescriptor) -> int | None:
-    """The first step where two components of one word part, None if they are one."""
-    pairs = zip(desc.trace.marks, swept.trace.marks)
-    return next((k for k, (a, b) in enumerate(pairs, start=1) if a != b), None)
+def _component_walk(z: RatMatrix, desc: ComponentDescriptor) -> tuple[dict, int | None]:
+    """The chamber coordinates of z off a table walked along desc's own marks.
+
+    Up to the first step k where z's trace parts from desc's, at an ascent
+    whose probe is nonzero or a stay whose probe vanishes, z's sweep makes
+    desc's moves, its forced steps being desc's descents.  Returns the
+    coordinates, with k or None; the word is not checked again.
+    """
+    if z.d != desc.d:
+        raise InputError("degree mismatch in generalized minor")
+    _check_unipotent(z)
+    table = _ChamberTable(z)
+    coords: dict[int, Fraction] = {}
+    for k, (i, mark) in enumerate(zip(desc.word, desc.trace.marks), start=1):
+        n, s = table.bordered(i)
+        if mark == MARK_UP and n or mark == MARK_STAY and not n:
+            return coords, k
+        if mark != MARK_UP:
+            coords[k] = Fraction(n, s)
+        table.step(i, _MARK_TURN[mark])
+    return coords, None
 
 
 def chamber_coordinates(z: RatMatrix, desc: ComponentDescriptor) -> dict:
     """The coordinate system of the component, evaluated at z.
 
     Stay steps contribute their standard chamber minor, descent steps their
-    probe minor, each read off the classifying sweep of z; together these
-    determine the element.  A z outside the component raises
-    NotInComponentError at the first step where its trace leaves the
-    component's: a stay whose chamber minor vanishes, or an ascent whose
-    probe does not.
+    probe minor, each read off a running table of z walked along the
+    component's own marks (``_component_walk``); together these determine
+    the element.  A z outside the component raises NotInComponentError at
+    the first step where its trace leaves the component's: a stay whose
+    chamber minor vanishes, or an ascent whose probe does not.
     """
-    if z.d != desc.d:
-        raise InputError("degree mismatch in generalized minor")
-    swept, before, _ = _sweep(z, desc.word)
-    k = _parting_step(desc, swept)
+    coords, k = _component_walk(z, desc)
     if k is not None and desc.trace.marks[k - 1] == MARK_STAY:
         raise NotInComponentError("standard chamber minor vanishes")
     if k is not None:
         raise NotInComponentError(f"probe minor at ascent step {k} does not vanish")
-    return {k: Fraction(*before[k - 1]) for k in sorted(desc.stay_positions + desc.descent_positions)}
+    return coords
 
 
 def element_from_coordinates(

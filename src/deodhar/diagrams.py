@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .components import ComponentDescriptor, _check_unipotent, _parting_step, classify
+from .components import ComponentDescriptor, _check_unipotent, _component_walk
 from .errors import InputError, InternalCheckError, NotInComponentError
 from .linalg import RatMatrix
 from .subexpr import MARK_STAY, MARK_UP, SubexpressionTrace, _trace_from_moves
@@ -144,27 +144,31 @@ def _trace_sources(trace: SubexpressionTrace) -> list[tuple[str, int, int]]:
 
 
 def _assemble(kind: str, d: int, columns: list[Constituent]) -> Arrangement:
+    """Positions and chambers in one walk over the columns, O(columns + d).
+
+    Each level keeps the start of its open chamber, which a crossing there
+    closes; chambers come out ordered by level, then by start.
+    """
     positions: list[tuple[int, ...]] = [tuple(range(1, d + 1))]
-    for col in columns:
+    starts = [0] * (d + 1)
+    by_level: list[list[Chamber]] = [[] for _ in range(d + 1)]
+
+    def close(level: int, end: int) -> None:
+        start = starts[level]
+        by_level[level].append(Chamber(level, start, end, tuple(sorted(positions[start][:level]))))
+
+    for c, col in enumerate(columns, start=1):
         cur = list(positions[-1])
         if col.kind != STRAIGHT:
             i = col.level
             cur[i - 1], cur[i] = cur[i], cur[i - 1]
+            close(i, c - 1)
+            starts[i] = c
         positions.append(tuple(cur))
-    chambers: list[Chamber] = []
-    ncells = len(columns) + 1
     for level in range(d + 1):
-        start = 0
-        for c, col in enumerate(columns, start=1):
-            if col.level == level and col.kind != STRAIGHT:
-                chambers.append(
-                    Chamber(level, start, c - 1, tuple(sorted(positions[start][:level])))
-                )
-                start = c
-        chambers.append(
-            Chamber(level, start, ncells - 1, tuple(sorted(positions[start][:level])))
-        )
-    return Arrangement(kind, d, tuple(columns), tuple(positions), tuple(chambers))
+        close(level, len(columns))
+    chambers = tuple(ch for level in by_level for ch in level)
+    return Arrangement(kind, d, tuple(columns), tuple(positions), chambers)
 
 
 def classical_arrangement(word: Sequence[int], d: int) -> Arrangement:
@@ -204,7 +208,7 @@ def build_arrangement(kind: str, desc: ComponentDescriptor) -> Arrangement:
             k = col.step - 1 if col.source == "x" else col.step
             cells.append((values[k], prefixes[col.step]))
         for ch in arr.chambers:
-            if 1 <= ch.level <= desc.d - 1:
+            if 1 <= ch.level <= arr.d - 1:
                 v, w = cells[ch.start]
                 arr.minor_labels[(ch.level, ch.start, ch.end)] = (
                     v.prefix_set(ch.level),
@@ -229,12 +233,10 @@ def diagram_formulas(desc: ComponentDescriptor, z: RatMatrix) -> dict:
     the minor ratio before the correction term.  Around each dot the four
     surrounding chambers give above*below/(left*right), inverted on
     descent steps.  A z outside the component raises NotInComponentError
-    naming the first step where its trace leaves the component's; on the
-    component no chamber minor vanishes.
+    naming the first step where its trace leaves the component's, as the
+    walk of ``chamber_coordinates`` finds it; on it no chamber minor vanishes.
     """
-    if z.d != desc.d:
-        raise InputError("degree mismatch in generalized minor")
-    k = _parting_step(desc, classify(z, desc.word))
+    k = _component_walk(z, desc)[1]
     if k is not None:
         raise NotInComponentError(f"z leaves the component at step {k}")
     arr = build_arrangement(ANSATZ, desc)
@@ -289,24 +291,25 @@ def classify_graphical(z: RatMatrix, word: Sequence[int]) -> ComponentDescriptor
     return ComponentDescriptor(_trace_from_moves(word, d, moves))
 
 
-def _label_text(strands: Sequence[int], d: int) -> str:
-    if d <= 9:
-        return "".join(str(s) for s in strands)
-    return ",".join(str(s) for s in strands)
-
-
 def _chamber_text_labels(arr: Arrangement) -> dict[tuple[int, int, int], str]:
-    """Chamber label strings at the bounded levels 1..d-1."""
+    """Chamber label strings at the bounded levels 1..d-1, names comma-separated above d = 9."""
+    d = arr.d
+    names = [str(s) for s in range(d + 1)]
+    sep = "" if d <= 9 else ","
+
+    def text(strands: Sequence[int]) -> str:
+        return sep.join([names[s] for s in strands])
+
     out: dict[tuple[int, int, int], str] = {}
     for ch in arr.chambers:
-        if not 1 <= ch.level <= arr.d - 1:
+        if not 1 <= ch.level <= d - 1:
             continue
         key = (ch.level, ch.start, ch.end)
         if arr.kind == ANSATZ:
             rows, cols = arr.minor_labels[key]
-            out[key] = f"{_label_text(rows, arr.d)}/{_label_text(cols, arr.d)}"
+            out[key] = f"{text(rows)}/{text(cols)}"
         else:
-            out[key] = _label_text(ch.label, arr.d)
+            out[key] = text(ch.label)
     return out
 
 
@@ -396,6 +399,10 @@ _SVG_MARGIN = 24
 
 
 def _render_svg(arr: Arrangement) -> str:
+    """SVG markup, each polyline point formatted as it is made.
+
+    A column's edges and a level's height are formatted once each.
+    """
     d = arr.d
     labels = _chamber_text_labels(arr)
     footer = _footer_labels(arr)
@@ -411,9 +418,10 @@ def _render_svg(arr: Arrangement) -> str:
 
     x_start = float(_SVG_MARGIN)
     x_end = float(width - _SVG_MARGIN)
+    y_text = [""] + [f"{ypos(p):.1f}" for p in range(1, d + 1)]
 
-    paths: dict[int, list[list[tuple[float, float]]]] = {
-        s: [[(x_start, ypos(s))]] for s in range(1, d + 1)
+    paths: dict[int, list[list[str]]] = {
+        s: [[f"{x_start:.1f},{y_text[s]}"]] for s in range(1, d + 1)
     }
     dots: list[tuple[float, float]] = []
     for c, col in enumerate(arr.columns, start=1):
@@ -421,29 +429,29 @@ def _render_svg(arr: Arrangement) -> str:
             continue
         i = col.level
         xl, xr = col_left(c), col_left(c) + _SVG_COL
+        xl_text, xr_text = f"{xl:.1f},", f"{xr:.1f},"
         lower_strand, upper_strand = arr.positions[c - 1][i - 1 : i + 1]
         y_low, y_high = ypos(i), ypos(i + 1)
-        for strand, y_from, y_to in (
-            (lower_strand, y_low, y_high),
-            (upper_strand, y_high, y_low),
+        for strand, p_from, p_to, y_from, y_to in (
+            (lower_strand, i, i + 1, y_low, y_high),
+            (upper_strand, i + 1, i, y_high, y_low),
         ):
             path = paths[strand][-1]
-            path.append((xl, y_from))
+            path.append(xl_text + y_text[p_from])
             ascending = y_to < y_from
             under = col.kind == BRAID and (
                 (col.source == "s" and ascending)
                 or (col.source == "sinv" and not ascending)
             )
             if under:
-                path.append((xl + 0.38 * _SVG_COL, y_from + 0.38 * (y_to - y_from)))
-                paths[strand].append(
-                    [(xl + 0.62 * _SVG_COL, y_from + 0.62 * (y_to - y_from))]
-                )
-            paths[strand][-1].append((xr, y_to))
+                path.append(f"{xl + 0.38 * _SVG_COL:.1f},{y_from + 0.38 * (y_to - y_from):.1f}")
+                path = [f"{xl + 0.62 * _SVG_COL:.1f},{y_from + 0.62 * (y_to - y_from):.1f}"]
+                paths[strand].append(path)
+            path.append(xr_text + y_text[p_to])
         if col.kind == SINGULAR:
             dots.append((xl + _SVG_COL / 2, (y_low + y_high) / 2))
-    for s in range(1, d + 1):
-        paths[s][-1].append((x_end, paths[s][-1][-1][1]))
+    for p, s in enumerate(arr.positions[-1], start=1):
+        paths[s][-1].append(f"{x_end:.1f},{y_text[p]}")
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -452,8 +460,7 @@ def _render_svg(arr: Arrangement) -> str:
     ]
     for s in range(1, d + 1):
         for path in paths[s]:
-            pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in path)
-            parts.append(f'<polyline points="{pts}"/>')
+            parts.append(f'<polyline points="{" ".join(path)}"/>')
     parts.append("</g>")
     for x, y in dots:
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="black"/>')

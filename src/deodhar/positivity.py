@@ -27,11 +27,11 @@ from .components import (
     _group_word,
     _positive_component,
     _sweep,
-    component_conditions,
 )
 from .errors import DomainError, InputError
 from .linalg import RatMatrix, rational_from_json, rational_to_json
 from .pinning import GroupWord, group_word_to_json
+from .subexpr import MARK_DOWN, MARK_UP
 from .weyl import Permutation, _int_from_json
 
 __all__ = [
@@ -159,24 +159,27 @@ def is_totally_nonnegative(z: RatMatrix, word: Sequence[int]) -> TnnCertificate:
     minors.  Those values are the probes the classifying sweep already
     read off its running table, so the test evaluates no minor of its own.
     The certificate carries one equality record per ascent step and one
-    inequality record per stay step.
+    inequality record per stay step, built in one pass over the trace;
+    only those steps take their index sets.
     """
     desc, before, _ = _sweep(z, word)
-    conditions = component_conditions(desc)
-    equalities = tuple(
-        MinorRecord(k, rows, cols, Fraction(0), "=", True)
-        for k, rows, cols in conditions.zero_minors
-    )
-    probes = {k: Fraction(*before[k - 1]) for k in desc.stay_positions}
-    inequalities = tuple(
-        MinorRecord(k, rows, cols, probes[k], ">", probes[k] > 0)
-        for k, rows, cols in conditions.nonzero_minors
-    )
+    equalities: list[MinorRecord] = []
+    inequalities: list[MinorRecord] = []
+    descents: list[int] = []
+    for k, mark in enumerate(desc.trace.marks, start=1):
+        if mark == MARK_DOWN:
+            descents.append(k)
+            continue
+        rows, cols = desc._step_minor(k)
+        if mark == MARK_UP:
+            equalities.append(MinorRecord(k, rows, cols, Fraction(0), "=", True))
+        else:
+            value = Fraction(*before[k - 1])
+            inequalities.append(MinorRecord(k, rows, cols, value, ">", value > 0))
     violated = [r.k for r in inequalities if not r.ok]
-    descents = desc.descent_positions
     if descents:
         reason = (
-            f"trace has length-decreasing steps at {list(descents)}, "
+            f"trace has length-decreasing steps at {descents}, "
             "so it is not the positive trace of its endpoint"
         )
     elif violated:
@@ -188,9 +191,9 @@ def is_totally_nonnegative(z: RatMatrix, word: Sequence[int]) -> TnnCertificate:
         desc.endpoint,
         desc,
         reason,
-        descents,
-        equalities,
-        inequalities,
+        tuple(descents),
+        tuple(equalities),
+        tuple(inequalities),
         tuple(violated),
     )
 

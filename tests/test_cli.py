@@ -291,6 +291,21 @@ def test_diagram_svg(z_file, capsys):
     assert out.lstrip().startswith("<svg")
 
 
+def test_diagram_svg_of_a_positive_sample_at_degree_8(tmp_path, capsys):
+    # The CI step renders the same sample through the installed script and
+    # compares it byte for byte with the same golden.
+    w0_word = json.dumps([j for i in range(7, 0, -1) for j in range(i, 8)])
+    argv = ["sample", "--v", "[5,6,7,8,1,2,3,4]", "--word", w0_word, "--seed", "7"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    path = tmp_path / "sample8.json"
+    path.write_text(json.dumps(json.loads(out)["matrix"]))
+    argv = ["diagram", "--kind", "ansatz", "--matrix", str(path), "--word", w0_word]
+    code, out = run(capsys, argv + ["--format", "svg"])
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "ansatz_sample8.svg").read_text()
+
+
 def test_diagram_json_classical(capsys):
     code, out = run(
         capsys,

@@ -34,7 +34,7 @@ from deodhar.pinning import GroupFactor, GroupWord, evaluate, partial, perm_matr
 from deodhar.cli import _descriptor_from_args
 from deodhar.diagrams import diagram_formulas
 from deodhar.positivity import is_totally_nonnegative, random_positive_sample, sample_positive
-from deodhar.subexpr import MARK_UP, SubexpressionTrace, enumerate_distinguished
+from deodhar.subexpr import MARK_STAY, MARK_UP, SubexpressionTrace, enumerate_distinguished
 from deodhar.weyl import Permutation, a_reduced_word, evaluate_word, longest_element
 
 from support import (
@@ -640,6 +640,66 @@ def test_sweep_checks_the_word_once_and_trusts_what_it_builds(checks):
             entry(z, list(desc.word))
             del checks["prefix_set"]
             assert checks == {"check_reduced_word": 1}, entry.__name__
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_coordinate_readers_refuse_exactly_the_flags_of_other_components(d):
+    # z is a flag of a random component of desc's word, most often another
+    # one.  Both readers refuse exactly when z's component is not desc, at
+    # the first step where the two mark strings differ, and otherwise
+    # chamber_coordinates reads the minors of desc's stay and descent steps.
+    rng = random.Random(80 + d)
+    refused = 0
+    for _ in range(60):
+        word = random_reduced_word(rng, random_perm(rng, d))
+        desc, other = (ComponentDescriptor(random_distinguished(rng, d, word)) for _ in "ab")
+        z = unipotent_representative(evaluate(build_element(
+            other,
+            {k: random_nonzero(rng) for k in other.stay_positions},
+            {k: random_rational(rng) for k in other.descent_positions},
+        )))[0]
+        swept = classify(z, word)
+        pairs = enumerate(zip(desc.trace.marks, swept.trace.marks), start=1)
+        k = next((k for k, (a, b) in pairs if a != b), None)
+        assert (k is None) == (swept == desc)
+        if k is None:
+            coords = chamber_coordinates(z, desc)
+            steps = sorted(desc.stay_positions + desc.descent_positions)
+            assert coords == {j: z.minor(*desc.step_minors[j - 1]) for j in steps}
+            assert list(coords) == steps
+            diagram_formulas(desc, z)
+            continue
+        refused += 1
+        if desc.trace.marks[k - 1] == MARK_STAY:
+            message = "standard chamber minor vanishes"
+        else:
+            message = f"probe minor at ascent step {k} does not vanish"
+        with pytest.raises(NotInComponentError) as exc:
+            chamber_coordinates(z, desc)
+        assert str(exc.value) == message
+        with pytest.raises(NotInComponentError) as exc:
+            diagram_formulas(desc, z)
+        assert str(exc.value) == f"z leaves the component at step {k}"
+    assert 30 < refused < 60
+
+
+def test_chamber_coordinates_checks_no_word_and_rebuilds_no_trace(checks, monkeypatch):
+    # The descriptor holds a checked word and its trace values, so the
+    # coordinates walk the table along its marks with no word check, no
+    # trace value rebuilt and no index set taken.
+    real_times_s = Permutation.times_s
+
+    def counted_times_s(self, i):
+        checks["times_s"] += 1
+        return real_times_s(self, i)
+
+    rng = random.Random(31)
+    cases = [random_component_flag(rng, rng.choice([4, 5, 6])) for _ in range(10)]
+    monkeypatch.setattr(Permutation, "times_s", counted_times_s)
+    for desc, z in cases:
+        checks.clear()
+        chamber_coordinates(z, desc)
+        assert not checks
 
 
 def test_descriptor_builds_its_index_sets_on_first_read(checks):

@@ -1,5 +1,6 @@
 """Tests for pseudoline arrangements, chamber labels, and rendering."""
 
+import hashlib
 import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -350,3 +351,36 @@ def test_diagram_formulas_evaluates_each_chamber_minor_once(monkeypatch):
         calls.clear()
         diagram_formulas(desc, z)
         assert len(calls) == len(chambers)
+
+
+def _drawing_digest(kind):
+    """SHA-256 over the chambers, minor labels and both renders of one kind.
+
+    Three seeded descriptors per degree d = 5..12, each drawn as ``kind``.
+    """
+    rng = random.Random(97)
+    h = hashlib.sha256()
+    for d in range(5, 13):
+        for _ in range(3):
+            word = random_reduced_word(rng, random_perm(rng, d))
+            arr = build_arrangement(kind, ComponentDescriptor(random_distinguished(rng, d, word)))
+            h.update(repr(arr.chambers).encode())
+            h.update(repr(sorted(arr.minor_labels.items())).encode())
+            h.update(render(arr, "text").encode())
+            h.update(render(arr, "svg").encode())
+    return h.hexdigest()
+
+
+# Pinned digests: a change to how arrangements are built or drawn must
+# keep every chamber, minor label and rendered byte.
+DRAWING_DIGESTS = {
+    CLASSICAL: "fa219536c8394ed3df9d76cac059bd5a6172457220b7d4dc95472978e5436b1e",
+    UPPER: "8516bc20917bed11dbf166fdd382712610948bb8f5e88a3c8a6e7f76d48594d1",
+    LOWER: "4e8cba72b2d1427ede257687be569e919fd3dfb2eb1697e075e547d6537cff59",
+    ANSATZ: "ab061fd4e0b0f18e355ece5ddcf9cb2572b5009b0c956f4d0a7e6aead579d761",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DRAWING_DIGESTS))
+def test_drawings_match_their_pinned_digests(kind):
+    assert _drawing_digest(kind) == DRAWING_DIGESTS[kind]

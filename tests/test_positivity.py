@@ -10,10 +10,11 @@ from deodhar.components import (
     build_element,
     classify,
     classify_steps,
+    component_conditions,
     element_from_coordinates,
 )
 from deodhar.errors import DomainError, InputError
-from deodhar.linalg import RatMatrix, flag_equal, unipotent_representative
+from deodhar.linalg import RatMatrix, flag_equal, rational_to_json, unipotent_representative
 from deodhar.pinning import evaluate, gen_x, gmin, partial, reduce_flag
 from deodhar.positivity import (
     braid_move_y,
@@ -35,6 +36,7 @@ from deodhar.weyl import (
 
 from support import (
     S102_WORD,
+    random_component_flag,
     random_distinguished,
     random_nonzero,
     random_perm,
@@ -386,3 +388,72 @@ def test_tnn_check_evaluates_no_minor_of_z(monkeypatch):
         assert [(r.k, r.rows, r.cols) for r in records] == [(s.k, s.rows, s.cols) for s in free]
         for r, s in zip(records, free):
             assert r.value == s.probe == z.minor(r.rows, r.cols)
+
+
+def certificate_from_conditions(z, word):
+    """The certificate's JSON, built from the component's conditions and probes."""
+    desc = classify(z, word)
+    cond = component_conditions(desc)
+    probes = {s.k: s.probe for s in classify_steps(z, word) if s.case == "stay"}
+
+    def record(k, rows, cols, value, relation):
+        return {
+            "k": k, "rows": list(rows), "cols": list(cols),
+            "value": rational_to_json(value), "relation": relation,
+        }
+
+    descents = list(desc.descent_positions)
+    violated = [k for k, _, _ in cond.nonzero_minors if probes[k] <= 0]
+    if descents:
+        reason = (
+            f"trace has length-decreasing steps at {descents}, "
+            "so it is not the positive trace of its endpoint"
+        )
+    elif violated:
+        reason = f"chamber minors at steps {violated} are not positive"
+    else:
+        reason = "flag lies in the totally nonnegative part"
+    return {
+        "totally_nonnegative": not descents and not violated,
+        "v": list(desc.endpoint.images),
+        "reason": reason,
+        "descent_steps": descents,
+        "equalities": [record(k, r, c, Fraction(0), "=") for k, r, c in cond.zero_minors],
+        "inequalities": [record(k, r, c, probes[k], ">") for k, r, c in cond.nonzero_minors],
+        "violated": violated,
+    }
+
+
+def test_certificate_is_the_component_conditions_in_one_pass(monkeypatch):
+    # The one-pass certificate prints what the component's conditions and
+    # the classify probes give, and takes two index sets at each ascent or
+    # stay step and none at a descent.
+    rng = random.Random(73)
+    real = Permutation.prefix_set
+    calls = []
+
+    def counted(self, i):
+        calls.append(i)
+        return real(self, i)
+
+    kinds = set()
+    for n in range(45):
+        d = rng.choice([3, 4, 5, 6])
+        word = random_reduced_word(rng, random_perm(rng, d))
+        if n % 3 == 0:
+            v = classify(random_unipotent(rng, d), word).endpoint
+            z = rep(random_positive_sample(v, word, n).group_word)
+        elif n % 3 == 1:
+            z = random_unipotent(rng, d)
+        else:
+            desc, z = random_component_flag(rng, d)
+            word = desc.word
+        expected = certificate_from_conditions(z, word)
+        monkeypatch.setattr(Permutation, "prefix_set", counted)
+        calls.clear()
+        cert = is_totally_nonnegative(z, word)
+        monkeypatch.undo()
+        assert cert.to_json() == expected
+        assert len(calls) == 2 * (len(word) - len(cert.descent_steps))
+        kinds.add((cert.nonnegative, bool(cert.descent_steps), bool(cert.violated)))
+    assert kinds >= {(True, False, False), (False, True, False), (False, False, True)}
