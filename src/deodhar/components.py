@@ -233,7 +233,7 @@ def classify_steps(z: RatMatrix, word: Sequence[int]) -> list[ClassifyStep]:
         case = _MARK_CASE[desc.trace.marks[k - 1]]
         rows, cols, probe = None, None, None
         if case != "forced":
-            rows, cols = desc.step_minors[k - 1]
+            rows, cols = desc._step_minor(k)
             probe = Fraction(*before[k - 1])
         steps.append(ClassifyStep(k, i, case, rows, cols, probe, desc.trace.values[k]))
     return steps

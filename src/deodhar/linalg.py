@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals for flag computations.
 
 Matrices are immutable, square, and store ``fractions.Fraction`` entries.
-A matrix clears the denominators of its rows once and keeps the integer
-rows; a minor runs fraction-free Bareiss elimination on a copy of the
-chosen integer entries, which keeps intermediate values small.  The
+A matrix clears the denominators of its columns once and keeps z·diag(c),
+c_j the lcm of column j's denominators; a minor runs fraction-free Bareiss
+elimination on a copy of the chosen integer entries, which keeps
+intermediate values small, and divides by its columns' scales.  The
 classifying sweep, and everything that reads minors of z off it, uses
 ``_ChamberTable`` instead: one Bareiss table of a unipotent matrix, kept
 up to date while the rows and columns move by one adjacent transposition
@@ -100,44 +101,42 @@ class _ChamberTable:
     """A running fraction-free elimination of M = v̄⁻¹ z w̄, for upper-unipotent z.
 
     v̄ and w̄ are the pinned lifts of two permutations, both starting at the
-    identity.  Row r of M is row v(r) of z, signed, times its scale, a row
-    of the cleared integer rows Z; so the leading principal minor of size i
-    is the minor of z on rows v{1..i} and columns w{1..i} times S_i, the
-    product of the scales of v(1..i).  Entry (r, c), 1-based, is the minor
-    of M on the leading positions 1..m−1 bordered by row r and column c,
-    m = min(r, c): the entries of every step of Bareiss elimination at
-    once.  It starts as s_1⋯s_(r−1)·Z[r][c] on and above the diagonal and 0
-    below.
+    identity.  Column j of M is column w(j) of z, signed, read from the
+    cleared Z = z·diag(c): it carries the scale ``scales[j-1]`` = c_w(j).
+    So the leading principal minor of size i is the minor of z on rows
+    v{1..i} and columns w{1..i} times ``leads[i]`` = c_w(1)⋯c_w(i).  Entry
+    (r, c), 1-based, is the minor of M on the leading positions 1..m−1
+    bordered by row r and column c, m = min(r, c): the entries of every
+    step of Bareiss elimination at once.  It starts as c_1⋯c_(r−1)·Z[r][c]
+    on and above the diagonal and 0 below.
 
-    ``step(i, turn)`` moves columns i, i+1 by the lift of s_i and, for turn
-    1 or −1, rows i, i+1 by its inverse or by the lift itself.  A minor
-    whose leading positions hold both i and i+1, or neither, keeps its
-    value up to the move of its border, so only the entries bordered at i
-    or i+1, or led by 1..i, change.  Sylvester's identity rewrites those,
-    O(d) of them, each with one exact division by the leading minor of
-    size i, which must be nonzero.
+    ``step(i, turn)`` moves columns i, i+1, scales included, by the lift
+    of s_i and, for turn 1 or −1, rows i, i+1 by its inverse or by the lift
+    itself.  A minor whose leading positions hold both i and i+1, or
+    neither, keeps its value up to the move of its border, so only the
+    entries bordered at i or i+1, or led by 1..i, change.  Sylvester's
+    identity rewrites those, O(d) of them, each with one exact division by
+    the leading minor of size i, which must be nonzero.
     """
 
     __slots__ = ("entries", "scales", "leads")
 
     def __init__(self, z: RatMatrix):
-        rows, scales = z._integer_rows
+        rows, scales = z._cleared
         self.entries: list[list[int]] = []
         self.scales = list(scales)
-        self.leads: list[int] = []
-        lead = 1
+        self.leads = [1]
         for r, row in enumerate(rows):
-            self.entries.append([0] * r + [lead * x for x in row[r:]])
-            lead *= scales[r]
-            self.leads.append(lead)
+            self.entries.append([0] * r + [self.leads[r] * x for x in row[r:]])
+            self.leads.append(self.leads[r] * scales[r])
 
     def bordered(self, i: int) -> tuple[int, int]:
-        """Entry (i, i+1) and S_i: the minor on rows 1..i and columns 1..i-1, i+1."""
-        return self.entries[i - 1][i], self.leads[i - 1]
+        """Entry (i, i+1) and its scale: the minor on rows 1..i and columns 1..i-1, i+1."""
+        return self.entries[i - 1][i], self.leads[i - 1] * self.scales[i]
 
     def leading(self, i: int) -> tuple[int, int]:
-        """Entry (i, i) and S_i: the leading principal minor of size i."""
-        return self.entries[i - 1][i - 1], self.leads[i - 1]
+        """Entry (i, i) and its scale: the leading principal minor of size i."""
+        return self.entries[i - 1][i - 1], self.leads[i]
 
     def step(self, i: int, turn: int) -> None:
         """Move columns i, i+1 by the lift of s_i, and rows i, i+1 by turn.
@@ -155,6 +154,9 @@ class _ChamberTable:
         if not p:
             raise InternalCheckError(f"leading minor of size {i} vanished")
         prev = t[a - 1][a - 1] if a else 1
+        s = self.scales
+        s[a], s[b] = s[b], s[a]
+        self.leads[i] = self.leads[a] * s[a]
         # Entry (i+1, i+1) led by 1..i-1 only: elimination step i undone.
         y = (w * prev + x * q) // p
         for r in t[:a]:
@@ -176,9 +178,6 @@ class _ChamberTable:
             u, v = r[a], r[b]
             r[a] = (v * prev + u * q) // p
             r[b] = turn * (x * v - w * u) // p
-        s = self.scales
-        s[a], s[b] = s[b], s[a]
-        self.leads[a] = (self.leads[a - 1] if a else 1) * s[a]
 
 
 @dataclass(frozen=True)
@@ -230,22 +229,21 @@ class RatMatrix:
         )
 
     @functools.cached_property
-    def _integer_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """Each row times the lcm of its denominators, and those lcms.
+    def _cleared(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The rows of self·diag(c), c_j the lcm of column j's denominators, and c.
 
         Tuples, so that the in-place elimination only ever gets a copy.
         """
-        rows: list[tuple[int, ...]] = []
-        scales: list[int] = []
-        for row in self.rows:
-            lcm = math.lcm(*(x.denominator for x in row))
-            scales.append(lcm)
-            rows.append(tuple(x.numerator * (lcm // x.denominator) for x in row))
-        return tuple(rows), tuple(scales)
+        scales = tuple(math.lcm(*(x.denominator for x in col)) for col in zip(*self.rows))
+        rows = tuple(
+            tuple(x.numerator * (c // x.denominator) for x, c in zip(row, scales))
+            for row in self.rows
+        )
+        return rows, scales
 
     def det(self) -> Fraction:
-        """Determinant via the cleared integer rows and Bareiss steps."""
-        rows, scales = self._integer_rows
+        """Determinant via the cleared integer columns and Bareiss steps."""
+        rows, scales = self._cleared
         return Fraction(_bareiss_det([list(r) for r in rows]), math.prod(scales))
 
     def minor(self, row_set: Sequence[int], col_set: Sequence[int]) -> Fraction:
@@ -253,15 +251,15 @@ class RatMatrix:
 
         Both sets must be strictly increasing and of equal size; the empty
         minor is 1.  Bareiss elimination runs on a copy of the chosen
-        entries of the cleared integer rows.
+        cleared entries, divided by the chosen columns' scales.
         """
         rows = _check_index_set(row_set, self.d)
         cols = _check_index_set(col_set, self.d)
         if len(rows) != len(cols):
             raise InputError("minor needs equally many rows and columns")
-        int_rows, scales = self._integer_rows
+        int_rows, scales = self._cleared
         det = _bareiss_det([[int_rows[r - 1][c - 1] for c in cols] for r in rows])
-        return Fraction(det, math.prod(scales[r - 1] for r in rows))
+        return Fraction(det, math.prod(scales[c - 1] for c in cols))
 
     def inverse(self) -> "RatMatrix":
         d = self.d

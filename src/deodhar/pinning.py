@@ -249,21 +249,21 @@ class _Columns:
         """Whether the product spans the flag z w B+, for upper-unipotent z.
 
         Scales do not change a flag, so only the integer columns G enter.
-        X = z^{-1} G comes from back substitution, with row r of X multiplied
-        by the row denominators s_r, ..., s_d of z so that it stays integral;
-        z is unipotent, so no pivot is divided by.  The flags agree exactly
-        when w^{-1} X is upper triangular, that is when column j of X is
-        nonzero at row w(j) and zero at the rows w(j'), j' > j.
+        Z = z diag(c), the cleared z, is upper triangular with pivots c_r;
+        Y = Z^{-1} G comes from back substitution, with row r multiplied by
+        c_r, ..., c_d so that it stays integral and no pivot is divided by.
+        Y has the zero pattern of X = z^{-1} G = diag(c) Y, and the flags
+        agree exactly when w^{-1} X is upper triangular, that is when column
+        j of X is nonzero at row w(j) and zero at the rows w(j'), j' > j.
         """
-        z_rows, s = z._integer_rows
+        z_rows, s = z._cleared
         g_rows = list(zip(*self.cols))
         d = len(g_rows)
         x: list[list[int]] = [[]] * d
         mult = 1
         for r in reversed(range(d)):
-            # Row r of z X = G, times s_r ... s_d; row c > r of x carries
-            # s_c ... s_d, so its coefficient is z_rows[r][c] s_(r+1) ... s_(c-1).
-            mult *= s[r]
+            # Row r of Z Y = G, times c_(r+1) ... c_d; row c > r of x carries
+            # c_c ... c_d, so its coefficient is z_rows[r][c] c_(r+1) ... c_(c-1).
             acc = [mult * e for e in g_rows[r]]
             carry = 1
             for c in range(r + 1, d):
@@ -272,6 +272,7 @@ class _Columns:
                     acc = [e - coef * f for e, f in zip(acc, x[c])]
                 carry *= s[c]
             x[r] = acc
+            mult *= s[r]
         pivots = [x[im - 1] for im in w.images]
         return all(
             pivots[j][j] != 0 and not any(row[j] for row in pivots[j + 1 :])

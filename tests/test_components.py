@@ -4,6 +4,7 @@ import argparse
 import json
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from support import (
     random_component_flag,
     S102_WORD,
     random_distinguished,
+    random_matrix,
     random_nonzero,
     random_perm,
     random_positive,
@@ -515,15 +517,35 @@ def test_descent_cross_check_catches_a_wrong_stay_coordinate(monkeypatch):
 def test_classify_steps_probes_are_minors_of_z_at_large_degree(d):
     # On a reduced word for w0, generic z stay at every step; sparse z
     # ascend and descend, so the table also moves its rows.
+    # The column-reduced z of a component flag has one denominator per
+    # column, so a probe whose scale came from the wrong columns is off.
     rng = random.Random(d)
     words = [a_reduced_word(longest_element(d)), random_reduced_word(rng, longest_element(d))]
     cases = Counter()
-    for word, z in zip(words, (random_unipotent(rng, d), random_sparse_unipotent(rng, d))):
+    desc, reduced = random_component_flag(rng, d)
+    words.append(desc.word)
+    for word, z in zip(words, (random_unipotent(rng, d), random_sparse_unipotent(rng, d), reduced)):
         for s in classify_steps(z, word):
             cases[s.case] += 1
             if s.case != "forced":
                 assert s.probe == z.minor(s.rows, s.cols)
     assert cases["ascend"] > 0 and cases["forced"] > 0
+
+
+def test_column_reduced_z_at_degree_24_is_fast():
+    # unipotent_representative reduces g by columns, so z has one
+    # denominator per column and the table, cleared by columns too, stays
+    # small; cleared by rows, classify and factorize took seconds here.
+    g = random_matrix(random.Random(24), 24)
+    z, w = unipotent_representative(g)
+    word = a_reduced_word(w)
+    start = time.perf_counter()
+    classify(z, word)
+    result = factorize(z, word)
+    elapsed = time.perf_counter() - start
+    assert result.to_json()["verified"] is True
+    assert flag_equal(evaluate(result.group_word), g)
+    assert elapsed < 1.0, f"classify and factorize took {elapsed:.2f} s"
 
 
 def test_chamber_table_refuses_a_vanishing_divisor():
@@ -717,6 +739,21 @@ def test_descriptor_builds_its_index_sets_on_first_read(checks):
         assert checks["prefix_set"] == 2 * len(desc.word)
         component_conditions(swept)
         assert checks["prefix_set"] == 2 * len(desc.word)
+
+
+def test_classify_steps_takes_index_sets_at_free_steps_only(checks):
+    # classify_steps reports index sets at its stays and ascents only, so
+    # it takes two prefix sets per free step and none at a forced one.
+    rng = random.Random(37)
+    forced = 0
+    for _ in range(20):
+        desc, z = random_component_flag(rng, 6)
+        checks.clear()
+        steps = classify_steps(z, desc.word)
+        free = sum(s.case != "forced" for s in steps)
+        forced += len(steps) - free
+        assert checks["prefix_set"] == 2 * free
+    assert forced > 0
 
 
 def test_positive_component_checks_the_word_once_and_trusts_what_it_builds(checks):

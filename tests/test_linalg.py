@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -86,7 +87,7 @@ def test_minor_matches_oracle():
         assert m.minor(rows, cols) == det_cofactor(sub)
 
 
-# Entries with denominators of several primes, so that each row's cleared
+# Entries with denominators of several primes, so that each column's cleared
 # scale differs from the scale a single minor would need.
 _entries = st.builds(
     Fraction, st.integers(-12, 12), st.sampled_from([1, 1, 2, 3, 4, 5, 6, 7, 9, 12])
@@ -249,8 +250,8 @@ def test_minor_and_det_repeat_in_either_order(data):
 
 
 def test_minor_cache_leaves_equality_and_hash_alone():
-    # Both the cleared rows and the triangularity flag are cached on the
-    # matrix; neither may take part in == or hash.
+    # The cleared columns are cached on the matrix; they may not take part
+    # in == or hash.
     rng = random.Random(12)
     for d in (1, 3, 5):
         for m in (random_matrix(rng, d), random_unipotent(rng, d)):
@@ -265,6 +266,28 @@ def test_minor_cache_leaves_equality_and_hash_alone():
             assert m == twin and twin == m
             assert m != other
             assert len({m, twin}) == 1
+
+
+def test_minor_and_det_divide_by_column_scales():
+    # A z from column reduction has one denominator per column and rows
+    # that mix them, its transpose the other way round, so a minor divided
+    # by its rows' scales is wrong on one of the two.
+    rng = random.Random(24)
+    for d in (4, 6, 8):
+        z = unipotent_representative(random_matrix(rng, d))[0]
+        for m in (z, RatMatrix(tuple(zip(*z.rows)))):
+            rows = [list(r) for r in m.rows]
+            lcms = [math.lcm(*(x.denominator for x in r)) for r in rows]
+            assert lcms != [math.lcm(*(x.denominator for x in c)) for c in zip(*rows)]
+            assert m.det() == det_cofactor(rows)
+            for _ in range(4):
+                k = rng.randint(1, d)
+                drawn = (
+                    tuple(sorted(rng.sample(range(1, d + 1), k))),
+                    tuple(sorted(rng.sample(range(1, d + 1), k))),
+                )
+                for row_set, col_set in _gale_pairs(*drawn):
+                    assert m.minor(row_set, col_set) == _oracle_minor(rows, row_set, col_set)
 
 
 def test_inverse():
