@@ -32,11 +32,10 @@ steps, inverted for descent steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
-from .components import ComponentDescriptor, _check_unipotent, _component_walk
-from .errors import InputError, InternalCheckError, NotInComponentError
+from .components import ComponentDescriptor, _check_unipotent, _component_walk, factorize
+from .errors import InputError, NotInComponentError
 from .linalg import RatMatrix
 from .subexpr import MARK_STAY, MARK_UP, SubexpressionTrace, _trace_from_moves
 from .weyl import Permutation, _check_letters, _degree, check_reduced_word
@@ -229,43 +228,20 @@ def ansatz_minor_labels(desc: ComponentDescriptor) -> dict:
 def diagram_formulas(desc: ComponentDescriptor, z: RatMatrix) -> dict:
     """Parameters read off the ansatz arrangement, one per singular point.
 
-    For a stay step the value is the y parameter; for a descent step it is
-    the minor ratio before the correction term.  Around each dot the four
-    surrounding chambers give above*below/(left*right), inverted on
-    descent steps.  A z outside the component raises NotInComponentError
-    naming the first step where its trace leaves the component's, as the
-    walk of ``chamber_coordinates`` finds it; on it no chamber minor vanishes.
+    Around each dot the four surrounding chambers give
+    above*below/(left*right), inverted on descent steps: the y parameter at
+    a stay step and the minor ratio before the correction term at a descent.
+    These are the ratios ``factorize`` computes, and its values are returned,
+    stay steps first: t_k, and m_k plus its correction.  A z outside the
+    component raises NotInComponentError naming the first step where its
+    trace leaves the component's, as the walk of ``chamber_coordinates``
+    finds it.
     """
     k = _component_walk(z, desc)[1]
     if k is not None:
         raise NotInComponentError(f"z leaves the component at step {k}")
-    arr = build_arrangement(ANSATZ, desc)
-    # A chamber borders up to four dots; its minor is evaluated once.
-    seen: dict[tuple[int, int, int], Fraction] = {}
-
-    def minor(level: int, cell: int) -> Fraction:
-        # Levels 0 and d have no minor label; their chamber label serves
-        # as both index sets.
-        ch = arr.chamber_at(level, cell)
-        key = (ch.level, ch.start, ch.end)
-        if key not in seen:
-            seen[key] = z.minor(*arr.minor_labels.get(key, (ch.label, ch.label)))
-        return seen[key]
-
-    out: dict[int, Fraction] = {}
-    for k in desc.stay_positions + desc.descent_positions:
-        col = arr.singular_column(k)
-        i = arr.columns[col - 1].level
-        vertical = minor(i + 1, col - 1) * minor(i - 1, col - 1)
-        horizontal = minor(i, col - 1) * minor(i, col)
-        if k in desc.stay_positions:
-            num, den = vertical, horizontal
-        else:
-            num, den = horizontal, vertical
-        if den == 0:
-            raise InternalCheckError(f"chamber minor around step {k} vanished")
-        out[k] = num / den
-    return out
+    res = factorize(z, desc.word)
+    return {**res.t_params, **{k: m + res.corrections[k] for k, m in res.m_params.items()}}
 
 
 def classify_graphical(z: RatMatrix, word: Sequence[int]) -> ComponentDescriptor:

@@ -195,7 +195,11 @@ class RatMatrix:
             raise InputError("matrix must be square")
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable]) -> "RatMatrix":
+    def from_rows(rows: Iterable[Sequence]) -> "RatMatrix":
+        rows = tuple(rows)
+        for r in rows:
+            if not isinstance(r, (list, tuple)):
+                raise InputError(f"matrix row must be a list or a tuple, got {r!r}")
         return RatMatrix(tuple(tuple(rational_from_json(x) for x in r) for r in rows))
 
     @staticmethod

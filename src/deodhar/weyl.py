@@ -47,7 +47,6 @@ __all__ = [
     "fundamental_weight",
     "act",
     "pair",
-    "cartan_entry",
 ]
 
 Word = tuple[int, ...]
@@ -70,6 +69,9 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.images, (list, tuple)):
+            raise InputError(f"permutation images must be a list or a tuple, got {self.images!r}")
+        object.__setattr__(self, "images", tuple(self.images))
         d = len(self.images)
         if d == 0:
             raise InputError("permutation must have degree at least 1")
@@ -128,12 +130,6 @@ class Permutation:
         im = list(self.images)
         im[i - 1], im[i] = im[i], im[i - 1]
         return _product(tuple(im))
-
-    def s_times(self, i: int) -> "Permutation":
-        """Left multiplication by the simple transposition s_i."""
-        i = _int_in_range(i, 1, self.d - 1, "reflection index")
-        swap = {i: i + 1, i + 1: i}
-        return _product(tuple(swap.get(v, v) for v in self.images))
 
     def prefix_set(self, i: int) -> tuple[int, ...]:
         """The sorted image of {1, ..., i}, the index set attached to w omega_i."""
@@ -322,12 +318,3 @@ def pair(lam: Sequence[int], i: int) -> int:
     lam = _check_weight(lam)
     i = _int_in_range(i, 1, len(lam) - 1, "coroot index")
     return lam[i - 1] - lam[i]
-
-
-def cartan_entry(j: int, i: int) -> int:
-    """The pairing of the j-th simple root with the i-th simple coroot."""
-    if j == i:
-        return 2
-    if abs(j - i) == 1:
-        return -1
-    return 0

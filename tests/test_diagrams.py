@@ -316,9 +316,11 @@ def test_diagram_formulas_degree_mismatch(d):
         assert str(exc.value) == "degree mismatch in generalized minor"
 
 
-def test_diagram_formulas_evaluates_each_chamber_minor_once(monkeypatch):
-    # A chamber borders up to four dots, but its minor of z is one
-    # elimination per call of diagram_formulas.
+def test_diagram_formulas_is_the_graphical_reading_without_a_minor(monkeypatch):
+    # The graphical reading: around each dot, the minors of z on the four
+    # chambers give above*below/(left*right), inverted at descents.
+    # diagram_formulas returns factorize's values, which must be that
+    # reading, key order included, and it evaluates no minor of z itself.
     rng = random.Random(53)
     cases = []
     for d in (4, 6, 8):
@@ -330,7 +332,26 @@ def test_diagram_formulas_evaluates_each_chamber_minor_once(monkeypatch):
                 {k: random_nonzero(rng) for k in desc.stay_positions},
                 {k: random_rational(rng) for k in desc.descent_positions},
             )
-            cases.append((desc, unipotent_representative(evaluate(gw))[0]))
+            z = unipotent_representative(evaluate(gw))[0]
+            arr = build_arrangement(ANSATZ, desc)
+
+            def minor(level, cell):
+                # Levels 0 and d have no minor label; their chamber label
+                # serves as both index sets.
+                ch = arr.chamber_at(level, cell)
+                key = (ch.level, ch.start, ch.end)
+                return z.minor(*arr.minor_labels.get(key, (ch.label, ch.label)))
+
+            reading = {}
+            for k in desc.stay_positions + desc.descent_positions:
+                col = arr.singular_column(k)
+                i = arr.columns[col - 1].level
+                vertical = minor(i + 1, col - 1) * minor(i - 1, col - 1)
+                horizontal = minor(i, col - 1) * minor(i, col)
+                stay = k in desc.stay_positions
+                reading[k] = vertical / horizontal if stay else horizontal / vertical
+            cases.append((desc, z, reading))
+    assert any(desc.descent_positions for desc, _, _ in cases)
     real = RatMatrix.minor
     calls = []
 
@@ -339,18 +360,10 @@ def test_diagram_formulas_evaluates_each_chamber_minor_once(monkeypatch):
         return real(z, rows, cols)
 
     monkeypatch.setattr(RatMatrix, "minor", counted)
-    for desc, z in cases:
-        arr = build_arrangement(ANSATZ, desc)
-        chambers = set()
-        for k in desc.stay_positions + desc.descent_positions:
-            col = arr.singular_column(k)
-            i = arr.columns[col - 1].level
-            for level, cell in ((i + 1, col - 1), (i - 1, col - 1), (i, col - 1), (i, col)):
-                ch = arr.chamber_at(level, cell)
-                chambers.add((ch.level, ch.start, ch.end))
-        calls.clear()
-        diagram_formulas(desc, z)
-        assert len(calls) == len(chambers)
+    for desc, z, reading in cases:
+        got = diagram_formulas(desc, z)
+        assert got == reading and list(got) == list(reading)
+    assert calls == []
 
 
 def _drawing_digest(kind):

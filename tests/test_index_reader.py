@@ -46,7 +46,6 @@ SITES = {
     "Permutation.__call__": (lambda x: _W(x), "index", 1, 3),
     "Permutation.right_descent": (lambda x: _W.right_descent(x), "reflection index", 1, 2),
     "Permutation.times_s": (lambda x: _W.times_s(x), "reflection index", 1, 2),
-    "Permutation.s_times": (lambda x: _W.s_times(x), "reflection index", 1, 2),
     "Permutation.prefix_set": (lambda x: _W.prefix_set(x), "prefix size", 0, 3),
     "letters": (lambda x: check_reduced_word(3, [x]), "letter", 1, 2),
     "fundamental_weight": (lambda x: fundamental_weight(3, x), "fundamental weight index", 0, 3),

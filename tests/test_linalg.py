@@ -42,6 +42,15 @@ def test_matrix_validation():
         RatMatrix.from_rows([])
 
 
+def test_from_rows_refuses_a_row_that_is_not_a_list_or_a_tuple():
+    # A string row would otherwise be read as its characters.
+    for rows, bad in ((["12", "34"], "'12'"), ([[1, 2], {3, 4}], "{3, 4}"), ([[1, 2], 3], "3")):
+        with pytest.raises(InputError) as exc:
+            RatMatrix.from_rows(rows)
+        assert str(exc.value) == f"matrix row must be a list or a tuple, got {bad}"
+    assert RatMatrix.from_rows(([1, 2], (3, 4))) == RatMatrix.from_rows([[1, 2], [3, 4]])
+
+
 def test_entry_indexing_and_product():
     m = RatMatrix.from_rows([[1, 2], [3, 4]])
     assert m.entry(1, 2) == 2

@@ -30,7 +30,7 @@ from deodhar.subexpr import (
     positive_subexpression,
     r_polynomial,
 )
-from deodhar.weyl import all_permutations, cartan_entry, check_reduced_word
+from deodhar.weyl import all_permutations, check_reduced_word
 
 from support import bruhat_leq_subword, random_perm, random_reduced_word
 
@@ -59,6 +59,23 @@ def test_inverse_and_identity():
     assert identity_perm(4).is_identity()
 
 
+def test_permutation_keeps_a_list_or_a_tuple():
+    # A list and a tuple give one hashable permutation; any other container
+    # is refused by name, not left to fail later as a bare TypeError.
+    p = Permutation([2, 1, 3])
+    assert p == Permutation((2, 1, 3)) and p.images == (2, 1, 3)
+    assert len({p, Permutation((2, 1, 3))}) == 1
+    e, w0 = Permutation([1, 2, 3]), longest_element(3)
+    e3 = identity_perm(3)
+    assert e == e3
+    assert r_polynomial(e, w0, (1, 2, 1)) == r_polynomial(e3, w0, (1, 2, 1))
+    assert enumerate_distinguished(e, (1, 2, 1)) == enumerate_distinguished(e3, (1, 2, 1))
+    for images in ({1, 2, 3}, "123", range(1, 4)):
+        with pytest.raises(InputError) as exc:
+            Permutation(images)
+        assert str(exc.value) == f"permutation images must be a list or a tuple, got {images!r}"
+
+
 def test_length_counts_inversions():
     assert identity_perm(4).length() == 0
     assert longest_element(4).length() == 6
@@ -71,7 +88,7 @@ def test_right_multiplication_swaps_positions():
     ws = w.times_s(2)
     assert ws.images == (2, 1, 4, 3)
     assert simple_reflection(4, 3).images == (1, 2, 4, 3)
-    sw = w.s_times(2)
+    sw = simple_reflection(4, 2) * w
     assert sw.images == tuple(3 if x == 2 else 2 if x == 3 else x for x in w.images)
 
 
@@ -220,15 +237,14 @@ def test_pair_after_reflection_flips():
 
 
 def test_cartan_entries():
-    assert cartan_entry(2, 2) == 2
-    assert cartan_entry(1, 2) == -1
-    assert cartan_entry(3, 1) == 0
+    # The j-th simple root paired with the i-th simple coroot: 2 on the
+    # diagonal, -1 for neighbours, 0 otherwise.
     for i in range(1, 4):
         for j in range(1, 4):
             alpha_j = tuple(
                 (1 if k == j else -1 if k == j + 1 else 0) for k in range(1, 5)
             )
-            assert cartan_entry(j, i) == pair(alpha_j, i)
+            assert pair(alpha_j, i) == {0: 2, 1: -1}.get(abs(i - j), 0)
 
 
 def test_check_reduced_word():
