@@ -106,6 +106,8 @@ class ComponentDescriptor:
     prefix_perms: tuple[Permutation, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.trace, SubexpressionTrace):
+            raise InputError(f"component descriptor needs a SubexpressionTrace, got {self.trace!r}")
         if not is_distinguished(self.trace):
             raise InputError("component descriptor needs a distinguished trace")
         _, prefixes = check_reduced_word(self.d, self.word)
@@ -536,13 +538,16 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
     return result
 
 
-def _component_walk(z: RatMatrix, desc: ComponentDescriptor) -> tuple[dict, int | None]:
-    """The chamber coordinates of z off a table walked along desc's own marks.
+def chamber_coordinates(z: RatMatrix, desc: ComponentDescriptor) -> dict:
+    """The coordinate system of the component, evaluated at z.
 
-    Up to the first step k where z's trace parts from desc's, at an ascent
-    whose probe is nonzero or a stay whose probe vanishes, z's sweep makes
-    desc's moves, its forced steps being desc's descents.  Returns the
-    coordinates, with k or None; the word is not checked again.
+    Stay steps contribute their standard chamber minor, descent steps their
+    probe minor, each read off a running table of z walked along the
+    component's own marks, with no word check; together these determine
+    the element.  Up to the first step where z's trace parts from desc's,
+    z's sweep makes desc's moves, its forced steps being desc's descents,
+    so a z outside the component raises NotInComponentError at that step:
+    a stay whose chamber minor vanishes, or an ascent whose probe does not.
     """
     if z.d != desc.d:
         raise InputError("degree mismatch in generalized minor")
@@ -551,29 +556,13 @@ def _component_walk(z: RatMatrix, desc: ComponentDescriptor) -> tuple[dict, int 
     coords: dict[int, Fraction] = {}
     for k, (i, mark) in enumerate(zip(desc.word, desc.trace.marks), start=1):
         n, s = table.bordered(i)
-        if mark == MARK_UP and n or mark == MARK_STAY and not n:
-            return coords, k
+        if mark == MARK_STAY and not n:
+            raise NotInComponentError("standard chamber minor vanishes")
+        if mark == MARK_UP and n:
+            raise NotInComponentError(f"probe minor at ascent step {k} does not vanish")
         if mark != MARK_UP:
             coords[k] = Fraction(n, s)
         table.step(i, _MARK_TURN[mark])
-    return coords, None
-
-
-def chamber_coordinates(z: RatMatrix, desc: ComponentDescriptor) -> dict:
-    """The coordinate system of the component, evaluated at z.
-
-    Stay steps contribute their standard chamber minor, descent steps their
-    probe minor, each read off a running table of z walked along the
-    component's own marks (``_component_walk``); together these determine
-    the element.  A z outside the component raises NotInComponentError at
-    the first step where its trace leaves the component's: a stay whose
-    chamber minor vanishes, or an ascent whose probe does not.
-    """
-    coords, k = _component_walk(z, desc)
-    if k is not None and desc.trace.marks[k - 1] == MARK_STAY:
-        raise NotInComponentError("standard chamber minor vanishes")
-    if k is not None:
-        raise NotInComponentError(f"probe minor at ascent step {k} does not vanish")
     return coords
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .components import ComponentDescriptor, _check_unipotent, _component_walk, factorize
+from .components import ComponentDescriptor, _check_unipotent, factorize
 from .errors import InputError, NotInComponentError
 from .linalg import RatMatrix
 from .subexpr import MARK_STAY, MARK_UP, SubexpressionTrace, _trace_from_moves
@@ -232,15 +232,18 @@ def diagram_formulas(desc: ComponentDescriptor, z: RatMatrix) -> dict:
     above*below/(left*right), inverted on descent steps: the y parameter at
     a stay step and the minor ratio before the correction term at a descent.
     These are the ratios ``factorize`` computes, and its values are returned,
-    stay steps first: t_k, and m_k plus its correction.  A z outside the
-    component raises NotInComponentError naming the first step where its
-    trace leaves the component's, as the walk of ``chamber_coordinates``
-    finds it.
+    stay steps first: t_k, and m_k plus its correction.  ``factorize``
+    classifies z into its own component, so a z outside desc's raises
+    NotInComponentError naming the first step where the two mark strings
+    differ, the step where the walk of ``chamber_coordinates`` stops.
     """
-    k = _component_walk(z, desc)[1]
+    if z.d != desc.d:
+        raise InputError("degree mismatch in generalized minor")
+    res = factorize(z, desc.word)
+    marks = zip(res.descriptor.trace.marks, desc.trace.marks)
+    k = next((k for k, (a, b) in enumerate(marks, start=1) if a != b), None)
     if k is not None:
         raise NotInComponentError(f"z leaves the component at step {k}")
-    res = factorize(z, desc.word)
     return {**res.t_params, **{k: m + res.corrections[k] for k, m in res.m_params.items()}}
 
 

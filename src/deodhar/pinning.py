@@ -150,7 +150,12 @@ class GroupWord:
 
     def __post_init__(self) -> None:
         _degree(self.d)
+        if not isinstance(self.factors, (list, tuple)):
+            raise InputError(f"group word factors must be a list or a tuple, got {self.factors!r}")
+        object.__setattr__(self, "factors", tuple(self.factors))
         for f in self.factors:
+            if not isinstance(f, GroupFactor):
+                raise InputError(f"group word factor must be a GroupFactor, got {f!r}")
             _int_in_range(f.index, 1, self.d - 1, "generator index")
 
     def __len__(self) -> int:

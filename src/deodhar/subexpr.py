@@ -90,12 +90,20 @@ class SubexpressionTrace:
     marks: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        for name in ("word", "values", "marks"):
+            seq = getattr(self, name)
+            if not isinstance(seq, (list, tuple)):
+                raise InputError(f"trace {name} must be a list or a tuple, got {seq!r}")
+            object.__setattr__(self, name, tuple(seq))
         n = len(self.word)
         if len(self.values) != n + 1 or len(self.marks) != n:
             raise InputError("trace shape does not match its word")
+        for p in self.values:
+            if not isinstance(p, Permutation):
+                raise InputError(f"trace value must be a Permutation, got {p!r}")
         if not self.values[0].is_identity():
             raise InputError("trace must start at the identity")
-        _check_letters(self.values[0].d, self.word)
+        object.__setattr__(self, "word", _check_letters(self.values[0].d, self.word))
         for k, (i, mark) in enumerate(zip(self.word, self.marks), start=1):
             if mark not in (MARK_UP, MARK_STAY, MARK_DOWN):
                 raise InputError(f"unknown mark {mark!r}")

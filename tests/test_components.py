@@ -109,6 +109,20 @@ def test_descriptor_refuses_a_non_distinguished_trace():
         ComponentDescriptor(trace)
 
 
+def test_descriptor_of_a_built_trace_equals_the_swept_one():
+    # A trace built from lists stores tuples, so its descriptor equals and
+    # hashes like the one the sweep builds; a descriptor needs a trace.
+    e, s1 = Permutation((1, 2)), Permutation((2, 1))
+    built = ComponentDescriptor(SubexpressionTrace([1], [e, s1], ["+"]))
+    swept = classify(RatMatrix.identity(2), [1])
+    assert built == swept and built.to_json() == swept.to_json()
+    assert len({built.trace, swept.trace}) == 1
+    for trace in (None, built.to_json()):
+        with pytest.raises(InputError) as info:
+            ComponentDescriptor(trace)
+        assert str(info.value) == f"component descriptor needs a SubexpressionTrace, got {trace!r}"
+
+
 def test_descriptor_refuses_a_non_reduced_word():
     # The trace is distinguished, but s1 s1 does not name a cell.
     e = Permutation((1, 2, 3))
@@ -703,6 +717,33 @@ def test_coordinate_readers_refuse_exactly_the_flags_of_other_components(d):
             diagram_formulas(desc, z)
         assert str(exc.value) == f"z leaves the component at step {k}"
     assert 30 < refused < 60
+
+
+def test_diagram_formulas_builds_one_elimination_table_per_call(monkeypatch):
+    # The component gate is factorize's own sweep, so diagram_formulas runs
+    # one running table of z, on desc's component and on a z it refuses.
+    tables = Counter()
+    real_init = _ChamberTable.__init__
+
+    def counted_init(self, z):
+        tables["built"] += 1
+        real_init(self, z)
+
+    monkeypatch.setattr(_ChamberTable, "__init__", counted_init)
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(20):
+        desc, z = random_component_flag(rng, rng.choice([4, 5, 6]))
+        other = ComponentDescriptor(random_distinguished(rng, desc.d, desc.word))
+        for target in (desc, other):
+            tables.clear()
+            try:
+                diagram_formulas(target, z)
+                seen["read"] += 1
+            except NotInComponentError:
+                seen["refused"] += 1
+            assert tables == {"built": 1}
+    assert seen["read"] > 20 and seen["refused"] > 5
 
 
 def test_chamber_coordinates_checks_no_word_and_rebuilds_no_trace(checks, monkeypatch):

@@ -159,6 +159,26 @@ def test_group_factor_validation():
                 GroupFactor(kind, 1, param)
 
 
+def test_group_word_keeps_a_list_or_a_tuple():
+    # A list and a tuple give one hashable word.  A generator, which the
+    # index check would use up, and any other container are refused by
+    # name, as is an item that is not a GroupFactor.
+    s1 = GroupFactor(FACTOR_S, 1)
+    gw = GroupWord(2, [s1])
+    assert gw == GroupWord(2, (s1,)) and gw.factors == (s1,)
+    assert len({gw, GroupWord(2, (s1,))}) == 1
+    assert evaluate(gw) == gen_sdot(2, 1)
+    assert group_word_to_json(gw) == [{FACTOR_S: [1]}]
+    for factors in ((f for f in [s1]), {s1}, {s1: 1}, range(1)):
+        with pytest.raises(InputError) as exc:
+            GroupWord(2, factors)
+        assert str(exc.value) == f"group word factors must be a list or a tuple, got {factors!r}"
+    for item in ({FACTOR_S: [1]}, (FACTOR_S, 1), None):
+        with pytest.raises(InputError) as exc:
+            GroupWord(2, [item])
+        assert str(exc.value) == f"group word factor must be a GroupFactor, got {item!r}"
+
+
 def test_group_factor_parameter_is_a_fraction():
     for param in (3, Fraction(3), "3", "6/2"):
         factor = GroupFactor(FACTOR_Y, 1, param)

@@ -53,6 +53,29 @@ def test_trace_validation():
         SubexpressionTrace(word, (e, s1, s1), ("+", "+"))
 
 
+def test_trace_keeps_a_list_or_a_tuple():
+    # Lists are stored as tuples, so the trace hashes and equals its tuple
+    # twin; any other container, and a value that is not a permutation, is
+    # refused by name.
+    e, s1 = identity_perm(2), simple_reflection(2, 1)
+    trace = SubexpressionTrace([1], [e, s1], ["+"])
+    assert (trace.word, trace.values, trace.marks) == ((1,), (e, s1), ("+",))
+    assert len({trace, SubexpressionTrace((1,), (e, s1), ("+",))}) == 1
+    for name, bad in (
+        ("word", iter([1])),
+        ("word", range(1, 2)),
+        ("values", {e: 0, s1: 1}),
+        ("marks", "+"),
+    ):
+        fields = {"word": [1], "values": [e, s1], "marks": ["+"], name: bad}
+        with pytest.raises(InputError) as info:
+            SubexpressionTrace(**fields)
+        assert str(info.value) == f"trace {name} must be a list or a tuple, got {bad!r}"
+    with pytest.raises(InputError) as info:
+        SubexpressionTrace([1], [(1, 2), (2, 1)], ["+"])
+    assert str(info.value) == "trace value must be a Permutation, got (1, 2)"
+
+
 def test_trace_positions_and_counts():
     tr = positive_subexpression(simple_reflection(4, 2), WORD633)
     assert tr.positions("o") == tr.positions("o")
