@@ -343,19 +343,17 @@ def _by_step(params: Mapping, what: str, steps: Sequence[int]) -> dict[int, Frac
 _MARK_FACTOR = {MARK_STAY: FACTOR_Y, MARK_UP: FACTOR_S, MARK_DOWN: FACTOR_XSINV}
 
 
-def _group_word(desc: ComponentDescriptor, param: Callable, then=None) -> GroupWord:
-    """The component's word: step k gives ``_MARK_FACTOR[mark]`` with ``param(k)``.
+def _group_word(desc: ComponentDescriptor, params: Mapping[int, Fraction]) -> GroupWord:
+    """The component's word: step k gives ``_MARK_FACTOR[mark]`` with ``params.get(k)``.
 
     The word is checked and the caller read each parameter, so no factor or
-    word runs ``__post_init__``.  ``then(k, factor)``, if given, sees each
-    factor before the next parameter is asked for.
+    word runs ``__post_init__``.
     """
-    factors = []
-    for k, (i, mark) in enumerate(zip(desc.word, desc.trace.marks), start=1):
-        factors.append(_built(GroupFactor, kind=_MARK_FACTOR[mark], index=i, param=param(k)))
-        if then is not None:
-            then(k, factors[-1])
-    return _built(GroupWord, d=desc.d, factors=tuple(factors))
+    factors = tuple(
+        _built(GroupFactor, kind=_MARK_FACTOR[mark], index=i, param=params.get(k))
+        for k, (i, mark) in enumerate(zip(desc.word, desc.trace.marks), start=1)
+    )
+    return _built(GroupWord, d=desc.d, factors=factors)
 
 
 def build_element(
@@ -374,7 +372,7 @@ def build_element(
     for k in desc.stay_positions:
         if t_params[k] == 0:
             raise DomainError(f"t parameter at step {k} must be nonzero")
-    return _group_word(desc, {**t_params, **m_params}.get)
+    return _group_word(desc, {**t_params, **m_params})
 
 
 def _stay_minor_product(
@@ -480,25 +478,21 @@ def _solve(
     t_params: dict[int, Fraction] = {}
     m_params: dict[int, Fraction] = {}
     corrections: dict[int, Fraction] = {}
-
-    def param(k: int) -> Fraction | None:
-        i, mark = tr.word[k - 1], tr.marks[k - 1]
-        if mark == MARK_UP:
-            return None
-        (a, s_a), (x, s_x), (b, s_b), (c, s_c) = row[i - 1], row[i], row[i + 1], coords[k]
+    factors = []
+    for k, (i, mark) in enumerate(zip(tr.word, tr.marks), start=1):
+        param = None
+        if mark != MARK_UP:
+            (a, s_a), (x, s_x), (b, s_b), (c, s_c) = row[i - 1], row[i], row[i + 1], coords[k]
         if mark == MARK_STAY:
-            t_params[k] = Fraction(a * b * s_c * s_x, s_a * s_b * c * x)
-            return t_params[k]
-        cols = desc.prefix_perms[0].times_s(i).prefix_set(i)
-        corrections[k] = g.minor(tr.values[k - 1].prefix_set(i), cols)
-        m_params[k] = Fraction(x * c * s_a * s_b, s_x * s_c * a * b) - corrections[k]
-        return m_params[k]
-
-    def then(k: int, f: GroupFactor) -> None:
-        g.apply(f)
-        row[f.index] = coords[k] if f.kind == FACTOR_Y else chamber(k, f.index, g)
-
-    gw = _group_word(desc, param, then)
+            param = t_params[k] = Fraction(a * b * s_c * s_x, s_a * s_b * c * x)
+        elif mark == MARK_DOWN:
+            cols = desc.prefix_perms[0].times_s(i).prefix_set(i)
+            corrections[k] = g.minor(tr.values[k - 1].prefix_set(i), cols)
+            param = m_params[k] = Fraction(x * c * s_a * s_b, s_x * s_c * a * b) - corrections[k]
+        factors.append(_built(GroupFactor, kind=_MARK_FACTOR[mark], index=i, param=param))
+        g.apply(factors[-1])
+        row[i] = coords[k] if mark == MARK_STAY else chamber(k, i, g)
+    gw = _built(GroupWord, d=desc.d, factors=tuple(factors))
     return FactorizationResult(desc, t_params, m_params, corrections, gw), g
 
 
@@ -518,16 +512,15 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
     """
     desc, before, after = _sweep(z, word)
     coords = {k: before[k - 1] for k in desc.stay_positions + desc.descent_positions}
-    standard = {k: after[k - 1] for k in desc.ascent_positions + desc.descent_positions}
 
     def chamber(k: int, i: int, g: _Columns) -> tuple[int, int]:
-        if not standard[k][0]:
+        if not after[k - 1][0]:
             raise NotInComponentError("standard chamber minor vanishes")
-        return standard[k]
+        return after[k - 1]
 
     result, g = _solve(desc, coords, chamber)
     for k, m in result.m_params.items():
-        (c, s_c), (x, s_x) = coords[k], standard[k]
+        (c, s_c), (x, s_x) = coords[k], after[k - 1]
         alt = Fraction(-c * s_x, s_c * x) - result.corrections[k]
         if m != alt:
             raise InternalCheckError(

@@ -22,10 +22,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, InputError, InternalCheckError, check_limit
-from .weyl import Permutation, _degree, _int_in_range, longest_element
+from .weyl import Permutation, _degree, _int_in_range, _seq_from_json, longest_element
 
 __all__ = [
     "RatMatrix",
@@ -66,7 +66,7 @@ def rational_to_json(x: Fraction) -> str:
 
 
 def _check_index_set(ix: Sequence[int], d: int) -> tuple[int, ...]:
-    ix = tuple(ix)
+    ix = _seq_from_json(ix, "index set")
     for a in ix:
         if not (type(a) is int and 0 < a <= d):
             _int_in_range(a, 1, d, "index")
@@ -195,11 +195,8 @@ class RatMatrix:
             raise InputError("matrix must be square")
 
     @staticmethod
-    def from_rows(rows: Iterable[Sequence]) -> "RatMatrix":
-        rows = tuple(rows)
-        for r in rows:
-            if not isinstance(r, (list, tuple)):
-                raise InputError(f"matrix row must be a list or a tuple, got {r!r}")
+    def from_rows(rows: Sequence[Sequence]) -> "RatMatrix":
+        rows = [_seq_from_json(r, "matrix row") for r in _seq_from_json(rows, "matrix rows")]
         return RatMatrix(tuple(tuple(rational_from_json(x) for x in r) for r in rows))
 
     @staticmethod

@@ -45,7 +45,8 @@ from typing import Sequence
 
 from .errors import InputError
 from .linalg import RatMatrix, _bareiss_det, rational_from_json, rational_to_json
-from .weyl import Permutation, _built, _degree, _int_from_json, _int_in_range, evaluate_word
+from .weyl import Permutation, _built, _check_letters, _degree, _int_from_json, _int_in_range
+from .weyl import _seq_from_json, evaluate_word
 
 __all__ = [
     "FACTOR_Y",
@@ -150,9 +151,7 @@ class GroupWord:
 
     def __post_init__(self) -> None:
         _degree(self.d)
-        if not isinstance(self.factors, (list, tuple)):
-            raise InputError(f"group word factors must be a list or a tuple, got {self.factors!r}")
-        object.__setattr__(self, "factors", tuple(self.factors))
+        object.__setattr__(self, "factors", _seq_from_json(self.factors, "group word factors"))
         for f in self.factors:
             if not isinstance(f, GroupFactor):
                 raise InputError(f"group word factor must be a GroupFactor, got {f!r}")
@@ -341,8 +340,9 @@ def gmin(g: RatMatrix, v: Permutation, w: Permutation, i: int) -> Fraction:
 
 def reduce_flag(z: RatMatrix, word: Sequence[int], k: int) -> RatMatrix:
     """Representative of the flag z times the lift of the k-letter prefix."""
+    word = _check_letters(z.d, word)
     k = _int_in_range(k, 0, len(word), "prefix length")
-    return apply_lift(z, evaluate_word(z.d, tuple(word[:k])))
+    return apply_lift(z, evaluate_word(z.d, word[:k]))
 
 
 def group_word_to_json(gw: GroupWord) -> list[dict]:

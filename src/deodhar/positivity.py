@@ -32,7 +32,7 @@ from .errors import DomainError, InputError
 from .linalg import RatMatrix, rational_from_json, rational_to_json
 from .pinning import GroupWord, group_word_to_json
 from .subexpr import MARK_DOWN, MARK_UP
-from .weyl import Permutation, _int_from_json
+from .weyl import Permutation, _check_letters, _int_from_json
 
 __all__ = [
     "PositiveSample",
@@ -87,13 +87,14 @@ def sample_positive(
     for k, t in params.items():
         if t <= 0:
             raise DomainError(f"parameter at step {k} must be positive")
-    return PositiveSample(desc, params, _group_word(desc, params.get))
+    return PositiveSample(desc, params, _group_word(desc, params))
 
 
 def random_positive_sample(
     v: Permutation, word: Sequence[int], seed: int
 ) -> PositiveSample:
     """A reproducible positive sample, one small random parameter per stay."""
+    word = _check_letters(v.d, word)
     rng = random.Random(_int_from_json(seed, "seed"))
     params = [
         Fraction(rng.randint(1, 9), rng.randint(1, 9))

@@ -55,6 +55,7 @@ from .weyl import (
     _built,
     _check_letters,
     _int_from_json,
+    _seq_from_json,
     bruhat_leq,
     check_reduced_word,
     identity_perm,
@@ -91,10 +92,7 @@ class SubexpressionTrace:
 
     def __post_init__(self) -> None:
         for name in ("word", "values", "marks"):
-            seq = getattr(self, name)
-            if not isinstance(seq, (list, tuple)):
-                raise InputError(f"trace {name} must be a list or a tuple, got {seq!r}")
-            object.__setattr__(self, name, tuple(seq))
+            object.__setattr__(self, name, _seq_from_json(getattr(self, name), f"trace {name}"))
         n = len(self.word)
         if len(self.values) != n + 1 or len(self.marks) != n:
             raise InputError("trace shape does not match its word")
@@ -335,8 +333,7 @@ class RPolynomial:
 
 def _read_coeffs(coeffs) -> list[int]:
     """A caller's list or tuple of coefficients, each read as an integer."""
-    if not isinstance(coeffs, (list, tuple)):
-        raise InputError(f"R-polynomial coefficients must be a list or a tuple, got {coeffs!r}")
+    coeffs = _seq_from_json(coeffs, "R-polynomial coefficients")
     return [_int_from_json(c, "R-polynomial coefficient") for c in coeffs]
 
 
@@ -393,12 +390,14 @@ def trace_to_json(trace: SubexpressionTrace) -> dict:
 
 def trace_from_json(data: dict) -> SubexpressionTrace:
     """The trace of a JSON object; its word must be reduced."""
+
+    def entries(seq, what: str) -> tuple[int, ...]:
+        return tuple(_int_from_json(x, "trace entry") for x in _seq_from_json(seq, what))
+
     try:
-        word = tuple(_int_from_json(i, "trace entry") for i in data["word"])
-        values = tuple(
-            Permutation(tuple(_int_from_json(x, "trace entry") for x in im))
-            for im in data["values"]
-        )
+        word = entries(data["word"], "trace word")
+        images = _seq_from_json(data["values"], "trace values")
+        values = tuple(Permutation(entries(im, "trace value")) for im in images)
         if not isinstance(data["marks"], list):
             raise InputError(f"trace marks must be a JSON array, got {data['marks']!r}")
         marks = tuple(str(m) for m in data["marks"])

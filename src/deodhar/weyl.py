@@ -12,14 +12,13 @@ fundamental weight ``omega_i`` is ``e_1 + ... + e_i``, permutations act by
 ``act(w, lam)[j] = lam[w^{-1}(j)]``, and pairing against the i-th simple
 coroot takes ``lam[i] - lam[i+1]``.
 
-A caller-supplied integer is read by ``_int_from_json``, a degree by
-``_degree`` against the degree limit, and an index by ``_int_in_range``, the
-only range check.  A permutation's images and degree are checked when it is
-built from outside; products of valid ones skip the check.  ``Permutation``,
+A caller-supplied integer is read by ``_int_from_json``, a list or a tuple by
+``_seq_from_json``, a degree by ``_degree`` against the degree limit, and an
+index by ``_int_in_range``, the only range check.  ``Permutation``,
 ``SubexpressionTrace``, ``ComponentDescriptor``, ``GroupFactor``, ``GroupWord``
-and ``RPolynomial`` keep this rule: ``__post_init__`` checks each value a
-caller builds, and ``_product`` and ``_built`` skip it for values the library
-builds.  ``RatMatrix`` keeps its shape check, which reads no entry.
+and ``RPolynomial`` check each value a caller builds in ``__post_init__``;
+``_product`` and ``_built`` skip the check for values the library builds.
+``RatMatrix`` keeps its shape check, which reads no entry.
 """
 
 from __future__ import annotations
@@ -69,9 +68,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.images, (list, tuple)):
-            raise InputError(f"permutation images must be a list or a tuple, got {self.images!r}")
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", _seq_from_json(self.images, "permutation images"))
         d = len(self.images)
         if d == 0:
             raise InputError("permutation must have degree at least 1")
@@ -152,6 +149,17 @@ def _int_from_json(x, what: str) -> int:
     return x
 
 
+def _seq_from_json(x, what: str) -> tuple:
+    """Read a list or a tuple given by a caller or a JSON document, as a tuple.
+
+    A set, a dict, a string, a range, a generator and any other type raise
+    InputError naming ``what``: none is read in an order of its own.
+    """
+    if not isinstance(x, (list, tuple)):
+        raise InputError(f"{what} must be a list or a tuple, got {x!r}")
+    return tuple(x)
+
+
 def _int_in_range(x, lo: int, hi: int, what: str) -> int:
     """Read an index by ``_int_from_json`` and check that lo <= x <= hi.
 
@@ -224,16 +232,16 @@ def _prefix_products(d: int, word: Sequence[int]) -> tuple[Permutation, ...]:
 
 def evaluate_word(d: int, word: Sequence[int]) -> Permutation:
     """The product s_{i_1} ... s_{i_n} of the letters of the word."""
-    return _prefix_products(d, word)[-1]
+    return _prefix_products(d, _check_letters(_degree(d), word))[-1]
 
 
 def is_reduced(d: int, word: Sequence[int]) -> bool:
-    return evaluate_word(d, word).length() == len(word)
+    return evaluate_word(d, word).length() == len(_check_letters(d, word))
 
 
 def _check_letters(d: int, word: Sequence[int]) -> Word:
     """The word as a tuple; InputError names a letter that is not an int in 1..d-1."""
-    return tuple(_int_in_range(i, 1, d - 1, "letter") for i in word)
+    return tuple(_int_in_range(i, 1, d - 1, "letter") for i in _seq_from_json(word, "word"))
 
 
 def check_reduced_word(
@@ -244,7 +252,7 @@ def check_reduced_word(
     >>> check_reduced_word(3, [1, 2])
     ((1, 2), (Permutation((1, 2, 3)), Permutation((2, 1, 3)), Permutation((2, 3, 1))))
     """
-    word = _check_letters(d, word)
+    word = _check_letters(_degree(d), word)
     prefixes = _prefix_products(d, word)
     if prefixes[-1].length() != len(word):
         raise InputError(f"word {word!r} is not reduced")
@@ -297,7 +305,7 @@ def fundamental_weight(d: int, i: int) -> Weight:
 
 
 def _check_weight(lam: Sequence[int]) -> Weight:
-    return tuple(_int_from_json(x, "weight entry") for x in lam)
+    return tuple(_int_from_json(x, "weight entry") for x in _seq_from_json(lam, "weight"))
 
 
 def act(w: Permutation, lam: Sequence[int]) -> Weight:

@@ -218,6 +218,19 @@ def test_conditions_above_single_digit_degree_omit_poly(capsys):
     assert all("rows" in rec and "cols" in rec and "poly" not in rec for rec in records)
 
 
+def test_conditions_omit_poly_exactly_on_minors_above_the_expansion_size(capsys):
+    # At d = 8 every entry name has single digits, yet the seven minors of
+    # size 7, at the steps with letter 7 on this word for w0, carry no poly.
+    word = [7, 6, 7, 5, 6, 7, 4, 5, 6, 7, 3, 4, 5, 6, 7, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6, 7]
+    code, out = run(capsys, ["conditions", "--v", "[5,6,7,8,1,2,3,4]", "--word", json.dumps(word)])
+    assert code == 0
+    data = json.loads(out)
+    records = data["zero"] + data["nonzero"]
+    assert len(data["zero"]) == 16 and len(records) == 28
+    assert sorted(rec["k"] for rec in records if "poly" not in rec) == [1, 3, 6, 10, 15, 21, 28]
+    assert all(("poly" in rec) == (len(rec["rows"]) <= 6) for rec in records)
+
+
 def test_conditions_by_matrix(z_file, capsys):
     code, out = run(capsys, ["conditions", "--matrix", z_file, "--word", WORD_JSON])
     assert code == 0
