@@ -11,6 +11,11 @@ up to date while the rows and columns move by one adjacent transposition
 at a time.  Every other routine is direct Gaussian arithmetic on
 `Fraction`.
 
+A caller's matrix is read by the constructor alone: rows and each row by
+``weyl._seq_from_json``, the size against the degree limit and for squareness
+before any entry is read, then each entry by ``rational_from_json``.  Every
+matrix the library builds from values it holds skips that through ``weyl._built``.
+
 Index sets for minors are 1-based, strictly increasing tuples.  Two
 invertible matrices represent the same complete flag when they differ by an
 invertible upper-triangular factor on the right.
@@ -25,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, InputError, InternalCheckError, check_limit
-from .weyl import Permutation, _degree, _int_in_range, _seq_from_json, longest_element
+from .weyl import Permutation, _built, _degree, _int_in_range, _seq_from_json, longest_element
 
 __all__ = [
     "RatMatrix",
@@ -182,31 +187,31 @@ class _ChamberTable:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """An immutable square matrix of rationals.  Entry access is 1-based."""
+    """An immutable square matrix of rationals.  Entry access is 1-based.
+
+    The constructor reads a caller's rows into tuples of ``Fraction``; ``_built`` skips it.
+    """
 
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        d = len(self.rows)
+        rows = _seq_from_json(self.rows, "matrix rows")
+        d = len(rows)
         if d == 0:
             raise InputError("matrix must have at least one row")
         check_limit("degree", d)
-        if any(len(r) != d for r in self.rows):
+        rows = [_seq_from_json(r, "matrix row") for r in rows]
+        if any(len(r) != d for r in rows):
             raise InputError("matrix must be square")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "RatMatrix":
-        rows = [_seq_from_json(r, "matrix row") for r in _seq_from_json(rows, "matrix rows")]
-        return RatMatrix(tuple(tuple(rational_from_json(x) for x in r) for r in rows))
+        rows = tuple(tuple(rational_from_json(x) for x in r) for r in rows)
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def identity(d: int) -> "RatMatrix":
         d = _degree(d, "matrix size")
-        return RatMatrix(
-            tuple(
-                tuple(Fraction(1 if r == c else 0) for c in range(d))
-                for r in range(d)
-            )
+        return _built(
+            RatMatrix,
+            rows=tuple(tuple(Fraction(1 if r == c else 0) for c in range(d)) for r in range(d)),
         )
 
     @property
@@ -222,12 +227,8 @@ class RatMatrix:
         if self.d != other.d:
             raise InputError("size mismatch in matrix product")
         cols = list(zip(*other.rows))
-        return RatMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
+        rows = (tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
+        return _built(RatMatrix, rows=tuple(rows))
 
     @functools.cached_property
     def _cleared(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -277,7 +278,7 @@ class RatMatrix:
                 if r != col and work[r][col] != 0:
                     f = work[r][col]
                     work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return RatMatrix(tuple(tuple(row[d:]) for row in work))
+        return _built(RatMatrix, rows=tuple(tuple(row[d:]) for row in work))
 
     def is_upper_triangular(self) -> bool:
         return not any(x for r, row in enumerate(self.rows) for x in row[:r])
@@ -295,7 +296,7 @@ class RatMatrix:
 def matrix_from_json(data) -> RatMatrix:
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise InputError("matrix JSON must be a list of lists")
-    return RatMatrix.from_rows(data)
+    return RatMatrix(data)
 
 
 def matrix_to_json(m: RatMatrix) -> list[list[str]]:
@@ -349,7 +350,7 @@ def opposite_position(g: RatMatrix) -> Permutation:
     Reversing the rows multiplies g on the left by the longest element w0,
     and w0 B- w0 = B+, so w0 g lies in B+ (w0 v) B+.
     """
-    return longest_element(g.d) * bruhat_position(RatMatrix(g.rows[::-1]))
+    return longest_element(g.d) * bruhat_position(_built(RatMatrix, rows=g.rows[::-1]))
 
 
 def unipotent_representative(g: RatMatrix) -> tuple[RatMatrix, Permutation]:
@@ -366,7 +367,7 @@ def unipotent_representative(g: RatMatrix) -> tuple[RatMatrix, Permutation]:
         target = w(j + 1) - 1
         for r in range(d):
             z[r][target] = m[r][j]
-    out = RatMatrix(tuple(tuple(row) for row in z))
+    out = _built(RatMatrix, rows=tuple(tuple(row) for row in z))
     if not out.is_upper_unipotent():
         raise InternalCheckError("column reduction did not give an upper-unipotent z")
     return out, w

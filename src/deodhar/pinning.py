@@ -83,7 +83,7 @@ def _identity_rows(d: int) -> list[list[Fraction]]:
 def _elementary(d: int, r: int, c: int, value: Fraction) -> RatMatrix:
     rows = _identity_rows(d)
     rows[r - 1][c - 1] = value
-    return RatMatrix(tuple(tuple(row) for row in rows))
+    return _built(RatMatrix, rows=tuple(tuple(row) for row in rows))
 
 
 def gen_x(d: int, i: int, m) -> RatMatrix:
@@ -103,7 +103,7 @@ def gen_sdot(d: int, i: int) -> RatMatrix:
     rows[i][i] = Fraction(0)
     rows[i - 1][i] = Fraction(-1)
     rows[i][i - 1] = Fraction(1)
-    return RatMatrix(tuple(tuple(row) for row in rows))
+    return _built(RatMatrix, rows=tuple(tuple(row) for row in rows))
 
 
 def gen_sdot_inv(d: int, i: int) -> RatMatrix:
@@ -119,7 +119,7 @@ def gen_acheck(d: int, i: int, t) -> RatMatrix:
     rows = _identity_rows(d)
     rows[i - 1][i - 1] = t
     rows[i][i] = 1 / t
-    return RatMatrix(tuple(tuple(row) for row in rows))
+    return _built(RatMatrix, rows=tuple(tuple(row) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -242,12 +242,11 @@ class _Columns:
         return Fraction(num, math.prod(d for _, d in chosen))
 
     def matrix(self) -> RatMatrix:
-        return RatMatrix(
-            tuple(
-                tuple(Fraction(n * col[r], d) for col, (n, d) in zip(self.cols, self.scales))
-                for r in range(len(self.cols))
-            )
+        rows = (
+            tuple(Fraction(n * col[r], d) for col, (n, d) in zip(self.cols, self.scales))
+            for r in range(len(self.cols))
         )
+        return _built(RatMatrix, rows=tuple(rows))
 
     def spans(self, z: RatMatrix, w: Permutation) -> bool:
         """Whether the product spans the flag z w B+, for upper-unipotent z.
@@ -318,12 +317,8 @@ def apply_lift(g: RatMatrix, w: Permutation) -> RatMatrix:
         (images[j] - 1, sum(1 for k in range(j) if images[k] > images[j]) % 2)
         for j in range(w.d)
     ]
-    return RatMatrix(
-        tuple(
-            tuple(-row[c] if odd else row[c] for c, odd in columns)
-            for row in g.rows
-        )
-    )
+    rows = (tuple(-row[c] if odd else row[c] for c, odd in columns) for row in g.rows)
+    return _built(RatMatrix, rows=tuple(rows))
 
 
 def gmin(g: RatMatrix, v: Permutation, w: Permutation, i: int) -> Fraction:

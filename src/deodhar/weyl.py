@@ -15,10 +15,10 @@ coroot takes ``lam[i] - lam[i+1]``.
 A caller-supplied integer is read by ``_int_from_json``, a list or a tuple by
 ``_seq_from_json``, a degree by ``_degree`` against the degree limit, and an
 index by ``_int_in_range``, the only range check.  ``Permutation``,
-``SubexpressionTrace``, ``ComponentDescriptor``, ``GroupFactor``, ``GroupWord``
-and ``RPolynomial`` check each value a caller builds in ``__post_init__``;
-``_product`` and ``_built`` skip the check for values the library builds.
-``RatMatrix`` keeps its shape check, which reads no entry.
+``SubexpressionTrace``, ``ComponentDescriptor``, ``GroupFactor``, ``GroupWord``,
+``RPolynomial`` and ``RatMatrix`` check each value a caller builds in
+``__post_init__``; ``_product`` and ``_built`` skip the check for values the
+library builds.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ S102_WORD = (3, 2, 1, 3, 2)
 
 
 def s102_matrix() -> RatMatrix:
-    return RatMatrix.from_rows(S102_ROWS)
+    return RatMatrix(S102_ROWS)
 
 
 def det_cofactor(rows: list[list[Fraction]]) -> Fraction:
@@ -193,7 +193,7 @@ def random_unipotent(rng: random.Random, d: int) -> RatMatrix:
         ]
         for i in range(d)
     ]
-    return RatMatrix.from_rows(rows)
+    return RatMatrix(rows)
 
 
 def random_sparse_unipotent(rng: random.Random, d: int, zeros: float = 0.6) -> RatMatrix:
@@ -203,10 +203,10 @@ def random_sparse_unipotent(rng: random.Random, d: int, zeros: float = 0.6) -> R
         for j in range(i + 1, d):
             if rng.random() >= zeros:
                 rows[i][j] = random_nonzero(rng)
-    return RatMatrix.from_rows(rows)
+    return RatMatrix(rows)
 
 
 def random_matrix(rng: random.Random, d: int) -> RatMatrix:
-    return RatMatrix.from_rows(
+    return RatMatrix(
         [[random_rational(rng) for _ in range(d)] for _ in range(d)]
     )

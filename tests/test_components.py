@@ -607,11 +607,11 @@ def test_coordinates_refuse_a_z_that_is_not_unipotent(read):
     # z b with b upper triangular but not unipotent is not the unipotent
     # representative of a flag; the degree check still comes first.
     desc = classify(s102_matrix(), S102_WORD)
-    b = RatMatrix.from_rows([[2, 1, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0], [0, 0, 0, "1/2"]])
+    b = RatMatrix([[2, 1, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0], [0, 0, 0, "1/2"]])
     with pytest.raises(InputError, match="^flag representative must be upper unipotent$"):
         read(s102_matrix() * b, desc)
     with pytest.raises(InputError, match="^degree mismatch in generalized minor$"):
-        read(RatMatrix.from_rows([[2, 1, 0], [0, 1, 0], [0, 0, 1]]), desc)
+        read(RatMatrix([[2, 1, 0], [0, 1, 0], [0, 0, 1]]), desc)
 
 
 def test_chamber_coordinates_are_the_step_minors_of_z():

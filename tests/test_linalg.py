@@ -19,10 +19,11 @@ from deodhar import (
     perm_matrix,
     unipotent_representative,
 )
-from deodhar import linalg
+from deodhar import linalg, pinning
 from deodhar.errors import InternalCheckError
 from deodhar.linalg import rational_from_json, rational_to_json
-from deodhar.pinning import gen_y
+from deodhar.pinning import FACTOR_S, FACTOR_Y, GroupFactor, GroupWord
+from deodhar.pinning import evaluate, gen_sdot, gen_y
 from deodhar.weyl import Permutation
 
 from support import (
@@ -37,22 +38,78 @@ from support import (
 
 def test_matrix_validation():
     with pytest.raises(InputError):
-        RatMatrix.from_rows([[1, 2], [3]])
+        RatMatrix([[1, 2], [3]])
     with pytest.raises(InputError):
-        RatMatrix.from_rows([])
+        RatMatrix([])
 
 
 def test_from_rows_refuses_a_row_that_is_not_a_list_or_a_tuple():
     # A string row would otherwise be read as its characters.
     for rows, bad in ((["12", "34"], "'12'"), ([[1, 2], {3, 4}], "{3, 4}"), ([[1, 2], 3], "3")):
         with pytest.raises(InputError) as exc:
-            RatMatrix.from_rows(rows)
+            RatMatrix(rows)
         assert str(exc.value) == f"matrix row must be a list or a tuple, got {bad}"
-    assert RatMatrix.from_rows(([1, 2], (3, 4))) == RatMatrix.from_rows([[1, 2], [3, 4]])
+    assert RatMatrix(([1, 2], (3, 4))) == RatMatrix([[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("entry, message", [
+    (0.5, "cannot interpret 0.5 as a rational number"),
+    (True, "cannot interpret True as a rational number"),
+    ("x", "not a rational literal: 'x'"),
+])
+def test_constructor_reads_every_entry(entry, message):
+    with pytest.raises(InputError) as exc:
+        RatMatrix([[1, 0], [0, entry]])
+    assert str(exc.value) == message
+
+
+def test_constructor_stores_tuples_of_fractions():
+    m = RatMatrix([[Fraction(1)]])
+    assert m == RatMatrix.identity(1) == RatMatrix([[1]]) == RatMatrix((("1",),))
+    assert hash(m) == hash(RatMatrix.identity(1))
+    assert type(m.rows) is tuple and type(m.rows[0]) is tuple
+    assert type(RatMatrix([[2]]).entry(1, 1)) is Fraction
+
+
+def _count_reads(monkeypatch):
+    """A list that grows by one for each ``rational_from_json`` call."""
+    reads = []
+
+    def counting(x):
+        reads.append(x)
+        return rational_from_json(x)
+
+    monkeypatch.setattr(linalg, "rational_from_json", counting)
+    monkeypatch.setattr(pinning, "rational_from_json", counting)
+    return reads
+
+
+def test_degree_limit_comes_before_any_entry(monkeypatch):
+    reads = _count_reads(monkeypatch)
+    with pytest.raises(DomainError) as exc:
+        RatMatrix([["x"]] * 65)
+    assert str(exc.value) == "degree 65 is above the degree limit 64"
+    assert reads == []
+    matrix_from_json([[1, "1/2"], [0, 1]])
+    assert reads == [1, "1/2", 0, 1]
+
+
+def test_library_built_matrices_read_no_entry(monkeypatch):
+    g = RatMatrix([[0, 1, 0], [1, 2, 0], ["1/2", 0, 1]])
+    gw = GroupWord(3, (GroupFactor(FACTOR_Y, 1, 2), GroupFactor(FACTOR_S, 2)))
+    product = gen_y(3, 1, 2) * gen_sdot(3, 2)
+    reads = _count_reads(monkeypatch)
+    e = RatMatrix.identity(3)
+    assert g * g.inverse() == e
+    z, w = unipotent_representative(g)
+    assert flag_equal(z * perm_matrix(w), g)
+    assert evaluate(gw) == product
+    opposite_position(g)
+    assert reads == []
 
 
 def test_entry_indexing_and_product():
-    m = RatMatrix.from_rows([[1, 2], [3, 4]])
+    m = RatMatrix([[1, 2], [3, 4]])
     assert m.entry(1, 2) == 2
     assert m.entry(2, 1) == 3
     p = m * RatMatrix.identity(2)
@@ -70,12 +127,12 @@ def test_det_matches_cofactor_oracle():
 
 
 def test_det_singular():
-    m = RatMatrix.from_rows([[1, 2], [2, 4]])
+    m = RatMatrix([[1, 2], [2, 4]])
     assert m.det() == 0
 
 
 def test_minor_conventions():
-    m = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    m = RatMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     assert m.minor((), ()) == 1
     assert m.minor((1,), (3,)) == 3
     assert m.minor((1, 2), (2, 3)) == 2 * 6 - 3 * 5
@@ -134,7 +191,7 @@ def _oracle_minor(rows, row_set, col_set) -> Fraction:
 @given(st.data())
 def test_minor_matches_cofactor_property(data):
     rows = data.draw(_matrices(8))
-    m = RatMatrix.from_rows(rows)
+    m = RatMatrix(rows)
     for _ in range(3):
         row_set, col_set = data.draw(_index_sets(len(rows)))
         assert m.minor(row_set, col_set) == _oracle_minor(rows, row_set, col_set)
@@ -143,7 +200,7 @@ def test_minor_matches_cofactor_property(data):
 @settings(max_examples=40, deadline=None)
 @given(_matrices(8))
 def test_det_matches_cofactor_property(rows):
-    assert RatMatrix.from_rows(rows).det() == det_cofactor(rows)
+    assert RatMatrix(rows).det() == det_cofactor(rows)
 
 
 def _berkowitz(rows) -> Fraction:
@@ -163,7 +220,7 @@ def test_det_and_minor_match_sympy_beyond_cofactor_reach(seed, d, repeat_row):
     if repeat_row:
         a, b = rng.sample(range(d), 2)
         rows[a] = list(rows[b])
-    m = RatMatrix.from_rows(rows)
+    m = RatMatrix(rows)
     det = m.det()
     assert det == _berkowitz(rows)
     if repeat_row:
@@ -207,7 +264,7 @@ def _gale_pairs(row_set, col_set):
 @given(st.data())
 def test_triangular_minor_matches_cofactor_property(data):
     rows = data.draw(_triangular_matrices(8))
-    m = RatMatrix.from_rows(rows)
+    m = RatMatrix(rows)
     assert m.is_upper_triangular()
     for _ in range(2):
         for row_set, col_set in _gale_pairs(*data.draw(_index_sets(len(rows)))):
@@ -227,7 +284,7 @@ def test_triangular_minor_matches_sympy_beyond_cofactor_reach(seed, d, unipotent
         ]
         for r in range(d)
     ]
-    m = RatMatrix.from_rows(rows)
+    m = RatMatrix(rows)
     k = rng.randint(9, d)
     drawn = (
         tuple(sorted(rng.sample(range(1, d + 1), k))),
@@ -248,11 +305,11 @@ def test_minor_and_det_repeat_in_either_order(data):
     sets = [data.draw(_index_sets(d)) for _ in range(3)]
     expected = [_oracle_minor(rows, r, c) for r, c in sets]
     full = det_cofactor(rows)
-    det_first = RatMatrix.from_rows(rows)
+    det_first = RatMatrix(rows)
     assert det_first.det() == full
     assert [det_first.minor(r, c) for r, c in sets * 2] == expected * 2
     assert det_first.det() == full
-    minors_first = RatMatrix.from_rows(rows)
+    minors_first = RatMatrix(rows)
     assert [minors_first.minor(r, c) for r, c in sets * 2] == expected * 2
     assert minors_first.det() == full
     assert [minors_first.minor(r, c) for r, c in sets] == expected
@@ -264,8 +321,8 @@ def test_minor_cache_leaves_equality_and_hash_alone():
     rng = random.Random(12)
     for d in (1, 3, 5):
         for m in (random_matrix(rng, d), random_unipotent(rng, d)):
-            twin = RatMatrix.from_rows(m.rows)
-            other = RatMatrix.from_rows([[x + 1 for x in r] for r in m.rows])
+            twin = RatMatrix(m.rows)
+            other = RatMatrix([[x + 1 for x in r] for r in m.rows])
             h = hash(m)
             m.det()
             m.minor((1,), (d,))
@@ -309,15 +366,15 @@ def test_inverse():
         seen += 1
         assert m * m.inverse() == RatMatrix.identity(3)
     with pytest.raises(DomainError):
-        RatMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+        RatMatrix([[1, 2], [2, 4]]).inverse()
 
 
 def test_triangularity_predicates():
-    up = RatMatrix.from_rows([[1, 5], [0, 1]])
+    up = RatMatrix([[1, 5], [0, 1]])
     assert up.is_upper_triangular() and up.is_upper_unipotent()
-    scaled = RatMatrix.from_rows([[2, 5], [0, 1]])
+    scaled = RatMatrix([[2, 5], [0, 1]])
     assert scaled.is_upper_triangular() and not scaled.is_upper_unipotent()
-    low = RatMatrix.from_rows([[1, 0], [5, 1]])
+    low = RatMatrix([[1, 0], [5, 1]])
     assert not low.is_upper_triangular()
 
 
@@ -326,7 +383,7 @@ def test_flag_equal():
     g = random_matrix(rng, 4)
     while g.det() == 0:
         g = random_matrix(rng, 4)
-    b = RatMatrix.from_rows(
+    b = RatMatrix(
         [
             [2, 1, 0, 3],
             [0, 1, 4, 1],
@@ -341,7 +398,7 @@ def test_flag_equal():
     )
     # y_1(1) is lower triangular, so it moves the flag of g.
     assert not flag_equal(g, g * gen_y(4, 1, 1))
-    singular = RatMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+    singular = RatMatrix([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
     with pytest.raises(DomainError, match="matrix is singular"):
         flag_equal(RatMatrix.identity(3), singular)
     with pytest.raises(DomainError, match="matrix is singular"):
@@ -353,7 +410,7 @@ def test_flag_equal():
         if a.det() == 0:
             continue
         if rng.random() < 0.5:
-            upper = RatMatrix.from_rows(
+            upper = RatMatrix(
                 [
                     [
                         random_nonzero(rng) if r == c
@@ -397,7 +454,7 @@ def test_bruhat_position_invariant_under_right_upper():
         ]
         for i in range(d):
             rows[i][i] = Fraction(rng.randint(1, 5))
-        b = RatMatrix.from_rows(rows)
+        b = RatMatrix(rows)
         assert bruhat_position(g * b) == bruhat_position(g)
 
 
@@ -407,7 +464,7 @@ def test_opposite_position():
         d = rng.randint(2, 6)
         w = random_perm(rng, d)
         assert opposite_position(perm_matrix(w)) == w
-        lower = RatMatrix.from_rows(
+        lower = RatMatrix(
             [
                 [
                     random_nonzero(rng)
@@ -418,7 +475,7 @@ def test_opposite_position():
                 for i in range(d)
             ]
         )
-        upper = RatMatrix.from_rows(
+        upper = RatMatrix(
             [
                 [
                     random_nonzero(rng)
@@ -431,7 +488,7 @@ def test_opposite_position():
         )
         assert opposite_position(lower * perm_matrix(w)) == w
         assert opposite_position(lower * perm_matrix(w) * upper) == w
-    singular = RatMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+    singular = RatMatrix([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
     with pytest.raises(DomainError, match="matrix is singular"):
         opposite_position(singular)
 
@@ -468,7 +525,7 @@ def test_flag_equal_refuses_a_size_mismatch():
 
 def test_singular_rejected():
     with pytest.raises(DomainError):
-        bruhat_position(RatMatrix.from_rows([[1, 1], [1, 1]]))
+        bruhat_position(RatMatrix([[1, 1], [1, 1]]))
 
 
 def test_json_round_trips():
@@ -478,7 +535,7 @@ def test_json_round_trips():
     assert rational_from_json(4) == 4
     with pytest.raises(InputError):
         rational_from_json("x/y")
-    m = RatMatrix.from_rows([[Fraction(1, 2), 0], [1, 1]])
+    m = RatMatrix([[Fraction(1, 2), 0], [1, 1]])
     data = matrix_to_json(m)
     assert data == [["1/2", "0"], ["1", "1"]]
     assert matrix_from_json(data) == m

@@ -35,7 +35,7 @@ def unipotent_points(p: int) -> list[RatMatrix]:
         rows = [[int(a == b) for b in range(D)] for a in range(D)]
         for (a, b), x in zip(above, values):
             rows[a][b] = x
-        out.append(RatMatrix.from_rows(rows))
+        out.append(RatMatrix(rows))
     return out
 
 

@@ -62,8 +62,8 @@ SITES = {
     "minor_polynomial-cols": ((1, 3), lambda x: minor_polynomial((1, 2), x, 3), "index set"),
     "act": ((1, 2, 3), lambda x: act(_W, x), "weight"),
     "pair": ((1, 2, 3), lambda x: pair(x, 1), "weight"),
-    "from_rows-rows": (((1, 0), (0, 1)), RatMatrix.from_rows, "matrix rows"),
-    "from_rows-row": ((1, 0), lambda x: RatMatrix.from_rows([x, (0, 1)]), "matrix row"),
+    "from_rows-rows": (((1, 0), (0, 1)), RatMatrix, "matrix rows"),
+    "from_rows-row": ((1, 0), lambda x: RatMatrix([x, (0, 1)]), "matrix row"),
     "Permutation": ((2, 3, 1), Permutation, "permutation images"),
     "GroupWord": ((GroupFactor(FACTOR_S, 1),), lambda x: GroupWord(2, x), "group word factors"),
     "SubexpressionTrace-word": ((1,), lambda x: _trace(word=x), "trace word"),
