@@ -12,18 +12,19 @@ A trace is distinguished when every forced descent is taken: whenever
 v_(k-1) s_{i_k} is shorter than v_(k-1), the step must move down.  It is
 positive when it is distinguished and never moves down.  Both are found
 right to left from v_(n) = v, reading w_(k), the product of the first k
-letters, from the tuple ``check_reduced_word`` returned.  Step k is a
-forced ascent from y s_{i_k} when i_k is a right descent of y = v_(k);
-otherwise it is a stay or a descent from y s_{i_k}.  Since i_k is a right
-descent of w_(k), the lifting property turns y <= w_(k) into v_(k-1) <=
-w_(k-1) after an ascent or a stay, so only a descent needs a check,
-x = y s_{i_k} <= w_(k-1).  That check is one prefix comparison.  Here i_k is
-not a right descent of y, so lifting gives y <= w_(k-1) as well.  Bruhat
-order compares the sorted first j images for every j, and right
-multiplication by s_i moves only the i-th of those prefix sets.  So x <=
-w_(k-1) exactly when the sorted first i_k images of x are entrywise at most
-those of w_(k-1) (``_prefix_below``).  The positive trace is the greedy path
-that never descends: it checks nothing and reaches e exactly when v <= w_(n).
+letters, from the tuple ``check_reduced_word`` returned; it accepts the
+word when each i_k is a right ascent of w_(k-1).  Step k is a forced ascent
+from y s_{i_k} when i_k is a right descent of y = v_(k); otherwise it is a
+stay or a descent from y s_{i_k}.  Since i_k is a right descent of w_(k),
+the lifting property turns y <= w_(k) into v_(k-1) <= w_(k-1) after an
+ascent or a stay, so only a descent needs a check, x = y s_{i_k} <= w_(k-1).
+That check is one prefix comparison.  Here i_k is not a right descent of y,
+so lifting gives y <= w_(k-1) as well.  Bruhat order compares the sorted
+first j images for every j, and right multiplication by s_i moves only the
+i-th of those prefix sets.  So x <= w_(k-1) exactly when the sorted first
+i_k images of x are entrywise at most those of w_(k-1) (``_prefix_below``).
+The positive trace is the greedy path that never descends: it checks
+nothing and reaches e exactly when v <= w_(n).
 
 ``_pass_back`` applies the rule to (step, value) states, from {v} at step n
 down to {e} at step 0.  A value is held as its image tuple, so a step by s_i
@@ -37,7 +38,8 @@ stays; there are at most 2^n traces, so no field overflows.  Each
 distinguished trace ending at v contributes (q - 1)^{#stays} * q^{#descents}
 to R.  Going back, an ascent shortens the value by one, a descent lengthens
 it by one and a stay keeps it, so a trace with s stays of a word of length n
-has (n - s - l(v)) / 2 descents, and the fields of the tally at e give R.
+has (n - s - l(v)) / 2 descents: s = L (mod 2) and s <= L for L = n - l(v),
+and those fields of the tally at e give R.
 """
 
 from __future__ import annotations
@@ -165,19 +167,23 @@ def _pass_back(
     1 << (the sum of shifts[k-1] over the steps k that stay).
     """
     # level[y] tallies the traces from v_(k) = y to v_(n) = v; bound is the
-    # sorted i-prefix of w_(k-1) while level k is read.
+    # sorted i-prefix of w_(k-1), sorted at level k's first stay candidate.
     level: dict[Images, int] = {v.images: 1}
     for i, top, shift in zip(reversed(word), reversed(w[:-1]), reversed(shifts)):
-        bound = sorted(top.images[:i])
+        bound = None
         below: dict[Images, int] = {}
+        get = below.get
         for y, tally in level.items():
-            x = y[: i - 1] + (y[i], y[i - 1]) + y[i + 1 :]
-            if y[i - 1] > y[i]:
-                below[x] = below.get(x, 0) + tally
+            a, c = y[i - 1], y[i]
+            x = y[: i - 1] + (c, a) + y[i + 1 :]
+            if a > c:
+                below[x] = get(x, 0) + tally
             else:
-                below[y] = below.get(y, 0) + (tally << shift)
+                below[y] = get(y, 0) + (tally << shift)
+                if bound is None:
+                    bound = sorted(top.images[:i])
                 if _prefix_below(x, i, bound):
-                    below[x] = below.get(x, 0) + tally
+                    below[x] = get(x, 0) + tally
         level = below
     if list(level) != [w[0].images]:
         raise InternalCheckError("backward pass did not end at the identity")
@@ -366,15 +372,21 @@ def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolyno
     # The field at bit s*b counts the traces with s stays (module docstring).
     b = len(word) + 1
     tally = _pass_back(v, word, prefixes, [b] * len(word))
-    # (q-1)^s q^{(L-s)/2} by the binomial theorem, with L = l(w) - l(v); then
-    # the Kazhdan-Lusztig identity q^L R(1/q) = (-1)^L R(q) as a cross-check.
+    # (q-1)^s q^{(L-s)/2} by the binomial theorem, with L = l(w) - l(v) and
+    # s = L (mod 2); then the Kazhdan-Lusztig identity q^L R(1/q) = (-1)^L R(q)
+    # as a cross-check.
     length = len(word) - v.length()
     coeffs = [0] * (length + 1)
-    for stays in range(length + 1):
-        tally, count = divmod(tally, 1 << b)
+    mask = (1 << b) - 1
+    for stays in range(length % 2, length + 1, 2):
+        count = tally >> stays * b & mask
+        if not count:
+            continue
+        term = -count if stays % 2 else count
         descents = (length - stays) // 2
         for j in range(stays + 1):
-            coeffs[descents + j] += count * comb(stays, j) * (-1) ** (stays - j)
+            coeffs[descents + j] += term * comb(stays, j)
+            term = -term
     if coeffs[-1] != 1 or coeffs[::-1] != [(-1) ** length * c for c in coeffs]:
         raise InternalCheckError("R-polynomial fails its monic or q^L R(1/q) check")
     return _built(RPolynomial, coeffs=tuple(coeffs))

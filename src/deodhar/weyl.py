@@ -163,8 +163,8 @@ def _seq_from_json(x, what: str) -> tuple:
 def _int_in_range(x, lo: int, hi: int, what: str) -> int:
     """Read an index by ``_int_from_json`` and check that lo <= x <= hi.
 
-    The hot methods of a sweep test a valid index inline and call this only
-    when that test fails.
+    The hot methods of a sweep and ``_check_letters`` test a valid index
+    inline and call this only when that test fails.
     """
     x = _int_from_json(x, what)
     if not lo <= x <= hi:
@@ -236,12 +236,17 @@ def evaluate_word(d: int, word: Sequence[int]) -> Permutation:
 
 
 def is_reduced(d: int, word: Sequence[int]) -> bool:
-    return evaluate_word(d, word).length() == len(_check_letters(d, word))
+    word = _check_letters(_degree(d), word)
+    return _prefix_products(d, word)[-1].length() == len(word)
 
 
 def _check_letters(d: int, word: Sequence[int]) -> Word:
     """The word as a tuple; InputError names a letter that is not an int in 1..d-1."""
-    return tuple(_int_in_range(i, 1, d - 1, "letter") for i in _seq_from_json(word, "word"))
+    word = _seq_from_json(word, "word")
+    for i in word:
+        if not (type(i) is int and 0 < i < d):
+            _int_in_range(i, 1, d - 1, "letter")
+    return word
 
 
 def check_reduced_word(
@@ -249,14 +254,24 @@ def check_reduced_word(
 ) -> tuple[Word, tuple[Permutation, ...]]:
     """The word as a tuple and its prefix products; InputError if it is not reduced.
 
+    Every letter is read before any product, so a bad letter is reported
+    first.  Right multiplication by s_i changes the length by one, so the
+    word is reduced exactly when each letter i is a right ascent of the
+    product w of the letters before it, w(i) < w(i+1); one pass checks that
+    and builds the prefixes.
+
     >>> check_reduced_word(3, [1, 2])
     ((1, 2), (Permutation((1, 2, 3)), Permutation((2, 1, 3)), Permutation((2, 3, 1))))
     """
     word = _check_letters(_degree(d), word)
-    prefixes = _prefix_products(d, word)
-    if prefixes[-1].length() != len(word):
-        raise InputError(f"word {word!r} is not reduced")
-    return word, prefixes
+    prefixes = [identity_perm(d)]
+    images = list(prefixes[0].images)
+    for i in word:
+        if images[i - 1] > images[i]:
+            raise InputError(f"word {word!r} is not reduced")
+        images[i - 1], images[i] = images[i], images[i - 1]
+        prefixes.append(_product(tuple(images)))
+    return word, tuple(prefixes)
 
 
 def a_reduced_word(w: Permutation) -> Word:

@@ -25,7 +25,7 @@ from deodhar.components import (
     factorize,
 )
 from deodhar.diagrams import classify_graphical, diagram_formulas
-from deodhar.errors import DomainError, NotInComponentError
+from deodhar.errors import DomainError, InputError, NotInComponentError
 from deodhar.linalg import RatMatrix, rational_from_json, unipotent_representative
 from deodhar.pinning import (
     GroupFactor,
@@ -47,7 +47,7 @@ from deodhar.subexpr import (
     trace_from_json,
     trace_to_json,
 )
-from deodhar.weyl import Permutation, evaluate_word
+from deodhar.weyl import Permutation, check_reduced_word, evaluate_word, is_reduced
 
 from support import (
     bruhat_leq_subword,
@@ -64,6 +64,34 @@ from support import (
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.integers(2, 6), st.booleans())
+def test_word_check_agrees_with_the_length_criterion(seed, d, reduced):
+    # check_reduced_word asks for a right ascent at every letter; a word is
+    # reduced exactly when its product has as many inversions as letters.
+    rng = random.Random(seed)
+    if reduced:
+        word = random_reduced_word(rng, random_perm(rng, d))
+    else:
+        word = tuple(rng.randint(1, d - 1) for _ in range(rng.randint(0, 2 * d)))
+    ok = evaluate_word(d, word).length() == len(word)
+    assert is_reduced(d, word) == ok
+    if ok:
+        got, prefixes = check_reduced_word(d, list(word))
+        assert got == word
+        assert prefixes == tuple(evaluate_word(d, word[:k]) for k in range(len(word) + 1))
+    else:
+        with pytest.raises(InputError) as info:
+            check_reduced_word(d, list(word))
+        assert str(info.value) == f"word {word!r} is not reduced"
+    # Every letter is read before any product: a bad letter after a repeated
+    # one is reported as a bad letter.
+    i = rng.randint(1, d - 1)
+    with pytest.raises(InputError) as info:
+        check_reduced_word(d, list(word) + [i, i, d])
+    assert str(info.value) == f"letter {d} out of range 1..{d - 1}"
 
 
 @settings(max_examples=60, deadline=None)

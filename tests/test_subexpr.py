@@ -122,8 +122,9 @@ def test_enumeration_degree_limit():
 
 
 def test_positive_subexpression_is_one_walk(monkeypatch):
-    # One product per letter to check the word, and one per move of the
-    # backward walk: no forward rebuild and no re-check of the trace.
+    # One product per move of the backward walk: the word check swaps its
+    # prefixes' images in place, and there is no forward rebuild and no
+    # re-check of the trace.
     real = Permutation.times_s
     calls = []
     monkeypatch.setattr(
@@ -135,7 +136,7 @@ def test_positive_subexpression_is_one_walk(monkeypatch):
         v = random_perm(rng, 6)
         calls.clear()
         trace = positive_subexpression(v, word)
-        assert len(calls) == len(word) + len(trace.positions("+"))
+        assert len(calls) == len(trace.positions("+"))
 
 
 def test_recovered_trace_values():
@@ -366,6 +367,24 @@ def test_r_polynomial_vs_oracle_spot():
         word = random_reduced_word(rng, w)
         v = random_perm(rng, 4)
         assert r_polynomial(v, w, word).coeffs == tuple(kl_r_polynomial(v, w))
+
+
+@pytest.mark.parametrize("d", [6, 7])
+def test_r_polynomial_matches_oracle_on_random_words(d):
+    # Random comparable pairs, each on a random reduced word of w.  A trace
+    # with s stays has s = L (mod 2) and s <= L, L = l(w) - l(v), so every
+    # other field of the tally at e is zero.
+    rng = random.Random(d)
+    for _ in range(25):
+        w = random_perm(rng, d)
+        word = random_reduced_word(rng, w)
+        v = evaluate_word(d, [i for i in word if rng.random() < 0.5])
+        assert r_polynomial(v, w, word).coeffs == tuple(kl_r_polynomial(v, w)), (v, w, word)
+        b, length = len(word) + 1, w.length() - v.length()
+        tally = subexpr._pass_back(v, word, check_reduced_word(d, word)[1], [b] * len(word))
+        for stays in range(len(word) + 1):
+            if (length - stays) % 2 or stays > length:
+                assert tally >> stays * b & (1 << b) - 1 == 0, (v, w, word, stays)
 
 
 def test_r_polynomial_edge_cases():
