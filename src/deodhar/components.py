@@ -36,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -191,9 +192,27 @@ def _check_unipotent(z: RatMatrix) -> None:
 _MARK_TURN = {MARK_STAY: 0, MARK_UP: 1, MARK_DOWN: -1}
 
 
-def _sweep(
-    z: RatMatrix, word: Sequence[int]
-) -> tuple[ComponentDescriptor, list[tuple[int, int]], list[tuple[int, int]]]:
+_Sweep = tuple[ComponentDescriptor, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+
+# The last completed sweep, (z, checked word, (desc, before, after)): one
+# slot, replaced whole, so a thread reads one sweep or another, never a mix.
+_last_sweep: tuple = (None, (), None)
+
+
+def _stored_sweep(z: RatMatrix, word: Word) -> _Sweep | None:
+    """The result in the slot if it swept this z, by identity, along this word.
+
+    Letters match by identity, as small ints do, so an int subclass that
+    only equals a letter misses; the stored descriptor holds the word it
+    was built from.
+    """
+    last_z, last_word, result = _last_sweep
+    if last_z is z and len(last_word) == len(word) and all(map(operator.is_, last_word, word)):
+        return result
+    return None
+
+
+def _sweep(z: RatMatrix, word: Sequence[int]) -> _Sweep:
     """The classifying sweep: the component, and what its table read at each step.
 
     Step k with letter i reads ``before[k-1]``, entry (i, i+1) of the
@@ -204,9 +223,20 @@ def _sweep(
     integer numerator with its positive denominator.  A right descent
     always moves, so the trace is distinguished and, like the descriptor,
     is built from the word checked here without ``__post_init__``.
+
+    The unipotent check and the word check run on every call.  Then a
+    one-slot memo, the last completed sweep keyed by z itself and the
+    checked word, returns a second sweep of the same z along the same word
+    without building a table.  That is exact because a `RatMatrix` is
+    frozen, as its cached ``_cleared`` already assumes, and the slot holds
+    tuples and frozen records only.
     """
+    global _last_sweep
     _check_unipotent(z)
     word, w = check_reduced_word(z.d, word)
+    stored = _stored_sweep(z, word)
+    if stored is not None:
+        return stored
     table = _ChamberTable(z)
     v = w[0]
     values = [v]
@@ -221,7 +251,10 @@ def _sweep(
         marks.append(mark)
         values.append(v)
     trace = _built(SubexpressionTrace, word=word, values=tuple(values), marks=tuple(marks))
-    return _built(ComponentDescriptor, trace=trace, prefix_perms=w), before, after
+    desc = _built(ComponentDescriptor, trace=trace, prefix_perms=w)
+    result = desc, tuple(before), tuple(after)
+    _last_sweep = z, word, result
+    return result
 
 
 _MARK_CASE = {MARK_STAY: "stay", MARK_UP: "ascend", MARK_DOWN: "forced"}
@@ -535,19 +568,27 @@ def chamber_coordinates(z: RatMatrix, desc: ComponentDescriptor) -> dict:
     """The coordinate system of the component, evaluated at z.
 
     Stay steps contribute their standard chamber minor, descent steps their
-    probe minor, each read off a running table of z walked along the
-    component's own marks, with no word check; together these determine
-    the element.  Up to the first step where z's trace parts from desc's,
-    z's sweep makes desc's moves, its forced steps being desc's descents,
-    so a z outside the component raises NotInComponentError at that step:
-    a stay whose chamber minor vanishes, or an ascent whose probe does not.
+    probe minor; together these determine the element.  When the sweep's
+    one-slot memo holds z along desc's word with desc's marks, they are the
+    values that sweep read before each step.  Otherwise they are read off a
+    running table of z walked along the component's own marks, with no word
+    check.  Up to the first step where z's trace parts from desc's, z's
+    sweep makes desc's moves, its forced steps being desc's descents, so a
+    z outside the component raises NotInComponentError at that step: a stay
+    whose chamber minor vanishes, or an ascent whose probe does not.
     """
     if z.d != desc.d:
         raise InputError("degree mismatch in generalized minor")
     _check_unipotent(z)
+    marks = desc.trace.marks
+    stored = _stored_sweep(z, desc.word)
+    if stored is not None and stored[0].trace.marks == marks:
+        before = stored[1]
+        steps = enumerate(marks, start=1)
+        return {k: Fraction(*before[k - 1]) for k, mark in steps if mark != MARK_UP}
     table = _ChamberTable(z)
     coords: dict[int, Fraction] = {}
-    for k, (i, mark) in enumerate(zip(desc.word, desc.trace.marks), start=1):
+    for k, (i, mark) in enumerate(zip(desc.word, marks), start=1):
         n, s = table.bordered(i)
         if mark == MARK_STAY and not n:
             raise NotInComponentError("standard chamber minor vanishes")

@@ -263,9 +263,10 @@ def check_reduced_word(
     >>> check_reduced_word(3, [1, 2])
     ((1, 2), (Permutation((1, 2, 3)), Permutation((2, 1, 3)), Permutation((2, 3, 1))))
     """
-    word = _check_letters(_degree(d), word)
-    prefixes = [identity_perm(d)]
-    images = list(prefixes[0].images)
+    d = _degree(d)
+    word = _check_letters(d, word)
+    images = list(range(1, d + 1))
+    prefixes = [_product(tuple(images))]
     for i in word:
         if images[i - 1] > images[i]:
             raise InputError(f"word {word!r} is not reduced")

@@ -4,6 +4,7 @@ import argparse
 import json
 import random
 import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -511,13 +512,15 @@ def test_descent_cross_check_catches_a_wrong_stay_coordinate(monkeypatch):
     # The stay coordinate at step 2 feeds the running chamber minor that the
     # descent at step 4 reads, but not the independent ratio it is checked
     # against.  factorize takes its stay coordinates from the probes that
-    # the classifying sweep reads off its running table.
+    # the classifying sweep reads off its running table.  The sweep's result
+    # is shared through its memo, so the fault goes into a copy.
     import deodhar.components as components
 
     real = components._sweep
 
     def double_step_2(z, word):
         desc, before, after = real(z, word)
+        before = list(before)
         num, den = before[1]
         before[1] = (2 * num, den)
         return desc, before, after
@@ -722,6 +725,8 @@ def test_coordinate_readers_refuse_exactly_the_flags_of_other_components(d):
 def test_diagram_formulas_builds_one_elimination_table_per_call(monkeypatch):
     # The component gate is factorize's own sweep, so diagram_formulas runs
     # one running table of z, on desc's component and on a z it refuses.
+    # Each target gets a fresh copy of z, so each call is cold; a repeat on
+    # the same z and word reads the sweep's memo and builds none.
     tables = Counter()
     real_init = _ChamberTable.__init__
 
@@ -736,14 +741,96 @@ def test_diagram_formulas_builds_one_elimination_table_per_call(monkeypatch):
         desc, z = random_component_flag(rng, rng.choice([4, 5, 6]))
         other = ComponentDescriptor(random_distinguished(rng, desc.d, desc.word))
         for target in (desc, other):
+            fresh = RatMatrix(z.rows)
             tables.clear()
             try:
-                diagram_formulas(target, z)
+                first = diagram_formulas(target, fresh)
                 seen["read"] += 1
-            except NotInComponentError:
+            except NotInComponentError as exc:
+                first = str(exc)
                 seen["refused"] += 1
             assert tables == {"built": 1}
+            tables.clear()
+            try:
+                again = diagram_formulas(target, fresh)
+            except NotInComponentError as exc:
+                again = str(exc)
+            assert again == first
+            assert not tables
     assert seen["read"] > 20 and seen["refused"] > 5
+
+
+def test_one_sweep_serves_every_entry_point_on_the_same_z(monkeypatch):
+    # The sweep keeps one slot, the last z it swept (by identity) and the
+    # checked word: every entry point on that z and word reads it, and a
+    # second word, or a second z, takes the slot over.
+    import deodhar.components as components
+
+    tables = Counter()
+    real_init = _ChamberTable.__init__
+
+    def counted_init(self, z):
+        tables["built"] += 1
+        real_init(self, z)
+
+    entries = [
+        lambda z, desc: classify(z, list(desc.word)),
+        lambda z, desc: is_totally_nonnegative(z, list(desc.word)),
+        chamber_coordinates,
+        lambda z, desc: classify_steps(z, list(desc.word)),
+        lambda z, desc: factorize(z, list(desc.word)),
+        lambda z, desc: diagram_formulas(desc, z),
+    ]
+
+    rng = random.Random(43)
+    descents = 0
+    for _ in range(10):
+        desc, z = random_component_flag(rng, rng.choice([4, 5, 6]))
+        descents += len(desc.descent_positions)
+        cold = [entry(RatMatrix(z.rows), desc) for entry in entries]
+        monkeypatch.setattr(_ChamberTable, "__init__", counted_init)
+        tables.clear()
+        assert [entry(z, desc) for entry in entries] == cold
+        assert tables == {"built": 1}
+        swept, before, after = components._sweep(z, desc.word)
+        assert swept == desc and type(before) is tuple and type(after) is tuple
+        assert tables == {"built": 1}
+        other = random_reduced_word(rng, longest_element(desc.d))
+        for word in (other, desc.word):
+            tables.clear()
+            classify(z, word)
+            assert tables == {"built": 1}
+        monkeypatch.undo()
+    assert descents > 0
+
+    # Two threads alternate classify on two z's of one word, each expecting
+    # its own matrix's cold component.
+    rng = random.Random(47)
+    desc, z = random_component_flag(rng, 6)
+    while True:
+        other = ComponentDescriptor(random_distinguished(rng, 6, desc.word))
+        if other != desc:
+            break
+    t = {k: random_nonzero(rng) for k in other.stay_positions}
+    m = {k: random_rational(rng) for k in other.descent_positions}
+    z_other = unipotent_representative(evaluate(build_element(other, t, m)))[0]
+    cases = [(z, desc), (z_other, classify(RatMatrix(z_other.rows), desc.word))]
+    assert cases[1][1] == other
+    barrier = threading.Barrier(2)
+    wrong = Counter()
+
+    def alternate(z, expected):
+        for _ in range(200):
+            barrier.wait()
+            if classify(z, desc.word) != expected:
+                wrong[expected] += 1
+
+    threads = [threading.Thread(target=alternate, args=case) for case in cases]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not wrong
 
 
 def test_chamber_coordinates_checks_no_word_and_rebuilds_no_trace(checks, monkeypatch):
@@ -818,9 +905,10 @@ def test_positive_component_checks_the_word_once_and_trusts_what_it_builds(check
 
 def test_entry_points_read_each_parameter_once_and_trust_the_words_they_build(monkeypatch):
     # build_element, sample_positive and element_from_coordinates read each
-    # caller parameter once, and an entry point that checks a word checks one
-    # permutation, the identity its prefix products start from.  None of
-    # them, partial included, runs the factor or word check on what it builds.
+    # caller parameter once, and an entry point that checks a word builds
+    # every permutation it needs, the identity included, without a check.
+    # None of them, partial included, runs the factor or word check on what
+    # it builds.
     calls = Counter()
     for cls in (GroupFactor, GroupWord, Permutation):
 
@@ -851,10 +939,10 @@ def test_entry_points_read_each_parameter_once_and_trust_the_words_they_build(mo
         gw = build_element(desc, t_params, m_params)
         entries = [
             (lambda: build_element(desc, t_params, m_params), len(t_params) + len(m_params), 0),
-            (lambda: sample_positive(v, word, positive), len(positive), 1),
-            (lambda: random_positive_sample(v, word, 7), len(positive), 1),
+            (lambda: sample_positive(v, word, positive), len(positive), 0),
+            (lambda: random_positive_sample(v, word, 7), len(positive), 0),
             (lambda: element_from_coordinates(desc, coords), len(coords), 0),
-            (lambda: factorize(z, word), 0, 1),
+            (lambda: factorize(z, word), 0, 0),
             (lambda: partial(gw, rng.randint(0, len(word))), 0, 0),
         ]
         for entry, reads, perms in entries:

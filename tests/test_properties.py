@@ -5,6 +5,7 @@ Each example draws a seed and builds its case with the generators in
 """
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -25,7 +26,7 @@ from deodhar.components import (
     factorize,
 )
 from deodhar.diagrams import classify_graphical, diagram_formulas
-from deodhar.errors import DomainError, InputError, NotInComponentError
+from deodhar.errors import DeodharError, DomainError, InputError, NotInComponentError
 from deodhar.linalg import RatMatrix, rational_from_json, unipotent_representative
 from deodhar.pinning import (
     GroupFactor,
@@ -367,3 +368,55 @@ def test_what_the_library_writes_it_reads_back(seed, d):
     for key, params in (("t", res.t_params), ("m", res.m_params)):
         assert all(isinstance(x, str) for x in data[key].values())
         assert {int(k): rational_from_json(x) for k, x in data[key].items()} == params
+
+
+def _outcome(read):
+    """A call's value, or the type and message of the error it raised."""
+    try:
+        return read()
+    except DeodharError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(2, 6))
+def test_a_warm_sweep_changes_no_refusal(seed, d):
+    # After a sweep of z along its word is stored, every malformed call on z
+    # raises what it raises on a fresh copy of z.  The slot's key is the
+    # checked word: 2.0 == 2 and hashes alike, yet a float letter is refused.
+    import deodhar.components as components
+
+    rng = random.Random(seed)
+    desc, z = random_component_flag(rng, d)
+    while not desc.word:
+        desc, z = random_component_flag(rng, d)
+    word = list(desc.word)
+    floated = list(word)
+    j = rng.randrange(len(word))
+    floated[j] = float(floated[j])
+    # An upper-triangular b with a 2 on its diagonal, so z·b is not unipotent.
+    j = rng.randrange(d)
+    b = RatMatrix(
+        [[2 if r == c == j else int(r == c) if r >= c else random_rational(rng) for c in range(d)]
+         for r in range(d)]
+    )
+    ends = (evaluate_word(d, ()), desc.endpoint, evaluate_word(d, word))
+    traces = [positive_subexpression(v, word) for v in ends]
+    traces += [random_distinguished(rng, d, desc.word) for _ in range(3)]
+
+    def reads(z):
+        out = []
+        for bad in (floated, set(word), word + word[-1:]):
+            out += [functools.partial(read, z, bad) for read in (classify, is_totally_nonnegative)]
+        zb = z * b
+        out += [functools.partial(classify, zb, word)]
+        out += [functools.partial(chamber_coordinates, zb, desc)]
+        out += [functools.partial(chamber_coordinates, z, ComponentDescriptor(t)) for t in traces]
+        return [_outcome(read) for read in out]
+
+    assert is_totally_nonnegative(z, word).descriptor is classify(z, word)
+    warm = reads(z)
+    assert components._last_sweep[0] is z
+    assert warm == reads(RatMatrix(z.rows))
+    assert all(isinstance(x, tuple) for x in warm[:8])
+    assert any(x[0] is NotInComponentError for x in warm[8:] if isinstance(x, tuple))
