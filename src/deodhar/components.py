@@ -199,44 +199,36 @@ _Sweep = tuple[ComponentDescriptor, tuple[tuple[int, int], ...], tuple[tuple[int
 _last_sweep: tuple = (None, (), None)
 
 
-def _stored_sweep(z: RatMatrix, word: Word) -> _Sweep | None:
-    """The result in the slot if it swept this z, by identity, along this word.
+def _sweep(z: RatMatrix, word: Sequence[int]) -> _Sweep:
+    """The classifying sweep of a caller's z and word, each checked, z first."""
+    _check_unipotent(z)
+    return _sweep_checked(z, *check_reduced_word(z.d, word))
 
-    Letters match by identity, as small ints do, so an int subclass that
-    only equals a letter misses; the stored descriptor holds the word it
-    was built from.
+
+def _sweep_checked(z: RatMatrix, word: Word, w: tuple[Permutation, ...]) -> _Sweep:
+    """The component of a checked z along a checked word, and what its table read.
+
+    ``w`` holds the word's prefix products.  Step k with letter i reads
+    ``before[k-1]``, entry (i, i+1) of the running table of
+    v̄_(k-1)⁻¹ z w̄_(k-1): the minor of ``desc.step_minors[k-1]``, which is
+    the probe of a free step and the chamber coordinate of a descent.
+    After the step it reads ``after[k-1]``, the standard chamber minor at
+    level i.  Each is an integer numerator with its positive denominator.
+    A right descent always moves, so the trace is distinguished and, like
+    the descriptor, is built from the word without ``__post_init__``.
+
+    A one-slot memo, the last completed sweep keyed by z itself and the
+    word, letter by letter by identity, returns a second sweep of the same
+    z along the same word without building a table.  That is exact because
+    a `RatMatrix` is frozen, as its cached ``_cleared`` already assumes,
+    and the slot holds tuples and frozen records only.  An int subclass
+    that only equals a letter misses, since the stored descriptor holds
+    the word it was built from.
     """
+    global _last_sweep
     last_z, last_word, result = _last_sweep
     if last_z is z and len(last_word) == len(word) and all(map(operator.is_, last_word, word)):
         return result
-    return None
-
-
-def _sweep(z: RatMatrix, word: Sequence[int]) -> _Sweep:
-    """The classifying sweep: the component, and what its table read at each step.
-
-    Step k with letter i reads ``before[k-1]``, entry (i, i+1) of the
-    running table of v̄_(k-1)⁻¹ z w̄_(k-1): the minor of
-    ``desc.step_minors[k-1]``, which is the probe of a free step and the
-    chamber coordinate of a descent.  After the step it reads
-    ``after[k-1]``, the standard chamber minor at level i.  Each is an
-    integer numerator with its positive denominator.  A right descent
-    always moves, so the trace is distinguished and, like the descriptor,
-    is built from the word checked here without ``__post_init__``.
-
-    The unipotent check and the word check run on every call.  Then a
-    one-slot memo, the last completed sweep keyed by z itself and the
-    checked word, returns a second sweep of the same z along the same word
-    without building a table.  That is exact because a `RatMatrix` is
-    frozen, as its cached ``_cleared`` already assumes, and the slot holds
-    tuples and frozen records only.
-    """
-    global _last_sweep
-    _check_unipotent(z)
-    word, w = check_reduced_word(z.d, word)
-    stored = _stored_sweep(z, word)
-    if stored is not None:
-        return stored
     table = _ChamberTable(z)
     v = w[0]
     values = [v]
@@ -568,36 +560,27 @@ def chamber_coordinates(z: RatMatrix, desc: ComponentDescriptor) -> dict:
     """The coordinate system of the component, evaluated at z.
 
     Stay steps contribute their standard chamber minor, descent steps their
-    probe minor; together these determine the element.  When the sweep's
-    one-slot memo holds z along desc's word with desc's marks, they are the
-    values that sweep read before each step.  Otherwise they are read off a
-    running table of z walked along the component's own marks, with no word
-    check.  Up to the first step where z's trace parts from desc's, z's
-    sweep makes desc's moves, its forced steps being desc's descents, so a
-    z outside the component raises NotInComponentError at that step: a stay
-    whose chamber minor vanishes, or an ascent whose probe does not.
+    probe minor; together these determine the element.  They are the
+    values z's own sweep along desc's word reads before each step, and the
+    descriptor holds that word checked, so no word is checked here.  Up to
+    the first step where z's trace parts from desc's, the two traces have
+    equal values, so a step forced for one is forced for the other: they
+    part at a stay or an ascent of desc, and a z outside the component
+    raises NotInComponentError there, a stay whose chamber minor vanishes
+    or an ascent whose probe does not.
     """
     if z.d != desc.d:
         raise InputError("degree mismatch in generalized minor")
     _check_unipotent(z)
+    swept, before, _ = _sweep_checked(z, desc.word, desc.prefix_perms)
     marks = desc.trace.marks
-    stored = _stored_sweep(z, desc.word)
-    if stored is not None and stored[0].trace.marks == marks:
-        before = stored[1]
-        steps = enumerate(marks, start=1)
-        return {k: Fraction(*before[k - 1]) for k, mark in steps if mark != MARK_UP}
-    table = _ChamberTable(z)
-    coords: dict[int, Fraction] = {}
-    for k, (i, mark) in enumerate(zip(desc.word, marks), start=1):
-        n, s = table.bordered(i)
-        if mark == MARK_STAY and not n:
+    for k, (mark, own) in enumerate(zip(marks, swept.trace.marks), start=1):
+        if mark == own:
+            continue
+        if mark == MARK_STAY:
             raise NotInComponentError("standard chamber minor vanishes")
-        if mark == MARK_UP and n:
-            raise NotInComponentError(f"probe minor at ascent step {k} does not vanish")
-        if mark != MARK_UP:
-            coords[k] = Fraction(n, s)
-        table.step(i, _MARK_TURN[mark])
-    return coords
+        raise NotInComponentError(f"probe minor at ascent step {k} does not vanish")
+    return {k: Fraction(*before[k - 1]) for k, mark in enumerate(marks, start=1) if mark != MARK_UP}
 
 
 def element_from_coordinates(

@@ -186,7 +186,7 @@ def build_arrangement(kind: str, desc: ComponentDescriptor) -> Arrangement:
     """Build one arrangement flavor from a component descriptor."""
     if kind == CLASSICAL:
         return classical_arrangement(desc.word, desc.d)
-    if kind not in _SOURCE_KINDS:
+    if not isinstance(kind, str) or kind not in _SOURCE_KINDS:
         raise InputError(f"unknown arrangement kind {kind!r}")
     table = _SOURCE_KINDS[kind]
     columns = [
@@ -235,7 +235,7 @@ def diagram_formulas(desc: ComponentDescriptor, z: RatMatrix) -> dict:
     stay steps first: t_k, and m_k plus its correction.  ``factorize``
     classifies z into its own component, so a z outside desc's raises
     NotInComponentError naming the first step where the two mark strings
-    differ, the step where the walk of ``chamber_coordinates`` stops.
+    differ, the step where ``chamber_coordinates`` refuses z too.
     """
     if z.d != desc.d:
         raise InputError("degree mismatch in generalized minor")

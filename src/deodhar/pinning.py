@@ -76,7 +76,7 @@ FACTOR_XSINV = "xsinv"
 
 
 def _identity_rows(d: int) -> list[list[Fraction]]:
-    d = _degree(d)
+    """The identity's rows at a degree already read by ``_degree``."""
     return [[Fraction(1 if a == b else 0) for b in range(d)] for a in range(d)]
 
 
@@ -87,16 +87,19 @@ def _elementary(d: int, r: int, c: int, value: Fraction) -> RatMatrix:
 
 
 def gen_x(d: int, i: int, m) -> RatMatrix:
+    d = _degree(d)
     i = _int_in_range(i, 1, d - 1, "generator index")
     return _elementary(d, i, i + 1, rational_from_json(m))
 
 
 def gen_y(d: int, i: int, t) -> RatMatrix:
+    d = _degree(d)
     i = _int_in_range(i, 1, d - 1, "generator index")
     return _elementary(d, i + 1, i, rational_from_json(t))
 
 
 def gen_sdot(d: int, i: int) -> RatMatrix:
+    d = _degree(d)
     i = _int_in_range(i, 1, d - 1, "generator index")
     rows = _identity_rows(d)
     rows[i - 1][i - 1] = Fraction(0)
@@ -112,6 +115,7 @@ def gen_sdot_inv(d: int, i: int) -> RatMatrix:
 
 
 def gen_acheck(d: int, i: int, t) -> RatMatrix:
+    d = _degree(d)
     i = _int_in_range(i, 1, d - 1, "generator index")
     t = rational_from_json(t)
     if t == 0:

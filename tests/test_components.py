@@ -833,23 +833,53 @@ def test_one_sweep_serves_every_entry_point_on_the_same_z(monkeypatch):
     assert not wrong
 
 
-def test_chamber_coordinates_checks_no_word_and_rebuilds_no_trace(checks, monkeypatch):
-    # The descriptor holds a checked word and its trace values, so the
-    # coordinates walk the table along its marks with no word check, no
-    # trace value rebuilt and no index set taken.
+def test_chamber_coordinates_checks_no_word_and_reads_one_sweep_of_z(checks, monkeypatch):
+    # The descriptor holds a checked word and its prefix products, so the
+    # coordinates are read off z's own sweep along that word with no word
+    # check, on desc's component and on a z it refuses.  A stored sweep of
+    # z is read as it is, with no table built and no trace value rebuilt; a
+    # fresh z is swept once, and that sweep then serves classify, tnn-check
+    # and factorize on the same z and word.
     real_times_s = Permutation.times_s
+    real_init = _ChamberTable.__init__
 
     def counted_times_s(self, i):
         checks["times_s"] += 1
         return real_times_s(self, i)
 
+    def counted_init(self, z):
+        checks["table"] += 1
+        real_init(self, z)
+
+    def read(z, desc):
+        try:
+            return chamber_coordinates(z, desc)
+        except NotInComponentError as exc:
+            return str(exc)
+
     rng = random.Random(31)
     cases = [random_component_flag(rng, rng.choice([4, 5, 6])) for _ in range(10)]
     monkeypatch.setattr(Permutation, "times_s", counted_times_s)
+    monkeypatch.setattr(_ChamberTable, "__init__", counted_init)
+    refused = 0
     for desc, z in cases:
-        checks.clear()
-        chamber_coordinates(z, desc)
-        assert not checks
+        other = ComponentDescriptor(random_distinguished(rng, desc.d, desc.word))
+        for target in (desc, other):
+            classify(z, desc.word)
+            checks.clear()
+            warm = read(z, target)
+            assert not checks
+            refused += isinstance(warm, str)
+            fresh = RatMatrix(z.rows)
+            checks.clear()
+            assert read(fresh, target) == warm
+            assert checks.keys() <= {"table", "times_s"} and checks["table"] == 1
+            checks.clear()
+            classify(fresh, desc.word)
+            is_totally_nonnegative(fresh, desc.word)
+            factorize(fresh, desc.word)
+            assert checks["table"] == 0
+    assert refused > 0
 
 
 def test_descriptor_builds_its_index_sets_on_first_read(checks):

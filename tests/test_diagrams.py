@@ -298,6 +298,11 @@ def test_build_arrangement_classical_is_the_wiring_diagram_of_the_word():
 def test_build_arrangement_validation():
     with pytest.raises(InputError):
         build_arrangement("diagonal", desc102())
+    # An unhashable kind is an unknown kind too, not a failed dict lookup.
+    for kind in ([ANSATZ], {ANSATZ: 1}):
+        with pytest.raises(InputError) as exc:
+            build_arrangement(kind, desc102())
+        assert str(exc.value) == f"unknown arrangement kind {kind!r}"
 
 
 def test_diagram_formulas_outside_component():

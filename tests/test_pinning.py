@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from deodhar.diagrams import classical_arrangement
-from deodhar.errors import InputError
+from deodhar.errors import DomainError, InputError
 from deodhar.linalg import RatMatrix, flag_equal
 from deodhar.pinning import (
     FACTOR_S,
@@ -201,6 +201,20 @@ def test_generators_read_ints_fractions_and_strings_alike():
     for gen in (gen_x, gen_y, gen_acheck):
         assert gen(3, 2, 2) == gen(3, 2, Fraction(2)) == gen(3, 2, "4/2")
         assert gen(3, 1, Fraction(-1, 3)) == gen(3, 1, "-1/3")
+
+
+@pytest.mark.parametrize("gen", [gen_x, gen_y, gen_sdot, gen_sdot_inv, gen_acheck])
+def test_generators_read_the_degree_before_the_index(gen):
+    # The index range depends on d, so d is read first: a degree that is no
+    # integer is refused by name, not as a failed d - 1 or an empty range.
+    args = (1,) if gen in (gen_sdot, gen_sdot_inv) else (1, 1)
+    for d in ("3", None, True, 2.0):
+        with pytest.raises(InputError) as exc:
+            gen(d, *args)
+        assert str(exc.value) == f"degree must be an integer, got {d!r}"
+    with pytest.raises(DomainError) as exc:
+        gen(65, *args)
+    assert str(exc.value) == "degree 65 is above the degree limit 64"
 
 
 def test_factor_matrix_kinds():
