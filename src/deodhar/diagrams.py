@@ -173,8 +173,6 @@ def _assemble(kind: str, d: int, columns: list[Constituent]) -> Arrangement:
 def classical_arrangement(word: Sequence[int], d: int) -> Arrangement:
     """The wiring diagram of a word: one singular crossing per letter."""
     d = _degree(d, "strand count")
-    if d < 1:
-        raise InputError(f"an arrangement needs at least one strand, got d = {d}")
     columns = [
         Constituent(i, SINGULAR, "letter", k)
         for k, i in enumerate(_check_letters(d, word), start=1)

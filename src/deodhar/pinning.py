@@ -1,13 +1,15 @@
 """The standard pinning of SL_d and words in its one-parameter factors.
 
-Generators, all size d:
+Each generator, and each factor that ``factor_matrix`` builds, is the
+identity of size d with one 2x2 block in rows and columns i, i+1, the
+block's image under the i-th embedding of SL_2; no matrix product builds
+one:
 
-* ``gen_x(d, i, m)``: identity plus ``m`` in entry (i, i+1);
-* ``gen_y(d, i, t)``: identity plus ``t`` in entry (i+1, i);
-* ``gen_sdot(d, i)``: identity with the 2x2 block ((0, -1), (1, 0)) in rows
-  and columns i, i+1, the fixed lift of the simple reflection s_i;
-* ``gen_acheck(d, i, t)``: the coweight torus element diag(..., t, 1/t, ...)
-  with t in slot i.
+* ``gen_x(d, i, m)``: ((1, m), (0, 1)); ``gen_y(d, i, t)``: ((1, 0), (t, 1));
+* ``gen_sdot(d, i)``: ((0, -1), (1, 0)), the fixed lift of the simple
+  reflection s_i, and ``gen_sdot_inv(d, i)``: ((0, 1), (-1, 0));
+* ``gen_acheck(d, i, t)``: ((t, 0), (0, 1/t)), the coweight torus element;
+* an ``xsinv`` factor, x_i(m) s_i^{-1}: ((-m, 1), (-1, 0)).
 
 Products of lifts over different reduced words of the same permutation
 agree, so every permutation has a well-defined lift, computed here from a
@@ -75,55 +77,50 @@ FACTOR_S = "s"
 FACTOR_XSINV = "xsinv"
 
 
-def _identity_rows(d: int) -> list[list[Fraction]]:
-    """The identity's rows at a degree already read by ``_degree``."""
-    return [[Fraction(1 if a == b else 0) for b in range(d)] for a in range(d)]
+def _embed(d: int, i: int, block) -> RatMatrix:
+    """The i-th embedding of SL_2: the identity with the 2x2 block in rows
+    and columns i, i+1, at a degree and an index already read."""
+    rows = list(RatMatrix.identity(d).rows)
+    for r, (p, q) in zip((i - 1, i), block):
+        row = list(rows[r])
+        row[i - 1], row[i] = Fraction(p), Fraction(q)
+        rows[r] = tuple(row)
+    return _built(RatMatrix, rows=tuple(rows))
 
 
-def _elementary(d: int, r: int, c: int, value: Fraction) -> RatMatrix:
-    rows = _identity_rows(d)
-    rows[r - 1][c - 1] = value
-    return _built(RatMatrix, rows=tuple(tuple(row) for row in rows))
+def _pinned(d, i) -> tuple[int, int]:
+    """A caller's degree, then a generator index in 1..d-1."""
+    d = _degree(d)
+    return d, _int_in_range(i, 1, d - 1, "generator index")
 
 
 def gen_x(d: int, i: int, m) -> RatMatrix:
-    d = _degree(d)
-    i = _int_in_range(i, 1, d - 1, "generator index")
-    return _elementary(d, i, i + 1, rational_from_json(m))
+    d, i = _pinned(d, i)
+    return _embed(d, i, ((1, rational_from_json(m)), (0, 1)))
 
 
 def gen_y(d: int, i: int, t) -> RatMatrix:
-    d = _degree(d)
-    i = _int_in_range(i, 1, d - 1, "generator index")
-    return _elementary(d, i + 1, i, rational_from_json(t))
+    d, i = _pinned(d, i)
+    return _embed(d, i, ((1, 0), (rational_from_json(t), 1)))
 
 
 def gen_sdot(d: int, i: int) -> RatMatrix:
-    d = _degree(d)
-    i = _int_in_range(i, 1, d - 1, "generator index")
-    rows = _identity_rows(d)
-    rows[i - 1][i - 1] = Fraction(0)
-    rows[i][i] = Fraction(0)
-    rows[i - 1][i] = Fraction(-1)
-    rows[i][i - 1] = Fraction(1)
-    return _built(RatMatrix, rows=tuple(tuple(row) for row in rows))
+    d, i = _pinned(d, i)
+    return _embed(d, i, ((0, -1), (1, 0)))
 
 
 def gen_sdot_inv(d: int, i: int) -> RatMatrix:
     """The inverse lift of s_i."""
-    return gen_acheck(d, i, -1) * gen_sdot(d, i)
+    d, i = _pinned(d, i)
+    return _embed(d, i, ((0, 1), (-1, 0)))
 
 
 def gen_acheck(d: int, i: int, t) -> RatMatrix:
-    d = _degree(d)
-    i = _int_in_range(i, 1, d - 1, "generator index")
+    d, i = _pinned(d, i)
     t = rational_from_json(t)
     if t == 0:
         raise InputError("torus parameter must be nonzero")
-    rows = _identity_rows(d)
-    rows[i - 1][i - 1] = t
-    rows[i][i] = 1 / t
-    return _built(RatMatrix, rows=tuple(tuple(row) for row in rows))
+    return _embed(d, i, ((t, 0), (0, 1 / t)))
 
 
 @dataclass(frozen=True)
@@ -170,7 +167,8 @@ def factor_matrix(d: int, factor: GroupFactor) -> RatMatrix:
         return gen_y(d, factor.index, factor.param)
     if factor.kind == FACTOR_S:
         return gen_sdot(d, factor.index)
-    return gen_x(d, factor.index, factor.param) * gen_sdot_inv(d, factor.index)
+    d, i = _pinned(d, factor.index)
+    return _embed(d, i, ((-factor.param, 1), (-1, 0)))
 
 
 def _combine(

@@ -13,7 +13,7 @@ fundamental weight ``omega_i`` is ``e_1 + ... + e_i``, permutations act by
 coroot takes ``lam[i] - lam[i+1]``.
 
 A caller-supplied integer is read by ``_int_from_json``, a list or a tuple by
-``_seq_from_json``, a degree by ``_degree`` against the degree limit, and an
+``_seq_from_json``, a degree by ``_degree`` from 1 to the degree limit, and an
 index by ``_int_in_range``, the only range check.  ``Permutation``,
 ``SubexpressionTrace``, ``ComponentDescriptor``, ``GroupFactor``, ``GroupWord``,
 ``RPolynomial`` and ``RatMatrix`` check each value a caller builds in
@@ -173,8 +173,11 @@ def _int_in_range(x, lo: int, hi: int, what: str) -> int:
 
 
 def _degree(d, what: str = "degree") -> int:
-    """Read a caller's degree by ``_int_from_json`` and hold it to the degree limit."""
-    return check_limit("degree", _int_from_json(d, what))
+    """Read a caller's degree by ``_int_from_json``: at least 1, and at most the limit."""
+    d = _int_from_json(d, what)
+    if d < 1:
+        raise InputError(f"{what} must be at least 1, got {d}")
+    return check_limit("degree", d)
 
 
 def _product(images: tuple[int, ...]) -> Permutation:
@@ -224,20 +227,17 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
     return True
 
 
-def _prefix_products(d: int, word: Sequence[int]) -> tuple[Permutation, ...]:
-    """The prefix products w_(0) = e, w_(1), ..., w_(n) of the word."""
-    e = identity_perm(d)
-    return tuple(itertools.accumulate(word, Permutation.times_s, initial=e))
-
-
 def evaluate_word(d: int, word: Sequence[int]) -> Permutation:
     """The product s_{i_1} ... s_{i_n} of the letters of the word."""
-    return _prefix_products(d, _check_letters(_degree(d), word))[-1]
+    d = _degree(d)
+    images = list(range(1, d + 1))
+    for i in _check_letters(d, word):
+        images[i - 1], images[i] = images[i], images[i - 1]
+    return _product(tuple(images))
 
 
 def is_reduced(d: int, word: Sequence[int]) -> bool:
-    word = _check_letters(_degree(d), word)
-    return _prefix_products(d, word)[-1].length() == len(word)
+    return evaluate_word(d, word).length() == len(word)
 
 
 def _check_letters(d: int, word: Sequence[int]) -> Word:

@@ -355,7 +355,7 @@ def test_diagram_classical_degree_below_one(capsys, d, fmt):
     assert code == 1
     error = json.loads(out)["error"]
     assert error["type"] == "input"
-    assert error["message"] == f"an arrangement needs at least one strand, got d = {d}"
+    assert error["message"] == f"strand count must be at least 1, got {d}"
 
 
 ABOVE = LIMITS["degree"][0] + 1

@@ -215,14 +215,55 @@ def test_generators_read_the_degree_before_the_index(gen):
     with pytest.raises(DomainError) as exc:
         gen(65, *args)
     assert str(exc.value) == "degree 65 is above the degree limit 64"
+    # Then the index, before any parameter: a bad index beside a bad
+    # parameter is refused as the index.
+    bad = (0,) if gen in (gen_sdot, gen_sdot_inv) else (0, 0.5)
+    with pytest.raises(InputError) as exc:
+        gen(3, *bad)
+    assert str(exc.value) == "generator index 0 out of range 1..2"
 
 
 def test_factor_matrix_kinds():
+    import random
+
     assert factor_matrix(3, GroupFactor(FACTOR_Y, 2, Fraction(4))) == gen_y(3, 2, 4)
     assert factor_matrix(3, GroupFactor(FACTOR_S, 1)) == gen_sdot(3, 1)
-    assert factor_matrix(3, GroupFactor(FACTOR_XSINV, 1, Fraction(5))) == gen_x(
-        3, 1, 5
-    ) * gen_sdot_inv(3, 1)
+    # The product x_i(m) alpha_i^vee(-1) sdot_i is the oracle for an xsinv
+    # factor, which is built as one block.
+    rng = random.Random(7)
+    for _ in range(40):
+        d = rng.randint(2, 8)
+        i = rng.randrange(1, d)
+        m = random_rational(rng)
+        sinv = gen_acheck(d, i, -1) * gen_sdot(d, i)
+        assert factor_matrix(d, GroupFactor(FACTOR_XSINV, i, m)) == gen_x(d, i, m) * sinv
+        assert gen_sdot_inv(d, i) == sinv
+        assert gen_sdot_inv(d, i) * gen_sdot(d, i) == RatMatrix.identity(d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_pinned_matrices_are_blocks_of_fractions(monkeypatch, d):
+    # Each generator and factor is one 2x2 block written into the identity,
+    # with no matrix product, and every entry is a Fraction: Fraction(1) ==
+    # 1, so an int entry would pass every equality test.
+    calls = []
+    product = RatMatrix.__mul__
+    monkeypatch.setattr(RatMatrix, "__mul__", lambda a, b: calls.append(1) or product(a, b))
+    for i in range(1, d):
+        for m in (2, Fraction(-1, 3), "5"):
+            for g in (
+                gen_x(d, i, m),
+                gen_y(d, i, m),
+                gen_sdot(d, i),
+                gen_sdot_inv(d, i),
+                gen_acheck(d, i, m),
+                factor_matrix(d, GroupFactor(FACTOR_Y, i, m)),
+                factor_matrix(d, GroupFactor(FACTOR_S, i)),
+                factor_matrix(d, GroupFactor(FACTOR_XSINV, i, m)),
+            ):
+                assert g.d == d
+                assert all(type(x) is Fraction for row in g.rows for x in row)
+    assert calls == []
 
 
 def test_partial_products():

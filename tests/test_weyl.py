@@ -19,11 +19,11 @@ from deodhar import (
     reduced_words,
     simple_reflection,
 )
-from deodhar.components import classify_steps
+from deodhar.components import classify, classify_steps
 from deodhar.diagrams import classical_arrangement, classify_graphical
 from deodhar.errors import LIMITS
 from deodhar.linalg import RatMatrix
-from deodhar.pinning import GroupWord, gen_x, group_word_from_json
+from deodhar.pinning import GroupWord, evaluate, gen_sdot, gen_x, group_word_from_json
 from deodhar.subexpr import (
     SubexpressionTrace,
     enumerate_distinguished,
@@ -128,6 +128,26 @@ def test_evaluate_word_and_reduced():
     assert not is_reduced(4, (1, 2, 1, 2))
 
 
+def test_evaluate_word_builds_one_permutation(monkeypatch):
+    # One list of images is swapped letter by letter: no Permutation is
+    # built or checked on the way.
+    calls = []
+    for name in ("times_s", "__post_init__"):
+        method = getattr(Permutation, name)
+        monkeypatch.setattr(
+            Permutation, name, lambda *a, _m=method: calls.append(1) or _m(*a)
+        )
+    rng = random.Random(6)
+    word = [rng.randint(1, 5) for _ in range(20)]
+    w = evaluate_word(6, word)
+    assert calls == []
+    monkeypatch.undo()
+    expected = identity_perm(6)
+    for i in word:
+        expected = expected * simple_reflection(6, i)
+    assert w == expected
+
+
 def test_a_reduced_word_round_trip():
     rng = random.Random(2)
     for _ in range(30):
@@ -186,6 +206,34 @@ def test_degree_limit_at_every_site(site):
     assert str(exc.value) == (
         f"degree {DEGREE_LIMIT + 1} is above the degree limit {DEGREE_LIMIT}"
     )
+
+
+# Each site where a caller fixes the degree, as in DEGREE_SITES, with the
+# name its degree is read under.
+LOW_DEGREE_SITES = {
+    "RatMatrix.identity": (RatMatrix.identity, "matrix size"),
+    "check_reduced_word": (lambda d: check_reduced_word(d, []), "degree"),
+    "classify": (lambda d: classify(RatMatrix.identity(d), []), "matrix size"),
+    "GroupWord": (lambda d: evaluate(GroupWord(d, ())), "degree"),
+    "group_word_from_json": (lambda d: group_word_from_json(d, []), "degree"),
+    "fundamental_weight": (lambda d: fundamental_weight(d, 0), "degree"),
+    "identity_perm": (identity_perm, "degree"),
+    "evaluate_word": (lambda d: evaluate_word(d, []), "degree"),
+    "is_reduced": (lambda d: is_reduced(d, []), "degree"),
+    "gen_sdot": (lambda d: gen_sdot(d, 1), "degree"),
+    "classical_arrangement": (lambda d: classical_arrangement([], d), "strand count"),
+}
+
+
+@pytest.mark.parametrize("d", [0, -3])
+@pytest.mark.parametrize("site", LOW_DEGREE_SITES)
+def test_degree_below_one_at_every_site(site, d):
+    # No site builds an object of degree below 1, which the constructors
+    # of Permutation and RatMatrix refuse.
+    call, what = LOW_DEGREE_SITES[site]
+    with pytest.raises(InputError) as exc:
+        call(d)
+    assert str(exc.value) == f"{what} must be at least 1, got {d}"
 
 
 def test_degree_limit_comes_before_any_work_of_size_d():
