@@ -403,3 +403,35 @@ DRAWING_DIGESTS = {
 @pytest.mark.parametrize("kind", sorted(DRAWING_DIGESTS))
 def test_drawings_match_their_pinned_digests(kind):
     assert _drawing_digest(kind) == DRAWING_DIGESTS[kind]
+
+
+def _large_drawing_digest(kind):
+    """SHA-256 as in ``_drawing_digest``, for one random w0 word each at d = 16 and 32.
+
+    SVG coordinates reach six digits there and labels are comma-separated;
+    the text render is hashed at d = 16 only, to keep the test fast.
+    """
+    rng = random.Random(101)
+    h = hashlib.sha256()
+    for d in (16, 32):
+        word = random_reduced_word(rng, Permutation(tuple(range(d, 0, -1))))
+        arr = build_arrangement(kind, ComponentDescriptor(random_distinguished(rng, d, word)))
+        h.update(repr(arr.chambers).encode())
+        h.update(repr(sorted(arr.minor_labels.items())).encode())
+        if d <= 16:
+            h.update(render(arr, "text").encode())
+        h.update(render(arr, "svg").encode())
+    return h.hexdigest()
+
+
+LARGE_DRAWING_DIGESTS = {
+    CLASSICAL: "92878ce6be9185e1b3da2e3c2568f50b2873b70955389a56067a0cb0f5f52a27",
+    UPPER: "d3ae3b0506347f1a939a9b2bf41d209c0ac8ab619088f9446b27052648867a66",
+    LOWER: "5453ef782c70ed511bf7d90ab01fee358493139e4b3b28da112ce1f52b50918b",
+    ANSATZ: "5ccd2208a89ef3e4c7c1b7dca1df23e248935c901c89194082f9b12671292e15",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_DRAWING_DIGESTS))
+def test_large_drawings_match_their_pinned_digests(kind):
+    assert _large_drawing_digest(kind) == LARGE_DRAWING_DIGESTS[kind]
