@@ -184,7 +184,13 @@ class ClassifyStep:
     value_after: Permutation
 
 
+def _check_matrix(z: RatMatrix) -> None:
+    if not isinstance(z, RatMatrix):
+        raise InputError(f"flag representative must be a RatMatrix, got {type(z).__name__}")
+
+
 def _check_unipotent(z: RatMatrix) -> None:
+    _check_matrix(z)
     if not z.is_upper_unipotent():
         raise InputError("flag representative must be upper unipotent")
 
@@ -569,6 +575,7 @@ def chamber_coordinates(z: RatMatrix, desc: ComponentDescriptor) -> dict:
     raises NotInComponentError there, a stay whose chamber minor vanishes
     or an ascent whose probe does not.
     """
+    _check_matrix(z)
     if z.d != desc.d:
         raise InputError("degree mismatch in generalized minor")
     _check_unipotent(z)

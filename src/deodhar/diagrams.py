@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .components import ComponentDescriptor, _check_unipotent, factorize
+from .components import ComponentDescriptor, _check_matrix, _check_unipotent, factorize
 from .errors import InputError, NotInComponentError
 from .linalg import RatMatrix
 from .subexpr import MARK_STAY, MARK_UP, SubexpressionTrace, _trace_from_moves
@@ -182,6 +182,8 @@ def classical_arrangement(word: Sequence[int], d: int) -> Arrangement:
 
 def build_arrangement(kind: str, desc: ComponentDescriptor) -> Arrangement:
     """Build one arrangement flavor from a component descriptor."""
+    if not isinstance(desc, ComponentDescriptor):
+        raise InputError(f"arrangement needs a ComponentDescriptor, got {type(desc).__name__}")
     if kind == CLASSICAL:
         return classical_arrangement(desc.word, desc.d)
     if not isinstance(kind, str) or kind not in _SOURCE_KINDS:
@@ -235,6 +237,7 @@ def diagram_formulas(desc: ComponentDescriptor, z: RatMatrix) -> dict:
     NotInComponentError naming the first step where the two mark strings
     differ, the step where ``chamber_coordinates`` refuses z too.
     """
+    _check_matrix(z)
     if z.d != desc.d:
         raise InputError("degree mismatch in generalized minor")
     res = factorize(z, desc.word)
@@ -269,25 +272,23 @@ def classify_graphical(z: RatMatrix, word: Sequence[int]) -> ComponentDescriptor
 
 
 def _chamber_text_labels(arr: Arrangement) -> dict[tuple[int, int, int], str]:
-    """Chamber label strings at the bounded levels 1..d-1, names comma-separated above d = 9."""
+    """Chamber label strings at the bounded levels 1..d-1, names comma-separated above d = 9.
+
+    Each index set is one ``join`` over a table of the strand names.
+    """
     d = arr.d
-    names = [str(s) for s in range(d + 1)]
+    name = [str(s) for s in range(d + 1)].__getitem__
     sep = "" if d <= 9 else ","
-
-    def text(strands: Sequence[int]) -> str:
-        return sep.join([names[s] for s in strands])
-
-    out: dict[tuple[int, int, int], str] = {}
-    for ch in arr.chambers:
-        if not 1 <= ch.level <= d - 1:
-            continue
-        key = (ch.level, ch.start, ch.end)
-        if arr.kind == ANSATZ:
-            rows, cols = arr.minor_labels[key]
-            out[key] = f"{text(rows)}/{text(cols)}"
-        else:
-            out[key] = text(ch.label)
-    return out
+    if arr.kind == ANSATZ:
+        return {
+            key: f"{sep.join(map(name, rows))}/{sep.join(map(name, cols))}"
+            for key, (rows, cols) in arr.minor_labels.items()
+        }
+    return {
+        (ch.level, ch.start, ch.end): sep.join(map(name, ch.label))
+        for ch in arr.chambers
+        if 1 <= ch.level <= d - 1
+    }
 
 
 def _footer_labels(arr: Arrangement) -> dict[int, str]:
@@ -376,9 +377,13 @@ _SVG_MARGIN = 24
 
 
 def _render_svg(arr: Arrangement) -> str:
-    """SVG markup, each polyline point formatted as it is made.
+    """SVG markup on a grid of tenths, in exact integer arithmetic.
 
-    A column's edges and a level's height are formatted once each.
+    Margin, gap, column width and row height are whole numbers, the breaks
+    of an under-crossing sit at 0.38 and 0.62 of a 40 by 40 cell (15.2 and
+    24.8) and label midpoints are halves: every coordinate, at least 8.0,
+    is a whole number n of tenths, written ``f"{n // 10}.{n % 10}"`` with
+    no float to round.  Column edges and level heights are formatted once.
     """
     d = arr.d
     labels = _chamber_text_labels(arr)
@@ -386,49 +391,50 @@ def _render_svg(arr: Arrangement) -> str:
     ncols = len(arr.columns)
     width = 2 * _SVG_MARGIN + (ncols + 1) * _SVG_GAP + ncols * _SVG_COL
     height = 2 * _SVG_MARGIN + (d - 1) * _SVG_ROW + (20 if footer else 0)
+    # In tenths: each level's height, the column pitch and width.
+    ys = [10 * (_SVG_MARGIN + (d - p) * _SVG_ROW) for p in range(d + 1)]
+    pitch, col_w = 10 * (_SVG_COL + _SVG_GAP), 10 * _SVG_COL
 
-    def ypos(p: int) -> float:
-        return _SVG_MARGIN + (d - p) * _SVG_ROW
+    def col_left(c: int) -> int:
+        return 10 * (_SVG_MARGIN + _SVG_GAP) + (c - 1) * pitch
 
-    def col_left(c: int) -> float:
-        return _SVG_MARGIN + _SVG_GAP + (c - 1) * (_SVG_COL + _SVG_GAP)
+    def num(n: int) -> str:
+        return f"{n // 10}.{n % 10}"
 
-    x_start = float(_SVG_MARGIN)
-    x_end = float(width - _SVG_MARGIN)
-    y_text = [""] + [f"{ypos(p):.1f}" for p in range(1, d + 1)]
-
-    paths: dict[int, list[list[str]]] = {
-        s: [[f"{x_start:.1f},{y_text[s]}"]] for s in range(1, d + 1)
-    }
-    dots: list[tuple[float, float]] = []
+    # Above each level: its strand height, the two breaks of an
+    # under-crossing, nearer and farther, a dot and a chamber label.
+    y_text = [num(y) for y in ys]
+    near_y = [num(y - 38 * _SVG_ROW // 10) for y in ys]
+    far_y = [num(y - 62 * _SVG_ROW // 10) for y in ys]
+    dot_y = [num(y - 5 * _SVG_ROW) for y in ys]
+    label_y = [num(y - 5 * _SVG_ROW + 40) for y in ys]
+    start_text = f"{num(10 * _SVG_MARGIN)},"
+    paths: dict[int, list[list[str]]] = {s: [[start_text + y_text[s]]] for s in range(1, d + 1)}
+    centers: dict[int, str] = {}
+    dots: list[str] = []
     for c, col in enumerate(arr.columns, start=1):
         if col.kind == STRAIGHT:
             continue
         i = col.level
-        xl, xr = col_left(c), col_left(c) + _SVG_COL
-        xl_text, xr_text = f"{xl:.1f},", f"{xr:.1f},"
-        lower_strand, upper_strand = arr.positions[c - 1][i - 1 : i + 1]
-        y_low, y_high = ypos(i), ypos(i + 1)
-        for strand, p_from, p_to, y_from, y_to in (
-            (lower_strand, i, i + 1, y_low, y_high),
-            (upper_strand, i + 1, i, y_high, y_low),
-        ):
-            path = paths[strand][-1]
-            path.append(xl_text + y_text[p_from])
-            ascending = y_to < y_from
-            under = col.kind == BRAID and (
-                (col.source == "s" and ascending)
-                or (col.source == "sinv" and not ascending)
-            )
-            if under:
-                path.append(f"{xl + 0.38 * _SVG_COL:.1f},{y_from + 0.38 * (y_to - y_from):.1f}")
-                path = [f"{xl + 0.62 * _SVG_COL:.1f},{y_from + 0.62 * (y_to - y_from):.1f}"]
-                paths[strand].append(path)
-            path.append(xr_text + y_text[p_to])
+        xl = col_left(c)
+        xl_text, xr_text = f"{num(xl)},", f"{num(xl + col_w)},"
+        low, high = arr.positions[c - 1][i - 1 : i + 1]
+        up, down = paths[low], paths[high]
+        up[-1].append(xl_text + y_text[i])
+        down[-1].append(xl_text + y_text[i + 1])
         if col.kind == SINGULAR:
-            dots.append((xl + _SVG_COL / 2, (y_low + y_high) / 2))
+            centers[c] = num(xl + col_w // 2)
+            dots.append(f'<circle cx="{centers[c]}" cy="{dot_y[i]}" r="4" fill="black"/>')
+        else:
+            # A reflection s passes under going up, its inverse going down.
+            under, y1, y2 = (up, near_y, far_y) if col.source == "s" else (down, far_y, near_y)
+            under[-1].append(f"{num(xl + 38 * _SVG_COL // 10)},{y1[i]}")
+            under.append([f"{num(xl + 62 * _SVG_COL // 10)},{y2[i]}"])
+        up[-1].append(xr_text + y_text[i + 1])
+        down[-1].append(xr_text + y_text[i])
+    end_text = f"{num(10 * (width - _SVG_MARGIN))},"
     for p, s in enumerate(arr.positions[-1], start=1):
-        paths[s][-1].append(f"{x_end:.1f},{y_text[p]}")
+        paths[s][-1].append(end_text + y_text[p])
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -439,28 +445,23 @@ def _render_svg(arr: Arrangement) -> str:
         for path in paths[s]:
             parts.append(f'<polyline points="{" ".join(path)}"/>')
     parts.append("</g>")
-    for x, y in dots:
-        parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="black"/>')
-    for s in range(1, d + 1):
-        parts.append(
-            f'<text x="{x_start - 16:.1f}" y="{ypos(s) + 4:.1f}" '
-            f'font-size="12" fill="black">{s}</text>'
-        )
+    parts.extend(dots)
+    parts.extend(
+        f'<text x="{num(10 * (_SVG_MARGIN - 16))}" y="{num(ys[s] + 40)}" '
+        f'font-size="12" fill="black">{s}</text>'
+        for s in range(1, d + 1)
+    )
     for (level, start, end), text in sorted(labels.items()):
-        x_left = _SVG_MARGIN + start * (_SVG_COL + _SVG_GAP)
-        x_right = _SVG_MARGIN + end * (_SVG_COL + _SVG_GAP) + _SVG_GAP
-        x_mid = (x_left + x_right) / 2
-        y_mid = ypos(level + 1) + _SVG_ROW / 2 + 4
+        x_mid = 10 * _SVG_MARGIN + (start + end) * pitch // 2 + 5 * _SVG_GAP
         parts.append(
-            f'<text x="{x_mid:.1f}" y="{y_mid:.1f}" font-size="12" '
+            f'<text x="{num(x_mid)}" y="{label_y[level]}" font-size="12" '
             f'fill="black" text-anchor="middle">{text}</text>'
         )
     if footer:
-        y_f = ypos(1) + 24
+        y_f = num(ys[1] + 240)
         for c, text in sorted(footer.items()):
-            x_mid = col_left(c) + _SVG_COL / 2
             parts.append(
-                f'<text x="{x_mid:.1f}" y="{y_f:.1f}" font-size="12" '
+                f'<text x="{centers[c]}" y="{y_f}" font-size="12" '
                 f'fill="black" text-anchor="middle">{text}</text>'
             )
     parts.append("</svg>")
@@ -469,6 +470,8 @@ def _render_svg(arr: Arrangement) -> str:
 
 def render(arr: Arrangement, fmt: str = "text") -> str:
     """Deterministic rendering of an arrangement as text or SVG markup."""
+    if not isinstance(arr, Arrangement):
+        raise InputError(f"render needs an Arrangement, got {type(arr).__name__}")
     if fmt == "text":
         return _render_text(arr)
     if fmt == "svg":

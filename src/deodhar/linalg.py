@@ -284,6 +284,11 @@ class RatMatrix:
         return not any(x for r, row in enumerate(self.rows) for x in row[:r])
 
     def is_upper_unipotent(self) -> bool:
+        return self._unipotent
+
+    @functools.cached_property
+    def _unipotent(self) -> bool:
+        """Whether self is upper unipotent, tested once per matrix, as ``_cleared`` is cleared once."""
         return self.is_upper_triangular() and all(self.rows[k][k] == 1 for k in range(self.d))
 
     def __repr__(self) -> str:

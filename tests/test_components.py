@@ -34,7 +34,7 @@ from deodhar.errors import (
 from deodhar.linalg import RatMatrix, _ChamberTable, flag_equal, unipotent_representative
 from deodhar.pinning import GroupFactor, GroupWord, evaluate, partial, perm_matrix, reduce_flag
 from deodhar.cli import _descriptor_from_args
-from deodhar.diagrams import diagram_formulas
+from deodhar.diagrams import classify_graphical, diagram_formulas
 from deodhar.positivity import is_totally_nonnegative, random_positive_sample, sample_positive
 from deodhar.subexpr import MARK_STAY, MARK_UP, SubexpressionTrace, enumerate_distinguished
 from deodhar.weyl import Permutation, a_reduced_word, evaluate_word, longest_element
@@ -615,6 +615,57 @@ def test_coordinates_refuse_a_z_that_is_not_unipotent(read):
         read(s102_matrix() * b, desc)
     with pytest.raises(InputError, match="^degree mismatch in generalized minor$"):
         read(RatMatrix([[2, 1, 0], [0, 1, 0], [0, 0, 1]]), desc)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        classify,
+        classify_steps,
+        is_totally_nonnegative,
+        factorize,
+        classify_graphical,
+        lambda z, word: chamber_coordinates(z, classify(s102_matrix(), word)),
+        lambda z, word: diagram_formulas(classify(s102_matrix(), word), z),
+    ],
+    ids=[
+        "classify",
+        "classify_steps",
+        "is_totally_nonnegative",
+        "factorize",
+        "classify_graphical",
+        "chamber_coordinates",
+        "diagram_formulas",
+    ],
+)
+@pytest.mark.parametrize(
+    "z, name",
+    [([[1, 1], [0, 1]], "list"), (((1, 1), (0, 1)), "tuple"), (None, "NoneType")],
+    ids=["list", "tuple", "None"],
+)
+def test_entry_points_refuse_a_z_that_is_not_a_matrix(read, z, name):
+    # The type is checked before the degree, the unipotence and the word.
+    message = f"^flag representative must be a RatMatrix, got {name}$"
+    with pytest.raises(InputError, match=message):
+        read(z, S102_WORD)
+
+
+def test_the_unipotent_test_is_cached_on_the_matrix(monkeypatch):
+    # Each call still checks z, in its old place, but the rows of one
+    # matrix are scanned once however many calls read it.
+    z = s102_matrix()
+    scans = []
+    real = RatMatrix.is_upper_triangular
+    monkeypatch.setattr(RatMatrix, "is_upper_triangular", lambda m: scans.append(m) or real(m))
+    desc = classify(z, S102_WORD)
+    is_totally_nonnegative(z, S102_WORD)
+    chamber_coordinates(z, desc)
+    assert scans == [z]
+    upper = RatMatrix([[1, 0], [0, 2]])
+    for _ in range(2):
+        with pytest.raises(InputError, match="^flag representative must be upper unipotent$"):
+            classify(upper, [1])
+    assert scans == [z, upper]
 
 
 def test_chamber_coordinates_are_the_step_minors_of_z():

@@ -306,6 +306,23 @@ def test_build_arrangement_validation():
         assert str(exc.value) == f"unknown arrangement kind {kind!r}"
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_arrangement(ANSATZ, "x"), "arrangement needs a ComponentDescriptor, got str"),
+        (lambda: build_arrangement(CLASSICAL, None), "arrangement needs a ComponentDescriptor, got NoneType"),
+        (lambda: ansatz_minor_labels("x"), "arrangement needs a ComponentDescriptor, got str"),
+        (lambda: render("x", "svg"), "render needs an Arrangement, got str"),
+        (lambda: render(desc102(), "text"), "render needs an Arrangement, got ComponentDescriptor"),
+    ],
+    ids=["build_arrangement", "build_classical", "ansatz_minor_labels", "render_svg", "render_text"],
+)
+def test_drawing_entry_points_refuse_a_wrong_object(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_diagram_formulas_outside_component():
     # The identity lies in the all-ascent component, not in +oo-+.
     with pytest.raises(NotInComponentError, match="step 2"):
