@@ -395,9 +395,6 @@ def _render_svg(arr: Arrangement) -> str:
     ys = [10 * (_SVG_MARGIN + (d - p) * _SVG_ROW) for p in range(d + 1)]
     pitch, col_w = 10 * (_SVG_COL + _SVG_GAP), 10 * _SVG_COL
 
-    def col_left(c: int) -> int:
-        return 10 * (_SVG_MARGIN + _SVG_GAP) + (c - 1) * pitch
-
     def num(n: int) -> str:
         return f"{n // 10}.{n % 10}"
 
@@ -416,7 +413,7 @@ def _render_svg(arr: Arrangement) -> str:
         if col.kind == STRAIGHT:
             continue
         i = col.level
-        xl = col_left(c)
+        xl = 10 * (_SVG_MARGIN + _SVG_GAP) + (c - 1) * pitch
         xl_text, xr_text = f"{num(xl)},", f"{num(xl + col_w)},"
         low, high = arr.positions[c - 1][i - 1 : i + 1]
         up, down = paths[low], paths[high]
