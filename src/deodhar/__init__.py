@@ -5,12 +5,14 @@ parameters by the generalized chamber ansatz, test and sample total
 positivity, compute R-polynomials, and draw the chamber arrangements.
 
 Importing the package runs none of its modules.  Each library module is
-registered in ``sys.modules`` and bound here as an attribute; it runs on
-first attribute access, and then binds its exported names here.
+registered in ``sys.modules`` and bound here as an attribute; it runs once,
+under a lock, on first use, and then binds its exported names here.
 """
 
+import _thread
 import importlib.util
 import sys
+import types
 
 __version__ = "0.1.0"
 
@@ -112,46 +114,44 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME) + ["__version__"]
 
+_lock = _thread.RLock()
 
-class _Publish:
-    """Runs one library module, then binds its exported names in this package.
 
-    That is when an eager ``from .module import ...`` would bind them.  A
-    copy taken on this package's first read could instead be a caller's
-    patch, kept after the patch is undone: bench/tracing.py patches a
-    module's function first and this package, which sys.modules lists
-    after its modules, last.
+class _LazyModule(types.ModuleType):
+    """A library module whose body runs on the first read of any attribute.
+
+    Any, so that ``vars()``, ``__doc__`` and doctest see the run module.  Each
+    read until the body has run holds one reentrant lock, so a second thread
+    waits for a running body rather than read it half run.  The spec is
+    marked initializing meanwhile, as by the import system, so a read from
+    the body itself does not rerun it.  Then the module turns plain, read
+    with no lock, and its exported names are bound here at once: a copy taken
+    later could be a caller's patch, kept after the patch is undone
+    (bench/tracing.py patches a module first).
     """
 
-    def __init__(self, loader, names: tuple[str, ...]):
-        self.loader = loader
-        self.names = names
-
-    def create_module(self, spec):
-        return self.loader.create_module(spec)
-
-    def exec_module(self, module) -> None:
-        # The module keeps its file loader, as an eagerly imported one would.
-        module.__spec__.loader = module.__loader__ = self.loader
-        self.loader.exec_module(module)
-        for name in self.names:
-            globals()[name] = getattr(module, name)
-
-
-def _register(name: str):
-    """Put a module in sys.modules that runs on first attribute access."""
-    spec = importlib.util.find_spec(f"{__name__}.{name}")
-    loader = importlib.util.LazyLoader(_Publish(spec.loader, _EXPORTS[name]))
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    loader.exec_module(module)
-    return module
+    def __getattribute__(self, attr: str):
+        with _lock:
+            spec = types.ModuleType.__getattribute__(self, "__spec__")
+            if type(self) is _LazyModule and not getattr(spec, "_initializing", False):
+                spec._initializing = True
+                try:
+                    spec.loader.exec_module(self)
+                finally:
+                    spec._initializing = False
+                self.__class__ = types.ModuleType
+                for name in _EXPORTS[spec.name.rpartition(".")[2]]:
+                    globals()[name] = getattr(self, name)
+        return types.ModuleType.__getattribute__(self, attr)
 
 
+# Each library module, bound here and in sys.modules, to run on first use.
 for _name in _EXPORTS:
-    globals()[_name] = _register(_name)
-del _name
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _module = importlib.util.module_from_spec(_spec)
+    _module.__class__ = _LazyModule
+    globals()[_name] = sys.modules[_spec.name] = _module
+del _name, _spec, _module
 
 
 def __getattr__(name: str):

@@ -195,6 +195,19 @@ def _check_unipotent(z: RatMatrix) -> None:
         raise InputError("flag representative must be upper unipotent")
 
 
+def _check_descriptor(desc: ComponentDescriptor, what: str) -> None:
+    if not isinstance(desc, ComponentDescriptor):
+        raise InputError(f"{what} needs a ComponentDescriptor, got {type(desc).__name__}")
+
+
+def _check_flag_and_component(z: RatMatrix, desc: ComponentDescriptor, what: str) -> None:
+    """Check z, then desc, then that their degrees agree."""
+    _check_matrix(z)
+    _check_descriptor(desc, what)
+    if z.d != desc.d:
+        raise InputError("degree mismatch in generalized minor")
+
+
 _MARK_TURN = {MARK_STAY: 0, MARK_UP: 1, MARK_DOWN: -1}
 
 
@@ -302,6 +315,8 @@ class ComponentConditions:
 
 
 def component_conditions(desc: ComponentDescriptor) -> ComponentConditions:
+    _check_descriptor(desc, "component_conditions")
+
     def records(positions: tuple[int, ...]):
         return tuple((k, *desc.step_minors[k - 1]) for k in positions)
 
@@ -398,6 +413,7 @@ def build_element(
     ``m_params`` by the descent positions; ascent steps take no parameter.
     Keys are ints; values are ints, Fractions or "p/q" strings.
     """
+    _check_descriptor(desc, "build_element")
     t_params = _by_step(t_params, "t parameter", desc.stay_positions)
     m_params = _by_step(m_params, "m parameter", desc.descent_positions)
     for k in desc.stay_positions:
@@ -575,9 +591,7 @@ def chamber_coordinates(z: RatMatrix, desc: ComponentDescriptor) -> dict:
     raises NotInComponentError there, a stay whose chamber minor vanishes
     or an ascent whose probe does not.
     """
-    _check_matrix(z)
-    if z.d != desc.d:
-        raise InputError("degree mismatch in generalized minor")
+    _check_flag_and_component(z, desc, "chamber_coordinates")
     _check_unipotent(z)
     swept, before, _ = _sweep_checked(z, desc.word, desc.prefix_perms)
     marks = desc.trace.marks
@@ -601,6 +615,7 @@ def element_from_coordinates(
     chamber minor of the element being built.  Keys are ints; values are
     ints, Fractions or "p/q" strings.
     """
+    _check_descriptor(desc, "element_from_coordinates")
     coords = _by_step(coords, "coordinate", desc.stay_positions + desc.descent_positions)
     for k in desc.stay_positions:
         if coords[k] == 0:

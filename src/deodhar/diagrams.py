@@ -34,7 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .components import ComponentDescriptor, _check_matrix, _check_unipotent, factorize
+from .components import (
+    ComponentDescriptor,
+    _check_descriptor,
+    _check_flag_and_component,
+    _check_unipotent,
+    factorize,
+)
 from .errors import InputError, NotInComponentError
 from .linalg import RatMatrix
 from .subexpr import MARK_STAY, MARK_UP, SubexpressionTrace, _trace_from_moves
@@ -182,8 +188,7 @@ def classical_arrangement(word: Sequence[int], d: int) -> Arrangement:
 
 def build_arrangement(kind: str, desc: ComponentDescriptor) -> Arrangement:
     """Build one arrangement flavor from a component descriptor."""
-    if not isinstance(desc, ComponentDescriptor):
-        raise InputError(f"arrangement needs a ComponentDescriptor, got {type(desc).__name__}")
+    _check_descriptor(desc, "arrangement")
     if kind == CLASSICAL:
         return classical_arrangement(desc.word, desc.d)
     if not isinstance(kind, str) or kind not in _SOURCE_KINDS:
@@ -237,9 +242,7 @@ def diagram_formulas(desc: ComponentDescriptor, z: RatMatrix) -> dict:
     NotInComponentError naming the first step where the two mark strings
     differ, the step where ``chamber_coordinates`` refuses z too.
     """
-    _check_matrix(z)
-    if z.d != desc.d:
-        raise InputError("degree mismatch in generalized minor")
+    _check_flag_and_component(z, desc, "diagram_formulas")
     res = factorize(z, desc.word)
     marks = zip(res.descriptor.trace.marks, desc.trace.marks)
     k = next((k for k, (a, b) in enumerate(marks, start=1) if a != b), None)
@@ -257,14 +260,13 @@ def classify_graphical(z: RatMatrix, word: Sequence[int]) -> ComponentDescriptor
     strands.  Agrees with the sweep classifier.
     """
     _check_unipotent(z)
-    word, _ = check_reduced_word(z.d, word)
+    word, w = check_reduced_word(z.d, word)
     d = z.d
-    classical = classical_arrangement(word, d)
     pos = list(range(1, d + 1))
     moves: list[bool] = []
     for k, i in enumerate(word, start=1):
         rows = tuple(sorted(pos[:i]))
-        cols = tuple(sorted(classical.positions[k][:i]))
+        cols = w[k].prefix_set(i)
         moves.append(pos[i - 1] > pos[i] or z.minor(rows, cols) == 0)
         if moves[-1]:
             pos[i - 1], pos[i] = pos[i], pos[i - 1]

@@ -127,6 +127,85 @@ def test_bare_import_registers_every_module_and_runs_none():
     assert undir == []
 
 
+# Six threads behind a barrier first-read names of three unrun modules, each
+# through the package or through its module, switching as often as they can;
+# then every export is read.
+THREADED_FIRST_USE = """
+import threading
+import deodhar
+sys.setswitchinterval(1e-6)
+reads = [
+    lambda: deodhar.classify, lambda: deodhar.components.factorize,
+    lambda: deodhar.render, lambda: deodhar.diagrams.build_arrangement,
+    lambda: deodhar.is_totally_nonnegative, lambda: deodhar.positivity.sample_positive,
+]
+barrier = threading.Barrier(len(reads))
+errors = []
+def first_read(read):
+    barrier.wait()
+    try:
+        read()
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=first_read, args=(read,)) for read in reads]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(errors)
+print([name for name in deodhar.__all__ if not hasattr(deodhar, name)])
+"""
+
+
+@pytest.mark.parametrize("run", range(5))
+def test_threaded_first_use_runs_each_module_once(run):
+    proc, ran = modules_run(THREADED_FIRST_USE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert ran == ["__init__", *LIBRARY]
+
+
+def test_a_read_from_a_running_body_does_not_run_it_again():
+    # No library module imports another in a cycle; this loader stands in
+    # for one, reading a name of the module it runs before running its body.
+    proc, ran = modules_run(
+        "from importlib.machinery import SourceFileLoader\n"
+        "run_body = SourceFileLoader.exec_module\n"
+        "def exec_module(loader, module):\n"
+        "    if module.__name__ == 'deodhar.errors':\n"
+        "        try:\n"
+        "            module.InputError\n"
+        "        except AttributeError as exc:\n"
+        "            print(exc)\n"
+        "    run_body(loader, module)\n"
+        "SourceFileLoader.exec_module = exec_module\n"
+        "import deodhar\n"
+        "print(deodhar.InputError.__module__)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    # Python 3.13 names the module's file in the message too.
+    refused, home = proc.stdout.splitlines()
+    assert refused.startswith("partially initialized module 'deodhar.errors' "), refused
+    assert "has no attribute 'InputError' (most likely due to a circular import)" in refused
+    assert home == "deodhar.errors"
+    assert ran == ["__init__", "errors"]
+
+
+def test_any_read_of_an_unrun_module_runs_it():
+    # Not only a name the module lacks: its namespace, its docstring and its
+    # listing are read from the run module too, so doctest finds its examples.
+    proc, ran = modules_run(
+        "import doctest, deodhar\n"
+        "print('Permutation' in vars(deodhar.weyl))\n"
+        "print(deodhar.linalg.__doc__.startswith('Exact'))\n"
+        "print('classify' in dir(deodhar.components))\n"
+        "print(doctest.testmod(deodhar.subexpr).attempted > 0)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True"] * 4
+    assert {"weyl", "linalg", "components", "subexpr"} <= set(ran)
+
+
 def _defining_modules() -> dict:
     """Each top-level name assigned by a `def`, `class` or `=` in a library module."""
     homes: dict = {}

@@ -650,6 +650,36 @@ def test_entry_points_refuse_a_z_that_is_not_a_matrix(read, z, name):
         read(z, S102_WORD)
 
 
+DESCRIPTOR_READERS = {
+    "chamber_coordinates": lambda desc: chamber_coordinates(s102_matrix(), desc),
+    "component_conditions": component_conditions,
+    "diagram_formulas": lambda desc: diagram_formulas(desc, s102_matrix()),
+    "build_element": lambda desc: build_element(desc, {}, {}),
+    "element_from_coordinates": lambda desc: element_from_coordinates(desc, {}),
+}
+
+
+@pytest.mark.parametrize("name", DESCRIPTOR_READERS)
+@pytest.mark.parametrize("kind", ["str", "None", "trace"])
+def test_entry_points_refuse_a_desc_that_is_not_a_descriptor(name, kind):
+    # A trace has a word, a degree and marks, but it is not a component.
+    desc = {"str": "x", "None": None, "trace": classify(s102_matrix(), S102_WORD).trace}[kind]
+    message = f"{name} needs a ComponentDescriptor, got {type(desc).__name__}"
+    with pytest.raises(InputError) as exc:
+        DESCRIPTOR_READERS[name](desc)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "read",
+    [chamber_coordinates, lambda z, desc: diagram_formulas(desc, z)],
+    ids=["chamber_coordinates", "diagram_formulas"],
+)
+def test_z_is_checked_before_the_descriptor(read):
+    with pytest.raises(InputError, match="^flag representative must be a RatMatrix, got str$"):
+        read("z", "x")
+
+
 def test_the_unipotent_test_is_cached_on_the_matrix(monkeypatch):
     # Each call still checks z, in its old place, but the rows of one
     # matrix are scanned once however many calls read it.
