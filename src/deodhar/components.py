@@ -33,6 +33,7 @@ implemented.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import itertools
@@ -75,6 +76,7 @@ from .weyl import (
     Word,
     _built,
     _int_from_json,
+    _seq_from_json,
     check_reduced_word,
 )
 
@@ -127,6 +129,11 @@ class ComponentDescriptor:
         return self.trace.endpoint
 
     @functools.cached_property
+    def _walk(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+        """Entry k-1: the sorted level-i index sets of v_(k-1), v_(k) and w_(k), i = i_k."""
+        return _index_walk(self.trace, self.prefix_perms)
+
+    @functools.cached_property
     def step_minors(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """(rows, cols) of the minor Delta_{v_(k-1) omega_i, w_(k) omega_i}, i = i_k.
 
@@ -134,12 +141,7 @@ class ComponentDescriptor:
         ascent, the standard chamber minor at a stay (where v_(k-1) = v_(k)),
         and the chamber coordinate at a descent.
         """
-        return tuple(self._step_minor(k) for k in range(1, len(self.word) + 1))
-
-    def _step_minor(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Entry k-1 of ``step_minors``, built without the others."""
-        i = self.word[k - 1]
-        return self.trace.values[k - 1].prefix_set(i), self.prefix_perms[k].prefix_set(i)
+        return tuple((rows, cols) for rows, _, cols in self._walk)
 
     @property
     def stay_positions(self) -> tuple[int, ...]:
@@ -159,6 +161,35 @@ class ComponentDescriptor:
     @staticmethod
     def from_json(data: dict) -> "ComponentDescriptor":
         return ComponentDescriptor(trace_from_json(data))
+
+
+def _index_walk(
+    trace: SubexpressionTrace, w: tuple[Permutation, ...]
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+    """The index sets of every step, in one pass over the trace and the prefixes w.
+
+    ``rows[j]`` and ``cols[j]`` hold the sorted first j images of the
+    current value and prefix.  Right multiplication by s_i moves only the
+    images of i and i+1, so step k changes level i of each chain and no
+    other: its new set is the chain's level-(i-1) set with the new image
+    of i put in place.
+    """
+    rows = [tuple(range(1, j + 1)) for j in range(trace.d + 1)]
+    cols = rows.copy()
+    out = []
+    for i, mark, v, wk in zip(trace.word, trace.marks, trace.values[1:], w[1:]):
+        before = rows[i]
+        if mark != MARK_STAY:
+            rows[i] = _insert(rows[i - 1], v.images[i - 1])
+        cols[i] = _insert(cols[i - 1], wk.images[i - 1])
+        out.append((before, rows[i], cols[i]))
+    return tuple(out)
+
+
+def _insert(sorted_set: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """The sorted set with x put in its place."""
+    j = bisect.bisect(sorted_set, x)
+    return sorted_set[:j] + (x,) + sorted_set[j:]
 
 
 def _positive_component(v: Permutation, word: Sequence[int]) -> ComponentDescriptor:
@@ -218,36 +249,40 @@ _Sweep = tuple[ComponentDescriptor, tuple[tuple[int, int], ...], tuple[tuple[int
 _last_sweep: tuple = (None, (), None)
 
 
-def _sweep(z: RatMatrix, word: Sequence[int]) -> _Sweep:
-    """The classifying sweep of a caller's z and word, each checked, z first."""
-    _check_unipotent(z)
-    return _sweep_checked(z, *check_reduced_word(z.d, word))
+def _sweep(
+    z: RatMatrix, word: Sequence[int], w: tuple[Permutation, ...] | None = None
+) -> _Sweep:
+    """The component of z along a word, and what its table read.
 
-
-def _sweep_checked(z: RatMatrix, word: Word, w: tuple[Permutation, ...]) -> _Sweep:
-    """The component of a checked z along a checked word, and what its table read.
-
-    ``w`` holds the word's prefix products.  Step k with letter i reads
-    ``before[k-1]``, entry (i, i+1) of the running table of
-    v̄_(k-1)⁻¹ z w̄_(k-1): the minor of ``desc.step_minors[k-1]``, which is
-    the probe of a free step and the chamber coordinate of a descent.
-    After the step it reads ``after[k-1]``, the standard chamber minor at
-    level i.  Each is an integer numerator with its positive denominator.
-    A right descent always moves, so the trace is distinguished and, like
-    the descriptor, is built from the word without ``__post_init__``.
+    z is checked first, then the word is read as a list or a tuple.  A
+    caller's word is checked after that, unless the slot below answers;
+    ``w``, the prefix products of a word the library checked already,
+    skips the check.  Step k with letter i reads ``before[k-1]``, entry
+    (i, i+1) of the running table of v̄_(k-1)⁻¹ z w̄_(k-1): the minor of
+    ``desc.step_minors[k-1]``, which is the probe of a free step and the
+    chamber coordinate of a descent.  After the step it reads
+    ``after[k-1]``, the standard chamber minor at level i.  Each is an
+    integer numerator with its positive denominator.  A right descent
+    always moves, so the trace is distinguished and, like the descriptor,
+    is built from the word without ``__post_init__``.
 
     A one-slot memo, the last completed sweep keyed by z itself and the
-    word, letter by letter by identity, returns a second sweep of the same
-    z along the same word without building a table.  That is exact because
-    a `RatMatrix` is frozen, as its cached ``_cleared`` already assumes,
-    and the slot holds tuples and frozen records only.  An int subclass
-    that only equals a letter misses, since the stored descriptor holds
-    the word it was built from.
+    checked word, letter by letter by identity, returns a second sweep of
+    the same z along the same letter objects with no word check and no
+    table: the slot proved those letters a reduced word for z's degree.
+    That is exact because a `RatMatrix` is frozen, as its cached
+    ``_cleared`` already assumes, and the slot holds tuples and frozen
+    records only.  An int subclass that only equals a letter misses, and
+    is checked as on a cold z.
     """
     global _last_sweep
+    _check_unipotent(z)
+    word = _seq_from_json(word, "word")
     last_z, last_word, result = _last_sweep
     if last_z is z and len(last_word) == len(word) and all(map(operator.is_, last_word, word)):
         return result
+    if w is None:
+        word, w = check_reduced_word(z.d, word)
     table = _ChamberTable(z)
     v = w[0]
     values = [v]
@@ -275,12 +310,13 @@ def classify_steps(z: RatMatrix, word: Sequence[int]) -> list[ClassifyStep]:
     """The classifying sweep step by step, read off its component and probes."""
     desc, before, _ = _sweep(z, word)
     steps: list[ClassifyStep] = []
-    for k, i in enumerate(desc.word, start=1):
-        case = _MARK_CASE[desc.trace.marks[k - 1]]
-        rows, cols, probe = None, None, None
-        if case != "forced":
-            rows, cols = desc._step_minor(k)
-            probe = Fraction(*before[k - 1])
+    walk = zip(desc.word, desc.trace.marks, desc._walk, before)
+    for k, (i, mark, (rows, _, cols), probe) in enumerate(walk, start=1):
+        case = _MARK_CASE[mark]
+        if case == "forced":
+            rows, cols, probe = None, None, None
+        else:
+            probe = Fraction(*probe)
         steps.append(ClassifyStep(k, i, case, rows, cols, probe, desc.trace.values[k]))
     return steps
 
@@ -592,8 +628,7 @@ def chamber_coordinates(z: RatMatrix, desc: ComponentDescriptor) -> dict:
     or an ascent whose probe does not.
     """
     _check_flag_and_component(z, desc, "chamber_coordinates")
-    _check_unipotent(z)
-    swept, before, _ = _sweep_checked(z, desc.word, desc.prefix_perms)
+    swept, before, _ = _sweep(z, desc.word, desc.prefix_perms)
     marks = desc.trace.marks
     for k, (mark, own) in enumerate(zip(marks, swept.trace.marks), start=1):
         if mark == own:

@@ -41,7 +41,7 @@ from .components import (
     _check_unipotent,
     factorize,
 )
-from .errors import InputError, NotInComponentError
+from .errors import InputError, NotInComponentError, check_limit
 from .linalg import RatMatrix
 from .subexpr import MARK_STAY, MARK_UP, SubexpressionTrace, _trace_from_moves
 from .weyl import Permutation, _check_letters, _degree, check_reduced_word
@@ -200,24 +200,23 @@ def build_arrangement(kind: str, desc: ComponentDescriptor) -> Arrangement:
     ]
     arr = _assemble(kind, desc.d, columns)
     if kind == ANSATZ:
-        # Cell c follows column c, of step k (k = 0 at cell 0).  There the
-        # upper strands are the trace value v_(k), or v_(k-1) right after the
-        # x column of a descent, and the lower strands are the prefix w_(k).
+        # A chamber at level i starts at cell 0, where both index sets are
+        # 1..i, or right after column c of step k, a crossing at level i.
+        # There the upper strands are the trace value v_(k), or v_(k-1)
+        # after the x column of a descent, and the lower strands the prefix
+        # w_(k): the level-i sets the descriptor's walk took at step k.
         # Only a crossing at a level changes the sets below it, and every
         # upper or lower crossing is an ansatz crossing, so the sets hold
         # along each ansatz chamber.
-        values, prefixes = desc.trace.values, desc.prefix_perms
-        cells = [(values[0], prefixes[0])]
+        walk = desc._walk
+        opened = [None]
         for col in columns:
-            k = col.step - 1 if col.source == "x" else col.step
-            cells.append((values[k], prefixes[col.step]))
+            before, after, cols = walk[col.step - 1]
+            opened.append((before if col.source == "x" else after, cols))
         for ch in arr.chambers:
             if 1 <= ch.level <= arr.d - 1:
-                v, w = cells[ch.start]
-                arr.minor_labels[(ch.level, ch.start, ch.end)] = (
-                    v.prefix_set(ch.level),
-                    w.prefix_set(ch.level),
-                )
+                label = opened[ch.start] if ch.start else (tuple(range(1, ch.level + 1)),) * 2
+                arr.minor_labels[(ch.level, ch.start, ch.end)] = label
     return arr
 
 
@@ -319,6 +318,7 @@ def _render_text(arr: Arrangement) -> str:
     ncols = len(arr.columns)
     width = margin + gap + ncols * (_COL_W + gap)
     nrows = 2 * d - 1 + (1 if footer else 0)
+    check_limit("text drawing", nrows * width)
     grid = [[" "] * width for _ in range(nrows)]
 
     def strand_row(p: int) -> int:
@@ -379,13 +379,14 @@ _SVG_MARGIN = 24
 
 
 def _render_svg(arr: Arrangement) -> str:
-    """SVG markup on a grid of tenths, in exact integer arithmetic.
+    """SVG markup in exact integer arithmetic.
 
-    Margin, gap, column width and row height are whole numbers, the breaks
-    of an under-crossing sit at 0.38 and 0.62 of a 40 by 40 cell (15.2 and
-    24.8) and label midpoints are halves: every coordinate, at least 8.0,
-    is a whole number n of tenths, written ``f"{n // 10}.{n % 10}"`` with
-    no float to round.  Column edges and level heights are formatted once.
+    Margin, gap, column width and row height are whole pixels, and so is
+    every column edge and centre, level height, dot and label.  The breaks
+    of an under-crossing sit at 0.38 and 0.62 of a 40 by 40 cell, 15.2 and
+    24.8 pixels in, so each ends in .2 or .8.  Every coordinate is written
+    from integers, with no float to round, and column edges and level
+    heights are formatted once.
     """
     d = arr.d
     labels = _chamber_text_labels(arr)
@@ -393,21 +394,17 @@ def _render_svg(arr: Arrangement) -> str:
     ncols = len(arr.columns)
     width = 2 * _SVG_MARGIN + (ncols + 1) * _SVG_GAP + ncols * _SVG_COL
     height = 2 * _SVG_MARGIN + (d - 1) * _SVG_ROW + (20 if footer else 0)
-    # In tenths: each level's height, the column pitch and width.
-    ys = [10 * (_SVG_MARGIN + (d - p) * _SVG_ROW) for p in range(d + 1)]
-    pitch, col_w = 10 * (_SVG_COL + _SVG_GAP), 10 * _SVG_COL
-
-    def num(n: int) -> str:
-        return f"{n // 10}.{n % 10}"
-
-    # Above each level: its strand height, the two breaks of an
-    # under-crossing, nearer and farther, a dot and a chamber label.
-    y_text = [num(y) for y in ys]
-    near_y = [num(y - 38 * _SVG_ROW // 10) for y in ys]
-    far_y = [num(y - 62 * _SVG_ROW // 10) for y in ys]
-    dot_y = [num(y - 5 * _SVG_ROW) for y in ys]
-    label_y = [num(y - 5 * _SVG_ROW + 40) for y in ys]
-    start_text = f"{num(10 * _SVG_MARGIN)},"
+    ys = [_SVG_MARGIN + (d - p) * _SVG_ROW for p in range(d + 1)]
+    pitch = _SVG_COL + _SVG_GAP
+    y_text = [f"{y}.0" for y in ys]
+    # Above each bounded level i, at entry i - 1: the two breaks of an
+    # under-crossing, nearer (y - 15.2) and farther (y - 24.8), a dot and a
+    # chamber label.
+    near_y = [f"{y - 16}.8" for y in ys[1:d]]
+    far_y = [f"{y - 25}.2" for y in ys[1:d]]
+    dot_y = [f"{y - _SVG_ROW // 2}.0" for y in ys[1:d]]
+    label_y = [f"{y - _SVG_ROW // 2 + 4}.0" for y in ys[1:d]]
+    start_text = f"{_SVG_MARGIN}.0,"
     paths: dict[int, list[list[str]]] = {s: [[start_text + y_text[s]]] for s in range(1, d + 1)}
     centers: dict[int, str] = {}
     dots: list[str] = []
@@ -415,23 +412,23 @@ def _render_svg(arr: Arrangement) -> str:
         if col.kind == STRAIGHT:
             continue
         i = col.level
-        xl = 10 * (_SVG_MARGIN + _SVG_GAP) + (c - 1) * pitch
-        xl_text, xr_text = f"{num(xl)},", f"{num(xl + col_w)},"
+        xl = _SVG_MARGIN + _SVG_GAP + (c - 1) * pitch
+        xl_text, xr_text = f"{xl}.0,", f"{xl + _SVG_COL}.0,"
         low, high = arr.positions[c - 1][i - 1 : i + 1]
         up, down = paths[low], paths[high]
         up[-1].append(xl_text + y_text[i])
         down[-1].append(xl_text + y_text[i + 1])
         if col.kind == SINGULAR:
-            centers[c] = num(xl + col_w // 2)
-            dots.append(f'<circle cx="{centers[c]}" cy="{dot_y[i]}" r="4" fill="black"/>')
+            centers[c] = f"{xl + _SVG_COL // 2}.0"
+            dots.append(f'<circle cx="{centers[c]}" cy="{dot_y[i - 1]}" r="4" fill="black"/>')
         else:
             # A reflection s passes under going up, its inverse going down.
             under, y1, y2 = (up, near_y, far_y) if col.source == "s" else (down, far_y, near_y)
-            under[-1].append(f"{num(xl + 38 * _SVG_COL // 10)},{y1[i]}")
-            under.append([f"{num(xl + 62 * _SVG_COL // 10)},{y2[i]}"])
+            under[-1].append(f"{xl + 15}.2,{y1[i - 1]}")
+            under.append([f"{xl + 24}.8,{y2[i - 1]}"])
         up[-1].append(xr_text + y_text[i + 1])
         down[-1].append(xr_text + y_text[i])
-    end_text = f"{num(10 * (width - _SVG_MARGIN))},"
+    end_text = f"{width - _SVG_MARGIN}.0,"
     for p, s in enumerate(arr.positions[-1], start=1):
         paths[s][-1].append(end_text + y_text[p])
 
@@ -446,18 +443,18 @@ def _render_svg(arr: Arrangement) -> str:
     parts.append("</g>")
     parts.extend(dots)
     parts.extend(
-        f'<text x="{num(10 * (_SVG_MARGIN - 16))}" y="{num(ys[s] + 40)}" '
+        f'<text x="{_SVG_MARGIN - 16}.0" y="{ys[s] + 4}.0" '
         f'font-size="12" fill="black">{s}</text>'
         for s in range(1, d + 1)
     )
     for (level, start, end), text in sorted(labels.items()):
-        x_mid = 10 * _SVG_MARGIN + (start + end) * pitch // 2 + 5 * _SVG_GAP
+        x_mid = _SVG_MARGIN + (start + end) * pitch // 2 + _SVG_GAP // 2
         parts.append(
-            f'<text x="{num(x_mid)}" y="{label_y[level]}" font-size="12" '
+            f'<text x="{x_mid}.0" y="{label_y[level - 1]}" font-size="12" '
             f'fill="black" text-anchor="middle">{text}</text>'
         )
     if footer:
-        y_f = num(ys[1] + 240)
+        y_f = f"{ys[1] + 24}.0"
         for c, text in sorted(footer.items()):
             parts.append(
                 f'<text x="{centers[c]}" y="{y_f}" font-size="12" '

@@ -30,7 +30,8 @@ class InternalCheckError(DeodharError, RuntimeError):
 
 
 # Every size limit: name -> (largest value allowed, message above it).  The
-# degree and R-polynomial rows are set from timings of w0 (README, Limits).
+# degree, R-polynomial and text drawing rows are set from timings of w0
+# (README, Limits).
 LIMITS = {
     "degree": (64, "degree {value} is above the degree limit {limit}"),
     "reduced words": (6, "reduced word enumeration is limited to degree {limit}"),
@@ -38,6 +39,10 @@ LIMITS = {
     "R-polynomial": (11, "R-polynomials are limited to degree {limit}"),
     "expansion size": (6, "symbolic expansion is limited to size {limit}"),
     "expansion degree": (9, "symbolic entry names need single-digit indices"),
+    "text drawing": (
+        8_000_000,
+        "text drawing of {value} cells is above the text drawing limit {limit}",
+    ),
 }
 
 

@@ -152,31 +152,33 @@ class TnnCertificate:
         }
 
 
+_ZERO = Fraction(0)
+
+
 def is_totally_nonnegative(z: RatMatrix, word: Sequence[int]) -> TnnCertificate:
     """Test whether the flag z w B+ is totally nonnegative.
 
     Classifies the flag, requires the trace to be the positive one for its
     endpoint, then checks strict positivity of the stay-step chamber
     minors.  Those values are the probes the classifying sweep already
-    read off its running table, so the test evaluates no minor of its own.
-    The certificate carries one equality record per ascent step and one
-    inequality record per stay step, built in one pass over the trace;
-    only those steps take their index sets.
+    read off its running table, each an integer numerator over a positive
+    denominator, so the test evaluates no minor of its own and reads each
+    sign off the numerator.  The certificate carries one equality record
+    per ascent step and one inequality record per stay step, with the
+    index sets of the descriptor's one walk of its trace.
     """
     desc, before, _ = _sweep(z, word)
     equalities: list[MinorRecord] = []
     inequalities: list[MinorRecord] = []
     descents: list[int] = []
-    for k, mark in enumerate(desc.trace.marks, start=1):
+    steps = zip(desc.trace.marks, desc._walk, before)
+    for k, (mark, (rows, _, cols), (n, s)) in enumerate(steps, start=1):
         if mark == MARK_DOWN:
             descents.append(k)
-            continue
-        rows, cols = desc._step_minor(k)
-        if mark == MARK_UP:
-            equalities.append(MinorRecord(k, rows, cols, Fraction(0), "=", True))
+        elif mark == MARK_UP:
+            equalities.append(MinorRecord(k, rows, cols, _ZERO, "=", True))
         else:
-            value = Fraction(*before[k - 1])
-            inequalities.append(MinorRecord(k, rows, cols, value, ">", value > 0))
+            inequalities.append(MinorRecord(k, rows, cols, Fraction(n, s), ">", n > 0))
     violated = [r.k for r in inequalities if not r.ok]
     if descents:
         reason = (

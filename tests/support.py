@@ -210,3 +210,25 @@ def random_matrix(rng: random.Random, d: int) -> RatMatrix:
     return RatMatrix(
         [[random_rational(rng) for _ in range(d)] for _ in range(d)]
     )
+
+
+def ansatz_labels_by_cells(desc: ComponentDescriptor, arr) -> dict:
+    """Ansatz chamber labels by the cell rule, each index set sorted from scratch.
+
+    Cell c follows column c, of step k (k = 0 at cell 0).  There the upper
+    strands are the trace value v_(k), or v_(k-1) right after the x column
+    of a descent, and the lower strands the prefix w_(k); the chamber that
+    starts at cell c at level i takes the first i of each, sorted.
+    """
+    values, prefixes = desc.trace.values, desc.prefix_perms
+    cells = [(values[0], prefixes[0])]
+    for col in arr.columns:
+        k = col.step - 1 if col.source == "x" else col.step
+        cells.append((values[k], prefixes[col.step]))
+    return {
+        (ch.level, ch.start, ch.end): tuple(
+            tuple(sorted(p.images[: ch.level])) for p in cells[ch.start]
+        )
+        for ch in arr.chambers
+        if 1 <= ch.level <= arr.d - 1
+    }

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from deodhar import linalg, weyl
+from deodhar import components, linalg, weyl
 from deodhar.components import (
     ComponentDescriptor,
     build_element,
@@ -34,7 +34,7 @@ from deodhar.errors import (
 from deodhar.linalg import RatMatrix, _ChamberTable, flag_equal, unipotent_representative
 from deodhar.pinning import GroupFactor, GroupWord, evaluate, partial, perm_matrix, reduce_flag
 from deodhar.cli import _descriptor_from_args
-from deodhar.diagrams import classify_graphical, diagram_formulas
+from deodhar.diagrams import ANSATZ, build_arrangement, classify_graphical, diagram_formulas, render
 from deodhar.positivity import is_totally_nonnegative, random_positive_sample, sample_positive
 from deodhar.subexpr import MARK_STAY, MARK_UP, SubexpressionTrace, enumerate_distinguished
 from deodhar.weyl import Permutation, a_reduced_word, evaluate_word, longest_element
@@ -718,10 +718,15 @@ def test_chamber_coordinates_are_the_step_minors_of_z():
 
 @pytest.fixture
 def checks(monkeypatch):
-    """Counts of check_reduced_word, the trace and descriptor checks, and prefix_set."""
+    """Counts of check_reduced_word, the trace and descriptor checks, prefix_set and walks."""
     calls = Counter()
     real_check = weyl.check_reduced_word
     real_prefix_set = Permutation.prefix_set
+    real_walk = components._index_walk
+
+    def counted_walk(trace, w):
+        calls["walk"] += 1
+        return real_walk(trace, w)
 
     def counted_check(d, word):
         calls["check_reduced_word"] += 1
@@ -742,12 +747,15 @@ def checks(monkeypatch):
 
         monkeypatch.setattr(cls, "__post_init__", counted_init)
     monkeypatch.setattr(Permutation, "prefix_set", counted_prefix_set)
+    monkeypatch.setattr(components, "_index_walk", counted_walk)
     return calls
 
 
 def test_sweep_checks_the_word_once_and_trusts_what_it_builds(checks):
-    # classify, factorize and tnn-check read the caller's word once; the
-    # trace and descriptor the sweep builds from it skip __post_init__.
+    # classify, factorize and tnn-check on a fresh z read the caller's word
+    # once, and a repeat on the same z and word is answered by the sweep's
+    # slot before any word check; the trace and descriptor the sweep builds
+    # skip __post_init__.
     rng = random.Random(17)
     for _ in range(10):
         desc, z = random_component_flag(rng, 6)
@@ -756,10 +764,97 @@ def test_sweep_checks_the_word_once_and_trusts_what_it_builds(checks):
         assert ComponentDescriptor(desc.trace) == desc
         assert checks == {"check_reduced_word": 1, "ComponentDescriptor": 1}
         for entry in (classify, factorize, is_totally_nonnegative):
-            checks.clear()
-            entry(z, list(desc.word))
-            del checks["prefix_set"]
-            assert checks == {"check_reduced_word": 1}, entry.__name__
+            fresh = RatMatrix(z.rows)
+            for word_checks in (1, 0):
+                checks.clear()
+                entry(fresh, list(desc.word))
+                names = ("check_reduced_word", "SubexpressionTrace", "ComponentDescriptor")
+                assert [checks[name] for name in names] == [word_checks, 0, 0], entry.__name__
+
+
+class _Letter(int):
+    """An int subclass: it equals a letter but is not the same object."""
+
+
+def test_the_slot_answers_before_the_word_check_for_a_list_or_a_tuple_only(checks):
+    # After classify(z, word), a list or tuple of the same letter objects is
+    # answered by the slot with no word check.  A set, a dict, a string or a
+    # generator of those letters is refused with the message a fresh z gets,
+    # and letters of an int subclass miss the slot and are checked.
+    rng = random.Random(53)
+    refusals = set()
+    for _ in range(12):
+        desc, z = random_component_flag(rng, rng.choice([4, 5, 6]))
+        word = list(desc.word)
+        checks.clear()
+        swept = classify(z, word)
+        assert swept == desc and checks["check_reduced_word"] == 1
+        checks.clear()
+        assert is_totally_nonnegative(z, tuple(word)).descriptor is swept
+        assert checks["check_reduced_word"] == 0
+        for bad in (set(word), dict.fromkeys(word), "".join(map(str, word)), iter(word)):
+            outcomes = []
+            for target in (z, RatMatrix(z.rows)):
+                with pytest.raises(InputError) as exc:
+                    is_totally_nonnegative(target, bad)
+                outcomes.append(str(exc.value))
+            assert outcomes[0] == outcomes[1]
+            refusals.add(outcomes[0].split(", got")[0])
+        checks.clear()
+        letters = [_Letter(i) for i in word]
+        again = classify(z, letters)
+        assert checks["check_reduced_word"] == 1
+        assert again == swept and again is not swept
+        assert all(type(i) is _Letter for i in again.word)
+        checks.clear()
+        assert classify(z, word) == swept and checks["check_reduced_word"] == 1
+    assert refusals == {"word must be a list or a tuple"}
+
+
+def test_one_walk_serves_every_reader_of_one_sweep(checks):
+    # classify, tnn-check, chamber_coordinates, classify_steps, the
+    # conditions and the ansatz drawing of one z and word share one
+    # descriptor, whose trace is walked once for all of their index sets.
+    # None of them calls prefix_set, and the word is checked once.
+    rng = random.Random(59)
+    descents = 0
+    for _ in range(12):
+        desc, z = random_component_flag(rng, rng.choice([4, 6, 8]))
+        descents += len(desc.descent_positions)
+        checks.clear()
+        swept = classify(z, list(desc.word))
+        cert = is_totally_nonnegative(z, list(desc.word))
+        chamber_coordinates(z, swept)
+        steps = classify_steps(z, list(desc.word))
+        conditions = component_conditions(swept)
+        render(build_arrangement(ANSATZ, swept), "svg")
+        assert cert.descriptor is swept
+        assert checks == {"check_reduced_word": 1, "walk": 1}
+        free = [s for s in steps if s.case != "forced"]
+        assert [(s.rows, s.cols) for s in free] == [swept.step_minors[s.k - 1] for s in free]
+        records = sorted(conditions.zero_minors + conditions.nonzero_minors)
+        assert [(k, r, c) for k, r, c in records] == [(s.k, s.rows, s.cols) for s in free]
+    assert descents > 0
+
+
+def test_the_walk_takes_each_steps_index_sets_as_prefix_set_does():
+    # Entry k-1 holds the sorted level-i sets of v_(k-1), v_(k) and w_(k)
+    # for the letter i of step k, on random distinguished traces of random
+    # words and of words for w0, at every degree up to 12.
+    rng = random.Random(61)
+    moves = 0
+    for d in range(1, 13):
+        for n in range(8):
+            w = longest_element(d) if n % 2 else random_perm(rng, d)
+            desc = ComponentDescriptor(random_distinguished(rng, d, random_reduced_word(rng, w)))
+            values, prefixes = desc.trace.values, desc.prefix_perms
+            assert desc._walk == tuple(
+                (values[k - 1].prefix_set(i), values[k].prefix_set(i), prefixes[k].prefix_set(i))
+                for k, i in enumerate(desc.word, start=1)
+            )
+            assert desc.step_minors == tuple((rows, cols) for rows, _, cols in desc._walk)
+            moves += len(desc.ascent_positions) + len(desc.descent_positions)
+    assert moves > 0
 
 
 @pytest.mark.parametrize("d", [4, 5])
@@ -964,34 +1059,37 @@ def test_chamber_coordinates_checks_no_word_and_reads_one_sweep_of_z(checks, mon
 
 
 def test_descriptor_builds_its_index_sets_on_first_read(checks):
-    # The sweep reads its probes off a table and takes no prefix set; the
-    # descriptor builds its step_minors, two prefix sets per step, forced
-    # steps included, when they are first read, and only then.
+    # The sweep reads its probes off a table and takes no index set; the
+    # descriptor walks its trace once, when its step_minors are first
+    # read, and the conditions read the same walk.  No set comes from
+    # prefix_set.
     rng = random.Random(23)
     for _ in range(10):
         desc, z = random_component_flag(rng, 6)
         expected = desc.step_minors
         checks.clear()
         swept = classify(z, desc.word)
-        assert checks["prefix_set"] == 0
+        assert checks["walk"] == 0
         assert swept.step_minors == expected
-        assert checks["prefix_set"] == 2 * len(desc.word)
-        component_conditions(swept)
-        assert checks["prefix_set"] == 2 * len(desc.word)
+        assert checks["walk"] == 1
+        assert component_conditions(swept) == component_conditions(desc)
+        assert checks["walk"] == 1 and checks["prefix_set"] == 0
 
 
 def test_classify_steps_takes_index_sets_at_free_steps_only(checks):
-    # classify_steps reports index sets at its stays and ascents only, so
-    # it takes two prefix sets per free step and none at a forced one.
+    # classify_steps reports index sets at its stays and ascents only, and
+    # reads them off one walk of the descriptor's trace, with no prefix_set.
     rng = random.Random(37)
     forced = 0
     for _ in range(20):
         desc, z = random_component_flag(rng, 6)
         checks.clear()
         steps = classify_steps(z, desc.word)
-        free = sum(s.case != "forced" for s in steps)
-        forced += len(steps) - free
-        assert checks["prefix_set"] == 2 * free
+        free = [s for s in steps if s.case != "forced"]
+        forced += len(steps) - len(free)
+        assert checks["walk"] == 1 and checks["prefix_set"] == 0
+        assert all(s.rows is s.cols is None for s in steps if s.case == "forced")
+        assert [(s.rows, s.cols) for s in free] == [desc.step_minors[s.k - 1] for s in free]
     assert forced > 0
 
 

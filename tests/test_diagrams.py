@@ -27,10 +27,11 @@ from deodhar.diagrams import (
 from deodhar.errors import InputError, NotInComponentError
 from deodhar.linalg import RatMatrix, unipotent_representative
 from deodhar.pinning import evaluate
-from deodhar.weyl import Permutation, evaluate_word
+from deodhar.weyl import Permutation, evaluate_word, longest_element
 
 from support import (
     S102_WORD,
+    ansatz_labels_by_cells,
     random_distinguished,
     random_nonzero,
     random_perm,
@@ -151,6 +152,23 @@ def overlay_minor_labels(desc):
         for ch in build_arrangement(ANSATZ, desc).chambers
         if 1 <= ch.level <= desc.d - 1
     }
+
+
+def test_ansatz_minor_labels_follow_the_cell_rule():
+    # The labels read the descriptor's walk; the oracle sorts the first
+    # images of the value and prefix at each chamber's starting cell.  Same
+    # keys, same order, same sets, at every degree up to 12.
+    rng = random.Random(79)
+    descents = 0
+    for n in range(72):
+        d = 1 + n % 12
+        w = longest_element(d) if n % 3 == 0 else random_perm(rng, d)
+        desc = ComponentDescriptor(random_distinguished(rng, d, random_reduced_word(rng, w)))
+        arr = build_arrangement(ANSATZ, desc)
+        expected = ansatz_labels_by_cells(desc, arr)
+        assert list(arr.minor_labels.items()) == list(expected.items())
+        descents += len(desc.descent_positions)
+    assert descents > 0
 
 
 def test_ansatz_minor_labels_match_the_upper_lower_overlay():

@@ -426,15 +426,23 @@ def certificate_from_conditions(z, word):
 
 def test_certificate_is_the_component_conditions_in_one_pass(monkeypatch):
     # The one-pass certificate prints what the component's conditions and
-    # the classify probes give, and takes two index sets at each ascent or
-    # stay step and none at a descent.
+    # the classify probes give.  On z itself it reads the stored sweep,
+    # whose descriptor the conditions walked already; on a fresh copy of z
+    # it walks the new descriptor's trace once for every index set.
+    # Neither calls prefix_set.
+    import deodhar.components as components
+
     rng = random.Random(73)
-    real = Permutation.prefix_set
+    real_prefix_set, real_walk = Permutation.prefix_set, components._index_walk
     calls = []
 
     def counted(self, i):
-        calls.append(i)
-        return real(self, i)
+        calls.append("prefix_set")
+        return real_prefix_set(self, i)
+
+    def counted_walk(trace, w):
+        calls.append("walk")
+        return real_walk(trace, w)
 
     kinds = set()
     for n in range(45):
@@ -450,10 +458,12 @@ def test_certificate_is_the_component_conditions_in_one_pass(monkeypatch):
             word = desc.word
         expected = certificate_from_conditions(z, word)
         monkeypatch.setattr(Permutation, "prefix_set", counted)
-        calls.clear()
-        cert = is_totally_nonnegative(z, word)
+        monkeypatch.setattr(components, "_index_walk", counted_walk)
+        for target, walks in ((z, []), (RatMatrix(z.rows), ["walk"])):
+            calls.clear()
+            cert = is_totally_nonnegative(target, word)
+            assert calls == walks
+            assert cert.to_json() == expected
         monkeypatch.undo()
-        assert cert.to_json() == expected
-        assert len(calls) == 2 * (len(word) - len(cert.descent_steps))
         kinds.add((cert.nonnegative, bool(cert.descent_steps), bool(cert.violated)))
     assert kinds >= {(True, False, False), (False, True, False), (False, False, True)}
