@@ -76,6 +76,7 @@ from .weyl import (
     Word,
     _built,
     _int_from_json,
+    _obj_from_caller,
     _seq_from_json,
     check_reduced_word,
 )
@@ -215,14 +216,8 @@ class ClassifyStep:
     value_after: Permutation
 
 
-def _check_matrix(z: RatMatrix) -> None:
-    if not isinstance(z, RatMatrix):
-        raise InputError(f"flag representative must be a RatMatrix, got {type(z).__name__}")
-
-
 def _check_unipotent(z: RatMatrix) -> None:
-    _check_matrix(z)
-    if not z.is_upper_unipotent():
+    if not _obj_from_caller(z, RatMatrix, "flag representative").is_upper_unipotent():
         raise InputError("flag representative must be upper unipotent")
 
 
@@ -233,7 +228,7 @@ def _check_descriptor(desc: ComponentDescriptor, what: str) -> None:
 
 def _check_flag_and_component(z: RatMatrix, desc: ComponentDescriptor, what: str) -> None:
     """Check z, then desc, then that their degrees agree."""
-    _check_matrix(z)
+    _obj_from_caller(z, RatMatrix, "flag representative")
     _check_descriptor(desc, what)
     if z.d != desc.d:
         raise InputError("degree mismatch in generalized minor")
@@ -482,6 +477,8 @@ def _stay_minor_product(
 
 def chamber_t(z: RatMatrix, desc: ComponentDescriptor, k: int) -> Fraction:
     """The y parameter at stay step k, as a ratio of chamber minors of z."""
+    _check_flag_and_component(z, desc, "chamber_t")
+    k = _int_from_json(k, "step")
     tr = desc.trace
     if not 1 <= k <= len(tr.word) or tr.marks[k - 1] != MARK_STAY:
         raise InputError(f"step {k} is not a stay step of the trace")
@@ -504,6 +501,8 @@ def chamber_m(
     element being rebuilt; the correction term is a minor of it against the
     columns of the bare reflection.
     """
+    _check_flag_and_component(z, desc, "chamber_m")
+    k = _int_from_json(k, "step")
     tr = desc.trace
     if not 1 <= k <= len(tr.word) or tr.marks[k - 1] != MARK_DOWN:
         raise InputError(f"step {k} is not a descent step of the trace")
@@ -597,8 +596,10 @@ def factorize(z: RatMatrix, word: Sequence[int]) -> FactorizationResult:
     coords = {k: before[k - 1] for k in desc.stay_positions + desc.descent_positions}
 
     def chamber(k: int, i: int, g: _Columns) -> tuple[int, int]:
+        # The sweep's trace is z's own component, on which every standard
+        # chamber minor is nonzero.
         if not after[k - 1][0]:
-            raise NotInComponentError("standard chamber minor vanishes")
+            raise InternalCheckError(f"standard chamber minor vanishes after step {k}")
         return after[k - 1]
 
     result, g = _solve(desc, coords, chamber)

@@ -30,7 +30,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, InputError, InternalCheckError, check_limit
-from .weyl import Permutation, _built, _degree, _int_in_range, _seq_from_json, longest_element
+from .weyl import Permutation, _built, _degree, _int_in_range, _obj_from_caller, _seq_from_json
+from .weyl import longest_element
 
 __all__ = [
     "RatMatrix",
@@ -305,7 +306,8 @@ def matrix_from_json(data) -> RatMatrix:
 
 
 def matrix_to_json(m: RatMatrix) -> list[list[str]]:
-    return [[rational_to_json(x) for x in row] for row in m.rows]
+    rows = _obj_from_caller(m, RatMatrix, "matrix").rows
+    return [[rational_to_json(x) for x in row] for row in rows]
 
 
 def flag_equal(a: RatMatrix, b: RatMatrix) -> bool:
@@ -314,6 +316,8 @@ def flag_equal(a: RatMatrix, b: RatMatrix) -> bool:
     Compares their column echelon forms from ``_column_reduce``, which are
     unique for each flag; a singular matrix raises ``DomainError``.
     """
+    _obj_from_caller(a, RatMatrix, "flag representative")
+    _obj_from_caller(b, RatMatrix, "flag representative")
     if a.d != b.d:
         raise InputError("size mismatch in flag comparison")
     return _column_reduce(a)[0] == _column_reduce(b)[0]
@@ -346,7 +350,7 @@ def _column_reduce(g: RatMatrix) -> tuple[list[list[Fraction]], Permutation]:
 
 def bruhat_position(g: RatMatrix) -> Permutation:
     """The permutation w with g in B+ w B+ (B+ the upper-triangular group)."""
-    return _column_reduce(g)[1]
+    return _column_reduce(_obj_from_caller(g, RatMatrix, "matrix"))[1]
 
 
 def opposite_position(g: RatMatrix) -> Permutation:
@@ -355,6 +359,7 @@ def opposite_position(g: RatMatrix) -> Permutation:
     Reversing the rows multiplies g on the left by the longest element w0,
     and w0 B- w0 = B+, so w0 g lies in B+ (w0 v) B+.
     """
+    _obj_from_caller(g, RatMatrix, "matrix")
     return longest_element(g.d) * bruhat_position(_built(RatMatrix, rows=g.rows[::-1]))
 
 
@@ -365,7 +370,7 @@ def unipotent_representative(g: RatMatrix) -> tuple[RatMatrix, Permutation]:
     1, in row w(j); regrouping those columns as columns w(j) of z yields the
     unipotent witness.
     """
-    m, w = _column_reduce(g)
+    m, w = _column_reduce(_obj_from_caller(g, RatMatrix, "matrix"))
     d = g.d
     z = [[Fraction(0)] * d for _ in range(d)]
     for j in range(d):

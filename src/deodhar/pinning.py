@@ -48,7 +48,7 @@ from typing import Sequence
 from .errors import InputError
 from .linalg import RatMatrix, _bareiss_det, rational_from_json, rational_to_json
 from .weyl import Permutation, _built, _check_letters, _degree, _int_from_json, _int_in_range
-from .weyl import _seq_from_json, evaluate_word
+from .weyl import _obj_from_caller, _seq_from_json, evaluate_word
 
 __all__ = [
     "FACTOR_Y",
@@ -134,6 +134,8 @@ class GroupFactor:
     def __post_init__(self) -> None:
         if self.kind not in (FACTOR_Y, FACTOR_S, FACTOR_XSINV):
             raise InputError(f"unknown factor kind {self.kind!r}")
+        # GroupWord, which knows d, checks the range.
+        _int_from_json(self.index, "generator index")
         if self.kind == FACTOR_S:
             if self.param is not None:
                 raise InputError("a bare reflection factor carries no parameter")
@@ -163,7 +165,7 @@ class GroupWord:
 
 
 def factor_matrix(d: int, factor: GroupFactor) -> RatMatrix:
-    if factor.kind == FACTOR_Y:
+    if _obj_from_caller(factor, GroupFactor, "factor").kind == FACTOR_Y:
         return gen_y(d, factor.index, factor.param)
     if factor.kind == FACTOR_S:
         return gen_sdot(d, factor.index)
@@ -286,7 +288,7 @@ class _Columns:
 
 
 def evaluate(gw: GroupWord) -> RatMatrix:
-    g = _Columns(gw.d)
+    g = _Columns(_obj_from_caller(gw, GroupWord, "group word").d)
     for f in gw.factors:
         g.apply(f)
     return g.matrix()
@@ -294,6 +296,7 @@ def evaluate(gw: GroupWord) -> RatMatrix:
 
 def partial(gw: GroupWord, k: int) -> RatMatrix:
     """The product of the first k factors, a slice of a checked word."""
+    _obj_from_caller(gw, GroupWord, "group word")
     k = _int_in_range(k, 0, len(gw.factors), "partial index")
     return evaluate(_built(GroupWord, d=gw.d, factors=gw.factors[:k]))
 
@@ -303,7 +306,7 @@ def perm_matrix(w: Permutation) -> RatMatrix:
 
     Agrees with the product of gen_sdot factors over any reduced word.
     """
-    return apply_lift(RatMatrix.identity(w.d), w)
+    return apply_lift(RatMatrix.identity(_obj_from_caller(w, Permutation, "w").d), w)
 
 
 def apply_lift(g: RatMatrix, w: Permutation) -> RatMatrix:
@@ -312,7 +315,8 @@ def apply_lift(g: RatMatrix, w: Permutation) -> RatMatrix:
     Column j of the product is column w(j) of g, negated when an odd number
     of k < j have w(k) > w(j).
     """
-    if w.d != g.d:
+    _obj_from_caller(g, RatMatrix, "matrix")
+    if _obj_from_caller(w, Permutation, "w").d != g.d:
         raise InputError("degree mismatch in permutation lift")
     images = w.images
     columns = [
@@ -329,6 +333,9 @@ def gmin(g: RatMatrix, v: Permutation, w: Permutation, i: int) -> Fraction:
     No sign adjustment is applied; for the pinning above this is the plain
     minor on those index sets.
     """
+    _obj_from_caller(g, RatMatrix, "matrix")
+    _obj_from_caller(v, Permutation, "v")
+    _obj_from_caller(w, Permutation, "w")
     if v.d != g.d or w.d != g.d:
         raise InputError("degree mismatch in generalized minor")
     i = _int_in_range(i, 0, g.d, "minor size")
@@ -337,14 +344,14 @@ def gmin(g: RatMatrix, v: Permutation, w: Permutation, i: int) -> Fraction:
 
 def reduce_flag(z: RatMatrix, word: Sequence[int], k: int) -> RatMatrix:
     """Representative of the flag z times the lift of the k-letter prefix."""
-    word = _check_letters(z.d, word)
+    word = _check_letters(_obj_from_caller(z, RatMatrix, "flag representative").d, word)
     k = _int_in_range(k, 0, len(word), "prefix length")
     return apply_lift(z, evaluate_word(z.d, word[:k]))
 
 
 def group_word_to_json(gw: GroupWord) -> list[dict]:
     out: list[dict] = []
-    for f in gw.factors:
+    for f in _obj_from_caller(gw, GroupWord, "group word").factors:
         if f.kind == FACTOR_S:
             out.append({FACTOR_S: [f.index]})
         else:

@@ -32,7 +32,7 @@ from .errors import DomainError, InputError
 from .linalg import RatMatrix, rational_from_json, rational_to_json
 from .pinning import GroupWord, group_word_to_json
 from .subexpr import MARK_DOWN, MARK_UP
-from .weyl import Permutation, _check_letters, _int_from_json
+from .weyl import Permutation, _check_letters, _int_from_json, _obj_from_caller
 
 __all__ = [
     "PositiveSample",
@@ -71,7 +71,7 @@ def sample_positive(
     step, and must all be positive.  Keys are ints; values are ints,
     Fractions or "p/q" strings.
     """
-    desc = _positive_component(v, word)
+    desc = _positive_component(_obj_from_caller(v, Permutation, "v"), word)
     stays = desc.stay_positions
     if isinstance(t_params, Mapping):
         params = _by_step(t_params, "t parameter", stays)
@@ -94,7 +94,7 @@ def random_positive_sample(
     v: Permutation, word: Sequence[int], seed: int
 ) -> PositiveSample:
     """A reproducible positive sample, one small random parameter per stay."""
-    word = _check_letters(v.d, word)
+    word = _check_letters(_obj_from_caller(v, Permutation, "v").d, word)
     rng = random.Random(_int_from_json(seed, "seed"))
     params = [
         Fraction(rng.randint(1, 9), rng.randint(1, 9))

@@ -57,6 +57,7 @@ from .weyl import (
     _built,
     _check_letters,
     _int_from_json,
+    _obj_from_caller,
     _seq_from_json,
     bruhat_leq,
     check_reduced_word,
@@ -218,11 +219,12 @@ def positive_subexpression(v: Permutation, word: Sequence[int]) -> Subexpression
     >>> t.marks
     ('o', 'o', 'o', 'o', '+', 'o')
     """
-    return _positive_walk(v, word)[0]
+    return _positive_walk(_obj_from_caller(v, Permutation, "v"), word)[0]
 
 
 def is_distinguished(trace: SubexpressionTrace) -> bool:
     """Every forced descent is taken: v_(k) <= v_(k-1) s_{i_k} at each step."""
+    _obj_from_caller(trace, SubexpressionTrace, "trace")
     for k, i in enumerate(trace.word):
         prev = trace.values[k]
         if prev.right_descent(i) and trace.marks[k] != MARK_DOWN:
@@ -237,7 +239,7 @@ def enumerate_distinguished(
 
     Degree is guarded because the search is exhaustive.
     """
-    check_limit("distinguished", v.d)
+    check_limit("distinguished", _obj_from_caller(v, Permutation, "v").d)
     word, w = check_reduced_word(v.d, word)
     if not bruhat_leq(v, w[-1]):
         return []
@@ -361,6 +363,8 @@ def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolyno
     >>> r_polynomial(identity_perm(3), longest_element(3), (1, 2, 1)).pretty()
     'q^3 - 2q^2 + 2q - 1'
     """
+    _obj_from_caller(v, Permutation, "v")
+    _obj_from_caller(w, Permutation, "w")
     if v.d != w.d:
         raise InputError(f"degree mismatch: v has degree {v.d}, w has degree {w.d}")
     word, prefixes = check_reduced_word(v.d, word)
@@ -393,6 +397,7 @@ def r_polynomial(v: Permutation, w: Permutation, word: Sequence[int]) -> RPolyno
 
 
 def trace_to_json(trace: SubexpressionTrace) -> dict:
+    _obj_from_caller(trace, SubexpressionTrace, "trace")
     return {
         "word": list(trace.word),
         "values": [list(p.images) for p in trace.values],

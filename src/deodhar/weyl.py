@@ -13,12 +13,12 @@ fundamental weight ``omega_i`` is ``e_1 + ... + e_i``, permutations act by
 coroot takes ``lam[i] - lam[i+1]``.
 
 A caller-supplied integer is read by ``_int_from_json``, a list or a tuple by
-``_seq_from_json``, a degree by ``_degree`` from 1 to the degree limit, and an
-index by ``_int_in_range``, the only range check.  ``Permutation``,
-``SubexpressionTrace``, ``ComponentDescriptor``, ``GroupFactor``, ``GroupWord``,
-``RPolynomial`` and ``RatMatrix`` check each value a caller builds in
-``__post_init__``; ``_product`` and ``_built`` skip the check for values the
-library builds.
+``_seq_from_json``, a library object by ``_obj_from_caller``, a degree by
+``_degree`` from 1 to the degree limit, and an index by ``_int_in_range``,
+the only range check.  ``Permutation``, ``SubexpressionTrace``,
+``ComponentDescriptor``, ``GroupFactor``, ``GroupWord``, ``RPolynomial`` and
+``RatMatrix`` check each value a caller builds in ``__post_init__``;
+``_product`` and ``_built`` skip the check for values the library builds.
 """
 
 from __future__ import annotations
@@ -160,6 +160,17 @@ def _seq_from_json(x, what: str) -> tuple:
     return tuple(x)
 
 
+def _obj_from_caller(x, cls: type, what: str):
+    """Return a caller's library object x, or raise InputError unless it is a ``cls``.
+
+    The message names ``what`` and the type given, never the value, which
+    may be large.
+    """
+    if not isinstance(x, cls):
+        raise InputError(f"{what} must be a {cls.__name__}, got {type(x).__name__}")
+    return x
+
+
 def _int_in_range(x, lo: int, hi: int, what: str) -> int:
     """Read an index by ``_int_from_json`` and check that lo <= x <= hi.
 
@@ -218,6 +229,8 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
     >>> bruhat_leq(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
     False
     """
+    _obj_from_caller(v, Permutation, "v")
+    _obj_from_caller(w, Permutation, "w")
     if v.d != w.d:
         raise InputError("degree mismatch in Bruhat comparison")
     for k in range(1, v.d):
@@ -277,6 +290,7 @@ def check_reduced_word(
 
 def a_reduced_word(w: Permutation) -> Word:
     """A deterministic reduced word for w (smallest descent chosen first)."""
+    _obj_from_caller(w, Permutation, "w")
     letters: list[int] = []
     x = w
     while not x.is_identity():
@@ -294,7 +308,7 @@ def reduced_words(w: Permutation) -> list[Word]:
     >>> sorted(reduced_words(longest_element(3)))
     [(1, 2, 1), (2, 1, 2)]
     """
-    check_limit("reduced words", w.d)
+    check_limit("reduced words", _obj_from_caller(w, Permutation, "w").d)
 
     def rec(x: Permutation) -> list[Word]:
         if x.is_identity():
@@ -330,6 +344,7 @@ def act(w: Permutation, lam: Sequence[int]) -> Weight:
     >>> act(Permutation((1, 2, 4, 3)), fundamental_weight(4, 3))
     (1, 1, 0, 1)
     """
+    _obj_from_caller(w, Permutation, "w")
     lam = _check_weight(lam)
     if len(lam) != w.d:
         raise InputError("weight length does not match permutation degree")

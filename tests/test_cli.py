@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,7 +77,11 @@ def test_rpoly_longest_element(capsys):
 def test_rpoly_above_enumeration_limit(capsys):
     code, out = run(capsys, ["rpoly", "--v", "[1,2,3,4,5,6,7]", "--w", "[7,6,5,4,3,2,1]"])
     assert code == 0
-    assert json.loads(out).startswith("q^21 - ")
+    assert json.loads(out) == (
+        "q^21 - 6q^20 + 16q^19 - 25q^18 + 26q^17 - 21q^16 + 18q^15 - 21q^14 + 29q^13"
+        " - 40q^12 + 49q^11 - 49q^10 + 40q^9 - 29q^8 + 21q^7 - 18q^6 + 21q^5 - 26q^4"
+        " + 25q^3 - 16q^2 + 6q - 1"
+    )
 
 
 def test_rpoly_degree_limit_exits_two(capsys):
@@ -114,6 +119,23 @@ def test_malformed_word_exits_one(z_file, capsys):
     assert code == 1
     err = json.loads(out)["error"]
     assert err["type"] == "input"
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["rpoly", "--v", "[1,2,3]", "--w", "[3,2,1]", "--word", "[1,2,2]"], "(1, 2, 2)"),
+        (["classify", "--matrix", "Z", "--word", "[3,3,2]"], "(3, 3, 2)"),
+    ],
+    ids=["rpoly", "classify"],
+)
+def test_word_that_is_not_reduced_exits_one(z_file, capsys, argv, word):
+    # The sweep trusts the trace it builds, so a caller's word is checked.
+    code, out = run(capsys, [z_file if a == "Z" else a for a in argv])
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {"type": "input", "message": f"word {word} is not reduced"}
+    }
 
 
 def test_boolean_word_letter_exits_one(z_file, capsys):
@@ -172,6 +194,13 @@ def test_domain_error_exits_two(capsys):
     err = json.loads(out)["error"]
     assert err["type"] == "domain"
     assert err["kind"]
+    code, out = run(capsys, ["conditions", "--v", "[4,3,2,1]", "--word", "[1,2,1]"])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "domain",
+        "kind": "DomainError",
+        "message": "no subexpression: endpoint is not below the word's product",
+    }
 
 
 def test_tnn_check_golden(z_file, capsys):
@@ -189,7 +218,12 @@ def test_sample_deterministic_and_nonnegative(tmp_path, capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     data = json.loads(out_a)
-    assert all(not t.startswith("-") for t in data["t"].values())
+    # Each t is read once and the group word built from the values read:
+    # both are the ones seed 7 has always given.
+    assert data["t"] == {"1": "2", "2": "7", "3": "2/9", "4": "1/3"}
+    assert data["group_word"] == [
+        {"y": [3, "2"]}, {"y": [2, "7"]}, {"y": [1, "2/9"]}, {"y": [3, "1/3"]}, {"s": [2]}
+    ]
     path = tmp_path / "sampled.json"
     path.write_text(json.dumps(data["matrix"]))
     code, out = run(capsys, ["tnn-check", "--matrix", str(path), "--word", WORD_JSON])
@@ -205,6 +239,11 @@ def test_conditions_by_positive_trace(capsys):
     data = json.loads(out)
     assert set(data) == {"trace", "zero", "nonzero"}
     assert all("poly" in rec for rec in data["nonzero"])
+    code, out = run(
+        capsys, ["conditions", "--v", "[1,3,2,4]", "--word", "[3,2,1,3,2,3]"]
+    )
+    assert code == 0
+    assert json.loads(out)["trace"]["marks"] == ["o", "o", "o", "o", "+", "o"]
 
 
 def test_conditions_above_single_digit_degree_omit_poly(capsys):
@@ -305,18 +344,48 @@ def test_diagram_svg(z_file, capsys):
 
 
 def test_diagram_svg_of_a_positive_sample_at_degree_8(tmp_path, capsys):
-    # The CI step renders the same sample through the installed script and
-    # compares it byte for byte with the same golden.
+    # tnn-check and factorize read its minors off the sweep's running
+    # table, which moves both rows and columns on this word; its ansatz
+    # arrangement, drawn in one pass over the columns, keeps every byte of
+    # the golden SVG.
     w0_word = json.dumps([j for i in range(7, 0, -1) for j in range(i, 8)])
     argv = ["sample", "--v", "[5,6,7,8,1,2,3,4]", "--word", w0_word, "--seed", "7"]
     code, out = run(capsys, argv)
     assert code == 0
     path = tmp_path / "sample8.json"
     path.write_text(json.dumps(json.loads(out)["matrix"]))
+    code, out = run(capsys, ["tnn-check", "--matrix", str(path), "--word", w0_word])
+    assert code == 0 and json.loads(out)["totally_nonnegative"] is True
+    code, out = run(capsys, ["factorize", "--matrix", str(path), "--word", w0_word])
+    assert code == 0 and json.loads(out)["verified"] is True
     argv = ["diagram", "--kind", "ansatz", "--matrix", str(path), "--word", w0_word]
     code, out = run(capsys, argv + ["--format", "svg"])
     assert code == 0
     assert out == (Path(__file__).parent / "golden" / "ansatz_sample8.svg").read_text()
+
+
+def test_diagram_text_of_a_generic_flag_at_degree_16(capsys):
+    # All 120 steps of the positive trace of e on a word for w0 stay, and
+    # the text drawing is well inside the text drawing limit.
+    w0_word = json.dumps([j for i in range(15, 0, -1) for j in range(i, 16)])
+    e = json.dumps(list(range(1, 17)))
+    argv = ["diagram", "--kind", "ansatz", "--v", e, "--word", w0_word, "--format", "text"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert "t120" in out and "t121" not in out
+
+
+def test_text_drawing_above_the_limit_exits_two(z_file, capsys, monkeypatch):
+    # The cells are counted before the grid is built.  The real limit needs
+    # a d = 64 drawing, too slow here, so the limit is lowered instead.
+    monkeypatch.setitem(LIMITS, "text drawing", (10, LIMITS["text drawing"][1]))
+    argv = ["diagram", "--matrix", z_file, "--word", WORD_JSON, "--format", "text"]
+    code, out = run(capsys, argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "DomainError"
+    pattern = r"text drawing of \d+ cells is above the text drawing limit 10"
+    assert re.fullmatch(pattern, error["message"])
 
 
 def test_diagram_json_classical(capsys):

@@ -252,6 +252,11 @@ def test_chamber_parameters_match_factorize():
         chamber_t(z, desc, 4)
     with pytest.raises(InputError):
         chamber_m(z, desc, 2, g3)
+    for bad in ("2", None, 2.0, True):
+        for read in (lambda k: chamber_t(z, desc, k), lambda k: chamber_m(z, desc, k, g3)):
+            with pytest.raises(InputError) as exc:
+                read(bad)
+            assert str(exc.value) == f"step must be an integer, got {bad!r}"
     rng = random.Random(29)
     done = 0
     while done < 24:
@@ -530,6 +535,39 @@ def test_descent_cross_check_catches_a_wrong_stay_coordinate(monkeypatch):
         factorize(s102_matrix(), S102_WORD)
 
 
+def test_sweep_chamber_minor_after_a_move_is_nonzero():
+    # The sweep's trace is z's own component, so the standard chamber minor
+    # it reads after each ascent and descent is nonzero: factorize treats a
+    # zero there as an internal fault, not as a flag outside a component.
+    rng = random.Random(61)
+    moves = 0
+    for _ in range(1000):
+        d = rng.randint(2, 5)
+        z = random_sparse_unipotent(rng, d)
+        word = random_reduced_word(rng, random_perm(rng, d))
+        desc, _, after = components._sweep(z, word)
+        for mark, (num, _) in zip(desc.trace.marks, after):
+            if mark != MARK_STAY:
+                moves += 1
+                assert num != 0
+    assert moves > 1000
+
+
+def test_a_vanishing_minor_after_a_move_is_an_internal_fault(monkeypatch):
+    import deodhar.components as components
+
+    real = components._sweep
+
+    def zero_after_step_1(z, word):
+        desc, before, after = real(z, word)
+        return desc, before, ((0, 1),) + after[1:]
+
+    monkeypatch.setattr(components, "_sweep", zero_after_step_1)
+    with pytest.raises(InternalCheckError) as exc:
+        factorize(s102_matrix(), S102_WORD)
+    assert str(exc.value) == "standard chamber minor vanishes after step 1"
+
+
 @pytest.mark.parametrize("d", [12, 32])
 def test_classify_steps_probes_are_minors_of_z_at_large_degree(d):
     # On a reduced word for w0, generic z stay at every step; sparse z
@@ -656,6 +694,8 @@ DESCRIPTOR_READERS = {
     "diagram_formulas": lambda desc: diagram_formulas(desc, s102_matrix()),
     "build_element": lambda desc: build_element(desc, {}, {}),
     "element_from_coordinates": lambda desc: element_from_coordinates(desc, {}),
+    "chamber_t": lambda desc: chamber_t(s102_matrix(), desc, 2),
+    "chamber_m": lambda desc: chamber_m(s102_matrix(), desc, 4, RatMatrix.identity(4)),
 }
 
 
@@ -672,8 +712,13 @@ def test_entry_points_refuse_a_desc_that_is_not_a_descriptor(name, kind):
 
 @pytest.mark.parametrize(
     "read",
-    [chamber_coordinates, lambda z, desc: diagram_formulas(desc, z)],
-    ids=["chamber_coordinates", "diagram_formulas"],
+    [
+        chamber_coordinates,
+        lambda z, desc: diagram_formulas(desc, z),
+        lambda z, desc: chamber_t(z, desc, 2),
+        lambda z, desc: chamber_m(z, desc, 4, RatMatrix.identity(4)),
+    ],
+    ids=["chamber_coordinates", "diagram_formulas", "chamber_t", "chamber_m"],
 )
 def test_z_is_checked_before_the_descriptor(read):
     with pytest.raises(InputError, match="^flag representative must be a RatMatrix, got str$"):
@@ -780,7 +825,8 @@ def test_the_slot_answers_before_the_word_check_for_a_list_or_a_tuple_only(check
     # After classify(z, word), a list or tuple of the same letter objects is
     # answered by the slot with no word check.  A set, a dict, a string or a
     # generator of those letters is refused with the message a fresh z gets,
-    # and letters of an int subclass miss the slot and are checked.
+    # and letters of an int subclass or a float letter miss the slot and are
+    # checked.
     rng = random.Random(53)
     refusals = set()
     for _ in range(12):
@@ -800,6 +846,13 @@ def test_the_slot_answers_before_the_word_check_for_a_list_or_a_tuple_only(check
                 outcomes.append(str(exc.value))
             assert outcomes[0] == outcomes[1]
             refusals.add(outcomes[0].split(", got")[0])
+        if word:
+            # A float letter is not the stored letter object, so it misses
+            # the slot and is refused as on a fresh z.
+            floated = [float(word[0])] + word[1:]
+            with pytest.raises(InputError) as exc:
+                classify(z, floated)
+            assert str(exc.value) == f"letter must be an integer, got {float(word[0])}"
         checks.clear()
         letters = [_Letter(i) for i in word]
         again = classify(z, letters)

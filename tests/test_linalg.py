@@ -66,9 +66,15 @@ def test_constructor_reads_every_entry(entry, message):
 def test_constructor_stores_tuples_of_fractions():
     m = RatMatrix([[Fraction(1)]])
     assert m == RatMatrix.identity(1) == RatMatrix([[1]]) == RatMatrix((("1",),))
-    assert hash(m) == hash(RatMatrix.identity(1))
+    assert m == matrix_from_json([[1]])
+    assert hash(m) == hash(RatMatrix.identity(1)) == hash(matrix_from_json([[1]]))
     assert type(m.rows) is tuple and type(m.rows[0]) is tuple
     assert type(RatMatrix([[2]]).entry(1, 1)) is Fraction
+
+
+def test_repr_lists_the_rows():
+    assert repr(RatMatrix.identity(2)) == "RatMatrix[1 0; 0 1]"
+    assert repr(RatMatrix([[1, "-1/2"], [0, 1]])) == "RatMatrix[1 -1/2; 0 1]"
 
 
 def _count_reads(monkeypatch):

@@ -159,6 +159,19 @@ def test_group_factor_validation():
                 GroupFactor(kind, 1, param)
 
 
+@pytest.mark.parametrize(
+    "kind, index, param",
+    [(FACTOR_Y, "x", 1), (FACTOR_Y, True, 1), (FACTOR_XSINV, [1], 2)],
+    ids=["str", "bool", "list"],
+)
+def test_group_factor_reads_its_index_when_built(kind, index, param):
+    # The factor reads its index as an integer; GroupWord, which knows d,
+    # checks the range.
+    with pytest.raises(InputError) as exc:
+        GroupFactor(kind, index, param)
+    assert str(exc.value) == f"generator index must be an integer, got {index!r}"
+
+
 def test_group_word_keeps_a_list_or_a_tuple():
     # A list and a tuple give one hashable word.  A generator, which the
     # index check would use up, and any other container are refused by

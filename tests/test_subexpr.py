@@ -260,6 +260,11 @@ def test_rpolynomial_arithmetic():
     assert RPolynomial.zero().is_zero
     assert sq(3) == 4
     assert RPolynomial.from_coeffs([0, 1]).pretty() == "q"
+    assert str(sq) == "q^2 - 2q + 1"
+    assert RPolynomial.zero() * sq == sq * RPolynomial.zero() == RPolynomial.zero()
+    with pytest.raises(InputError) as exc:
+        RPolynomial((1, 0))
+    assert str(exc.value) == "coefficient tuple has trailing zeros"
 
 
 @pytest.mark.parametrize(

@@ -115,6 +115,27 @@ def test_bruhat_matches_subword_criterion():
                 assert bruhat_leq(v, w) == bruhat_leq_subword(v, w, word), (v, w)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: Permutation((1, 2)) * Permutation((1, 2, 3)),
+            "degree mismatch in permutation product",
+        ),
+        (lambda: RatMatrix.identity(2) * RatMatrix.identity(3), "size mismatch in matrix product"),
+        (
+            lambda: act(Permutation((2, 1)), (1, 0, 0)),
+            "weight length does not match permutation degree",
+        ),
+    ],
+    ids=["Permutation.__mul__", "RatMatrix.__mul__", "act"],
+)
+def test_operands_of_two_degrees_are_refused(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_bruhat_rank_mismatch():
     with pytest.raises(InputError):
         bruhat_leq(identity_perm(3), identity_perm(4))
