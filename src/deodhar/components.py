@@ -110,8 +110,7 @@ class ComponentDescriptor:
     prefix_perms: tuple[Permutation, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trace, SubexpressionTrace):
-            raise InputError(f"component descriptor needs a SubexpressionTrace, got {self.trace!r}")
+        _obj_from_caller(self.trace, SubexpressionTrace, "component descriptor trace")
         if not is_distinguished(self.trace):
             raise InputError("component descriptor needs a distinguished trace")
         _, prefixes = check_reduced_word(self.d, self.word)

@@ -8,8 +8,9 @@ intermediate values small, and divides by its columns' scales.  The
 classifying sweep, and everything that reads minors of z off it, uses
 ``_ChamberTable`` instead: one Bareiss table of a unipotent matrix, kept
 up to date while the rows and columns move by one adjacent transposition
-at a time.  Every other routine is direct Gaussian arithmetic on
-`Fraction`.
+at a time.  ``_column_reduce`` clears the same integer matrix by columns
+with ``_combine``, the group-word kernel's column operation.  Only the
+product and ``inverse``, oracles for the tests, work in `Fraction`.
 
 A caller's matrix is read by the constructor alone: rows and each row by
 ``weyl._seq_from_json``, the size against the degree limit and for squareness
@@ -313,44 +314,75 @@ def matrix_to_json(m: RatMatrix) -> list[list[str]]:
 def flag_equal(a: RatMatrix, b: RatMatrix) -> bool:
     """Whether two invertible matrices span the same complete flag.
 
-    Compares their column echelon forms from ``_column_reduce``, which are
-    unique for each flag; a singular matrix raises ``DomainError``.
+    Compares the pairs (z, w) of ``_column_reduce``, which are unique for
+    each flag; a singular matrix raises ``DomainError``, and a is reduced
+    first.
     """
     _obj_from_caller(a, RatMatrix, "flag representative")
     _obj_from_caller(b, RatMatrix, "flag representative")
     if a.d != b.d:
         raise InputError("size mismatch in flag comparison")
-    return _column_reduce(a)[0] == _column_reduce(b)[0]
+    return _column_reduce(a._cleared[0]) == _column_reduce(b._cleared[0])
 
 
-def _column_reduce(g: RatMatrix) -> tuple[list[list[Fraction]], Permutation]:
-    """Greedy pivot sweep by columns, clearing each pivot row to the right.
+def _combine(
+    u: list[int], su: tuple[int, int], v: list[int], sv: tuple[int, int]
+) -> tuple[list[int], tuple[int, int]]:
+    """A primitive integer column c and its scale s with s c = su u + sv v.
 
-    The pivot is the lowest nonzero entry of the running column, whose row
-    is invariant under upper-triangular factors on either side.
+    Scales are integer pairs (n, d) for n / d.  su and sv need not be
+    reduced, but both denominators must be positive; s comes back reduced
+    with a positive denominator; a zero column's is (0, 1).
     """
-    d = g.d
-    m = [list(row) for row in g.rows]
-    images = [0] * d
+    (a, b), (c, e) = su, sv
+    # The ratio sv / su = p / q in lowest terms, q > 0.
+    p, q = c * b, e * a
+    if q < 0:
+        p, q = -p, -q
+    h = math.gcd(p, q)
+    p, q = p // h, q // h
+    col = [q * x + p * y for x, y in zip(u, v)]
+    g = math.gcd(*col)
+    if g > 1:
+        col = [x // g for x in col]
+    n, den = a * g, b * q
+    h = math.gcd(n, den)
+    return col, (n // h, den // h)
+
+
+def _column_reduce(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[tuple[Fraction, ...], ...], Permutation]:
+    """The rows of z and w with z w B+ = g B+, from the integer rows of g·diag(c).
+
+    A greedy sweep by columns.  The pivot of column j is the lowest nonzero
+    entry of the running column, in row w(j), which upper-triangular
+    factors on either side leave in place; ``_combine`` clears that row
+    from every later column.  Column w(j) of z is the reduced column j over
+    its pivot, the only `Fraction`s formed.  A zero column raises
+    ``DomainError``: g is singular.
+    """
+    cols = [list(c) for c in zip(*rows)]
+    d = len(cols)
+    z_cols, images = [()] * d, [0] * d
     for j in range(d):
-        p = max((r for r in range(d) if m[r][j] != 0), default=None)
+        col = cols[j]
+        p = next((r for r in reversed(range(d)) if col[r]), None)
         if p is None:
             raise DomainError("matrix is singular")
-        images[j] = p + 1
-        pivot = m[p][j]
-        for r in range(d):
-            m[r][j] /= pivot
+        piv = col[p]
         for j2 in range(j + 1, d):
-            f = m[p][j2]
-            if f != 0:
-                for r in range(d):
-                    m[r][j2] -= f * m[r][j]
-    return m, Permutation(tuple(images))
+            f = cols[j2][p]
+            if f:
+                cols[j2] = _combine(cols[j2], (piv, 1), col, (-f, 1))[0]
+        images[j] = p + 1
+        z_cols[p] = tuple(Fraction(x, piv) for x in col)
+    return tuple(zip(*z_cols)), Permutation(tuple(images))
 
 
 def bruhat_position(g: RatMatrix) -> Permutation:
     """The permutation w with g in B+ w B+ (B+ the upper-triangular group)."""
-    return _column_reduce(_obj_from_caller(g, RatMatrix, "matrix"))[1]
+    return _column_reduce(_obj_from_caller(g, RatMatrix, "matrix")._cleared[0])[1]
 
 
 def opposite_position(g: RatMatrix) -> Permutation:
@@ -359,25 +391,18 @@ def opposite_position(g: RatMatrix) -> Permutation:
     Reversing the rows multiplies g on the left by the longest element w0,
     and w0 B- w0 = B+, so w0 g lies in B+ (w0 v) B+.
     """
-    _obj_from_caller(g, RatMatrix, "matrix")
-    return longest_element(g.d) * bruhat_position(_built(RatMatrix, rows=g.rows[::-1]))
+    rows = _obj_from_caller(g, RatMatrix, "matrix")._cleared[0]
+    return longest_element(g.d) * _column_reduce(rows[::-1])[1]
 
 
 def unipotent_representative(g: RatMatrix) -> tuple[RatMatrix, Permutation]:
     """An upper-unipotent z and w = bruhat_position(g) with z w B+ = g B+.
 
-    Column j of the reduced matrix has its lowest nonzero entry, pinned to
-    1, in row w(j); regrouping those columns as columns w(j) of z yields the
-    unipotent witness.
+    Both come from ``_column_reduce``; z's upper unipotence is checked as an
+    internal fault.
     """
-    m, w = _column_reduce(_obj_from_caller(g, RatMatrix, "matrix"))
-    d = g.d
-    z = [[Fraction(0)] * d for _ in range(d)]
-    for j in range(d):
-        target = w(j + 1) - 1
-        for r in range(d):
-            z[r][target] = m[r][j]
-    out = _built(RatMatrix, rows=tuple(tuple(row) for row in z))
-    if not out.is_upper_unipotent():
+    rows, w = _column_reduce(_obj_from_caller(g, RatMatrix, "matrix")._cleared[0])
+    z = _built(RatMatrix, rows=rows)
+    if not z.is_upper_unipotent():
         raise InternalCheckError("column reduction did not give an upper-unipotent z")
-    return out, w
+    return z, w

@@ -27,15 +27,15 @@ multiplies onto it from the right as an operation on columns i and i+1:
 the lift of s_i swaps them and negates one scale, while y_i(t) and
 x_i(m) s_i^{-1} fold the numerator and denominator of the parameter and
 both scales into one ratio P/Q, combine the two integer columns with it,
-divide the new column by its gcd and reduce its new scale once.  A minor
-of the product is one `Fraction`: a Bareiss determinant of integer entries
-times the numerators of its columns' scales, over their denominators.  Its
-flag, which the scales do not change, is read off the integer columns
-alone.  ``evaluate`` folds a word this way and builds one matrix at the
-end; ``apply_lift`` multiplies a matrix by the lift of a permutation as a
-signed column permutation.  ``factor_matrix`` and ``perm_matrix`` build
-the same factors as dense matrices, for products where a matrix is
-wanted.
+divide the new column by its gcd and reduce its new scale once: that is
+``linalg._combine``, which the column reduction uses too.  A minor of the
+product is one `Fraction`: a Bareiss determinant of integer entries times
+the numerators of its columns' scales, over their denominators.  Its flag,
+which the scales do not change, is read off the integer columns alone.
+``evaluate`` folds a word this way and builds one matrix at the end;
+``apply_lift`` multiplies a matrix by the lift of a permutation as a signed
+column permutation.  ``factor_matrix`` and ``perm_matrix`` build the same
+factors as dense matrices, for products where a matrix is wanted.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
-from .linalg import RatMatrix, _bareiss_det, rational_from_json, rational_to_json
+from .linalg import RatMatrix, _bareiss_det, _combine, rational_from_json, rational_to_json
 from .weyl import Permutation, _built, _check_letters, _degree, _int_from_json, _int_in_range
 from .weyl import _obj_from_caller, _seq_from_json, evaluate_word
 
@@ -156,8 +156,7 @@ class GroupWord:
         _degree(self.d)
         object.__setattr__(self, "factors", _seq_from_json(self.factors, "group word factors"))
         for f in self.factors:
-            if not isinstance(f, GroupFactor):
-                raise InputError(f"group word factor must be a GroupFactor, got {f!r}")
+            _obj_from_caller(f, GroupFactor, "group word factor")
             _int_in_range(f.index, 1, self.d - 1, "generator index")
 
     def __len__(self) -> int:
@@ -171,31 +170,6 @@ def factor_matrix(d: int, factor: GroupFactor) -> RatMatrix:
         return gen_sdot(d, factor.index)
     d, i = _pinned(d, factor.index)
     return _embed(d, i, ((-factor.param, 1), (-1, 0)))
-
-
-def _combine(
-    u: list[int], su: tuple[int, int], v: list[int], sv: tuple[int, int]
-) -> tuple[list[int], tuple[int, int]]:
-    """A primitive integer column c and its scale s with s c = su u + sv v.
-
-    Scales are integer pairs (n, d) for n / d.  su and sv need not be
-    reduced, but both denominators must be positive; s comes back reduced
-    with a positive denominator.
-    """
-    (a, b), (c, e) = su, sv
-    # The ratio sv / su = p / q in lowest terms, q > 0.
-    p, q = c * b, e * a
-    if q < 0:
-        p, q = -p, -q
-    h = math.gcd(p, q)
-    p, q = p // h, q // h
-    col = [q * x + p * y for x, y in zip(u, v)]
-    g = math.gcd(*col)
-    if g != 1:
-        col = [x // g for x in col]
-    n, den = a * g, b * q
-    h = math.gcd(n, den)
-    return col, (n // h, den // h)
 
 
 class _Columns:

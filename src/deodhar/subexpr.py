@@ -100,8 +100,7 @@ class SubexpressionTrace:
         if len(self.values) != n + 1 or len(self.marks) != n:
             raise InputError("trace shape does not match its word")
         for p in self.values:
-            if not isinstance(p, Permutation):
-                raise InputError(f"trace value must be a Permutation, got {p!r}")
+            _obj_from_caller(p, Permutation, "trace value")
         if not self.values[0].is_identity():
             raise InputError("trace must start at the identity")
         object.__setattr__(self, "word", _check_letters(self.values[0].d, self.word))

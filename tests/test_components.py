@@ -118,10 +118,13 @@ def test_descriptor_of_a_built_trace_equals_the_swept_one():
     swept = classify(RatMatrix.identity(2), [1])
     assert built == swept and built.to_json() == swept.to_json()
     assert len({built.trace, swept.trace}) == 1
-    for trace in (None, built.to_json()):
+    # The message names the type given, never the value.
+    for trace, name in ((None, "NoneType"), (built.to_json(), "dict")):
         with pytest.raises(InputError) as info:
             ComponentDescriptor(trace)
-        assert str(info.value) == f"component descriptor needs a SubexpressionTrace, got {trace!r}"
+        assert str(info.value) == (
+            f"component descriptor trace must be a SubexpressionTrace, got {name}"
+        )
 
 
 def test_descriptor_refuses_a_non_reduced_word():

@@ -512,13 +512,70 @@ def test_unipotent_representative_round_trip():
         assert flag_equal(z * perm_matrix(w), g)
 
 
+def _random_upper(rng, d):
+    return RatMatrix(
+        [
+            [
+                random_nonzero(rng) if r == c else random_rational(rng) if c > r else 0
+                for c in range(d)
+            ]
+            for r in range(d)
+        ]
+    )
+
+
+def _oracle_matrix(rng, d, kind):
+    """A dense or sparse random matrix, or one of rank below d."""
+    entry = random_rational if kind == "dense" else (
+        lambda rng: 0 if rng.random() < 0.6 else random_rational(rng)
+    )
+    rows = [[entry(rng) for _ in range(d)] for _ in range(d)]
+    if kind == "deficient":
+        a, b = rng.sample(range(d), 2)
+        c = random_rational(rng)
+        for row in rows:
+            row[b] = c * row[a]
+    return RatMatrix(rows)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "deficient"])
+def test_column_reduction_against_product_oracles(kind):
+    # The oracles are RatMatrix.det, inverse and __mul__, which share no
+    # code with the column reduction behind the four entry points.
+    rng = random.Random(f"column reduction {kind}")
+    singular = 0
+    for _ in range(60):
+        d = rng.randint(2, 10)
+        g = _oracle_matrix(rng, d, kind)
+        if g.det() == 0:
+            singular += 1
+            for read in (bruhat_position, opposite_position, unipotent_representative):
+                with pytest.raises(DomainError, match="^matrix is singular$"):
+                    read(g)
+            with pytest.raises(DomainError, match="^matrix is singular$"):
+                flag_equal(g, RatMatrix.identity(d))
+            continue
+        z, w = unipotent_representative(g)
+        assert z.is_upper_unipotent()
+        assert all(
+            z.entry(w(j), w(k)) == 0 for j in range(1, d + 1) for k in range(j + 1, d + 1)
+        )
+        assert ((z * perm_matrix(w)).inverse() * g).is_upper_triangular()
+        assert unipotent_representative(g * _random_upper(rng, d)) == (z, w)
+        for h in (g * _random_upper(rng, d), g * gen_y(d, rng.randint(1, d - 1), 1),
+                  _oracle_matrix(rng, d, "dense")):
+            if h.det() != 0:
+                assert flag_equal(g, h) == (g.inverse() * h).is_upper_triangular()
+    assert singular == 60 if kind == "deficient" else singular < 60
+
+
 def test_unipotent_representative_check_is_internal(monkeypatch):
-    # Column reduction of an invertible matrix always regroups into an
+    # Column reduction of an invertible matrix always gives an
     # upper-unipotent z; a reduction that does not is a fault of the library.
     monkeypatch.setattr(
         linalg,
         "_column_reduce",
-        lambda g: ([list(row) for row in g.rows], Permutation((2, 1))),
+        lambda rows: (((0, 1), (1, 0)), Permutation((2, 1))),
     )
     with pytest.raises(InternalCheckError):
         unipotent_representative(RatMatrix.identity(2))

@@ -186,10 +186,10 @@ def test_group_word_keeps_a_list_or_a_tuple():
         with pytest.raises(InputError) as exc:
             GroupWord(2, factors)
         assert str(exc.value) == f"group word factors must be a list or a tuple, got {factors!r}"
-    for item in ({FACTOR_S: [1]}, (FACTOR_S, 1), None):
+    for item, name in (({FACTOR_S: [1]}, "dict"), ((FACTOR_S, 1), "tuple"), (None, "NoneType")):
         with pytest.raises(InputError) as exc:
             GroupWord(2, [item])
-        assert str(exc.value) == f"group word factor must be a GroupFactor, got {item!r}"
+        assert str(exc.value) == f"group word factor must be a GroupFactor, got {name}"
 
 
 def test_group_factor_parameter_is_a_fraction():

@@ -73,7 +73,7 @@ def test_trace_keeps_a_list_or_a_tuple():
         assert str(info.value) == f"trace {name} must be a list or a tuple, got {bad!r}"
     with pytest.raises(InputError) as info:
         SubexpressionTrace([1], [(1, 2), (2, 1)], ["+"])
-    assert str(info.value) == "trace value must be a Permutation, got (1, 2)"
+    assert str(info.value) == "trace value must be a Permutation, got tuple"
 
 
 def test_trace_positions_and_counts():
